@@ -242,7 +242,7 @@ def run_criterion(criterion: str, faults: frozenset = frozenset()) -> CriterionR
     if elapsed > budget:
         passed = False
         detail += f"; runtime {elapsed:.1f}s exceeded budget {budget:.0f}s"
-    return CriterionResult(criterion=criterion, passed=passed, detail=detail, seconds=elapsed)
+    return CriterionResult(criterion=criterion, passed=bool(passed), detail=detail, seconds=elapsed)
 
 
 def run_all(faults: frozenset = frozenset(), only=None) -> list[CriterionResult]:

@@ -330,9 +330,16 @@ def cmd_fkm_autocorr(args) -> int:
     elif mode == "mc":
         curve = fkm.mc_phase_autocorrelation(chain, tau, samples=int(params["samples"]), seed=seed)
     else:
+        oversample = int(params["oversample"])
+        if oversample < 1:
+            raise ConfigInvalidError(f"oversample: must be at least 1, got {oversample}")
         horizon = float(params["horizon_periods"]) * 2 * np.pi / fkm.dft_frequencies(chain).max()
+        if not (np.isfinite(horizon) and horizon > tau[-1]):
+            raise ConfigInvalidError(
+                f"horizon_periods: horizon {horizon:.6g} must be finite and exceed tau_max {tau[-1]:.6g}"
+            )
         x0 = fkm.sample_gibbs(chain, seed)
-        curve = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=int(params["oversample"])).curve
+        curve = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=oversample).curve
     rows = [
         (float(t), float(v), curve.kind, n, beta, seed)
         for t, v in zip(curve.tau, curve.values)

@@ -265,6 +265,23 @@ class TimeAutocorrelation:
     sup_gap: float
 
 
+def _site0_momentum_series(chain: HarmonicChain, x0: PhasePoint, dt: float, total: int) -> np.ndarray:
+    """p0(j dt) for j = 0..total-1 along the exact orbit from x0."""
+    modes = normal_modes(chain)
+    q, p = _mode_coordinates(modes, x0)
+    w_site = modes.vectors[0, :]
+    keep = w_site != 0.0
+    omega = modes.frequencies[keep]
+    coef = w_site[keep] * (p[keep] + 1j * omega * q[keep])
+    chunk = min(1 << 10, total)
+    rotation = np.exp(1j * np.outer(np.arange(chunk) * dt, omega))
+    series = np.empty(total)
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        series[start:stop] = (rotation[: stop - start] @ (coef * np.exp(1j * omega * (start * dt)))).real
+    return series
+
+
 def time_autocorrelation(
     chain: HarmonicChain,
     x0: PhasePoint,
@@ -279,6 +296,15 @@ def time_autocorrelation(
     the estimate at tau_j averages products over the horizon.  Also returns
     the analytic phase curve on the same grid and the sup-norm gap, the
     agreement metric between time statistics and the Gibbs average.
+
+    The site-0 momentum is the phasor sum p0(t) = Re sum_k c_k exp(i w_k t)
+    with c_k = v_0k (p_k + i w_k q_k), where v_0k is the site-0 weight of
+    mode k.  Columns with v_0k == 0.0 exactly (the sin half of every pair)
+    contribute nothing and are dropped.  The series is built chunk by chunk
+    as one complex mat-vec of a fixed block exp(i w_k j dt) with the
+    coefficients rotated to the chunk start, exp(i w_k t0) c_k; each chunk's
+    rotation is computed directly from t0, so rounding does not accumulate
+    along the trajectory.
     """
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or len(tau) < 2:
@@ -290,23 +316,10 @@ def time_autocorrelation(
         raise ValueError("horizon must exceed the largest tau")
     if oversample < 1:
         raise ValueError("oversample must be at least 1")
-    modes = normal_modes(chain)
-    q, p = _mode_coordinates(modes, x0)
-    w_site = modes.vectors[0, :]
-    omega = modes.frequencies
-    alpha = w_site * p
-    gamma = w_site * omega * q
     dt = step / oversample
     n_lags = (len(tau) - 1) * oversample
     n_base = int(math.ceil(horizon / dt))
-    total = n_base + n_lags
-    series = np.empty(total)
-    chunk = 1 << 15
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        t = np.arange(start, stop) * dt
-        phases = np.outer(t, omega)
-        series[start:stop] = np.cos(phases) @ alpha - np.sin(phases) @ gamma
+    series = _site0_momentum_series(chain, x0, dt, n_base + n_lags)
     base = series[:n_base]
     values = np.empty(len(tau))
     for j in range(len(tau)):

@@ -185,6 +185,15 @@ def test_autocorr_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_autocorr_time_mode_validation(tmp_path, capsys):
+    base = ["fkm", "autocorr", "--n", "16", "--mode", "time", "--out", str(tmp_path / "x.csv")]
+    assert run(base + ["--oversample", "0"]) == 2
+    assert run(base + ["--horizon-periods", "0.001"]) == 2
+    assert run(base + ["--horizon-periods", "inf"]) == 2
+    assert not (tmp_path / "x.csv").exists()
+    capsys.readouterr()
+
+
 def test_oufit_roundtrip(tmp_path, capsys):
     out = tmp_path / "expo.csv"
     tau = np.linspace(0.0, 20.0, 200)
@@ -235,3 +244,21 @@ def test_reproduce_fault_subset(capsys, tmp_path):
     report = json.loads(rpt.read_text(encoding="utf-8"))
     assert report["passed"] is False
     assert report["faults"] == ["ming-block"]
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reproduce_report_is_strict_json(capsys, tmp_path):
+    rpt = tmp_path / "report.json"
+    assert run(["reproduce", "--only", "A2", "--out", str(rpt)]) == 0
+    capsys.readouterr()
+    report = _strict_json(rpt.read_text(encoding="utf-8"))
+    assert report["passed"] is True
+    assert report["results"][0]["passed"] is True
+    sidecar = _strict_json((tmp_path / "report.json.provenance.json").read_text(encoding="utf-8"))
+    assert sidecar["config"]["command"] == "reproduce"

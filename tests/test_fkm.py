@@ -293,6 +293,57 @@ def test_time_autocorrelation_grid_validation():
         fkm.time_autocorrelation(chain, x0, 100.0, TAU, oversample=0)
 
 
+def _direct_series(chain, x0, dt, total):
+    # the cos/sin evaluation over every mode column, independent of the phasor kernel
+    modes = fkm.normal_modes(chain)
+    q = modes.vectors.T @ x0.q
+    p = modes.vectors.T @ x0.p
+    w_site = modes.vectors[0, :]
+    omega = modes.frequencies
+    phases = np.outer(np.arange(total) * dt, omega)
+    return np.cos(phases) @ (w_site * p) - np.sin(phases) @ (w_site * omega * q)
+
+
+def _random_point(n, seed):
+    rng = np.random.default_rng(seed)
+    return fkm.PhasePoint(q=rng.normal(size=n), p=rng.normal(size=n))
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        fkm.HarmonicChain(n=17, beta=1.0, omega0_sq=1.0, kappa=1.0),
+        fkm.HarmonicChain(n=32, beta=2.0, omega0_sq=0.5, kappa=3.0),
+        fkm.HarmonicChain(n=12, beta=1.0, omega0_sq=0.0, kappa=1.0),  # omega = 0 column
+    ],
+    ids=["odd", "even", "zero-mode"],
+)
+def test_time_autocorrelation_matches_direct_evaluation(chain):
+    x0 = _random_point(chain.n, chain.n)
+    tau = np.linspace(0.0, 5.0, 21)
+    oversample = 3
+    dt = (tau[1] - tau[0]) / oversample
+    horizon = 300.0  # several series chunks, the last one partial
+    n_base = int(math.ceil(horizon / dt))
+    total = n_base + (len(tau) - 1) * oversample
+    direct = _direct_series(chain, x0, dt, total)
+    scale = np.abs(direct).max()
+    assert np.abs(fkm._site0_momentum_series(chain, x0, dt, total) - direct).max() <= 1e-10 * scale
+    direct_curve = np.array(
+        [direct[:n_base] @ direct[j * oversample : j * oversample + n_base] / n_base for j in range(len(tau))]
+    )
+    res = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=oversample)
+    assert np.abs(res.curve.values - direct_curve).max() <= 1e-10 * scale**2
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 255, 256])
+def test_site0_weight_vanishes_on_every_sin_column(n):
+    # the trajectory kernel drops exactly these columns
+    row = fkm.normal_modes(fkm.HarmonicChain(n=n, beta=1.0)).vectors[0]
+    assert np.all(row[2::2] == 0.0)
+    assert np.count_nonzero(row) == n // 2 + 1
+
+
 # ---------------------------------------------------------------------------
 # equipartition normality
 # ---------------------------------------------------------------------------
