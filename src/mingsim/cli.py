@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance, dynamics, fkm, observable, thermolimit
-from .bitlattice import decompose_orbits, is_prime
+from .bitlattice import is_prime, require_dense
 from .errors import ConfigInvalidError, DegenerateFitError, MingsimError
 from .ming import build_block, verify_exponential
 
@@ -163,10 +163,10 @@ def cmd_ming_verify(args) -> int:
         raise ConfigInvalidError(f"n: n must be prime, got {n}")
     if h <= 0:
         raise ConfigInvalidError(f"h: must be positive, got {h}")
-    decomp = decompose_orbits(n)
+    require_dense(n)  # the table lists every orbit, (2**n - 2) / n rows
     residual = verify_exponential(build_block(n, h))
     rows = [(-1, 2, 0.0)]  # the two shift-fixed lines; identity is exact there
-    rows += [(k, n, residual) for k in range(decomp.q)]
+    rows += [(k, n, residual) for k in range(((1 << n) - 2) // n)]  # q orbits, n prime
     text = render_csv(("orbit_id", "dimension", "residual"), rows)
     config = RunConfig("ming verify", {"n": n, "h": h}, seed=int(params["seed"]), out=args.out)
     return emit(text, args.out, config)

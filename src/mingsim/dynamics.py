@@ -17,8 +17,8 @@ Born weight |a1|^2 of the moving branch:
 
 which is what `born_limit_sweep` tabulates across lattice sizes.  The
 orbit-compressed path evaluates the same average by counting cocked
-revisits, needs only O(horizon) index arithmetic, and therefore reaches
-sizes like n = 1009 far beyond the dense bound.
+revisits with O(n) array work independent of the horizon, and so takes
+milliseconds at n ~ 10^5, far beyond the dense bound.
 """
 
 from __future__ import annotations
@@ -31,7 +31,13 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .bitlattice import decompose_orbits, require_dense, require_prime, shift_index
+from .bitlattice import (
+    DENSE_MAX_SITES,
+    decompose_orbits,
+    require_dense,
+    require_prime,
+    shift_index,
+)
 from .errors import NotNormalizedError, UnsupportedInitialStateError
 from .ming import assemble_propagator
 from .observable import CockedSet, PointerVariable, strict_cocked_index
@@ -74,6 +80,8 @@ class CombinedState:
                 if not 0 <= i < size:
                     raise ValueError(f"basis index {i} out of range for n={self.n}")
         total = self.norm()
+        if not math.isfinite(total):
+            raise NotNormalizedError(f"combined norm {total!r} is not finite")
         if abs(total - 1.0) > NORM_RTOL:
             raise NotNormalizedError(
                 f"combined norm {total!r} deviates from 1 beyond {NORM_RTOL}"
@@ -191,6 +199,31 @@ def time_average_f(
     )
 
 
+def _revisit_count(index: int, cocked: CockedSet, horizon: int) -> int:
+    """Number of t in [0, horizon) with shift^t(index) in the cocked set.
+
+    After t steps site k holds the start digit of site (k - t) mod n, so
+    the left half is the cyclic window of left_size start digits that
+    begins at site (-t) mod n.  One cumulative sum over the doubled digit
+    ring gives every window's digit count at once.
+    """
+    n, ls, b = cocked.n, cocked.left_size, cocked.budget
+    digits = np.unpackbits(
+        np.frombuffer(index.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
+        count=n,
+        bitorder="little",
+    )
+    ring = np.zeros(2 * n + 1, dtype=np.int32)
+    np.cumsum(np.concatenate((digits, digits)), dtype=np.int32, out=ring[1:])
+    left = ring[ls : ls + n] - ring[:n]  # left[s]: ones in the window at site s
+    total = int(ring[n])
+    hit = (ls - left <= b) & (total - left <= b)
+    # t = 0 reads window 0, t = 1 .. rest-1 windows n-1 .. n-rest+1
+    rest = horizon % n
+    partial = int(hit[0]) + int(hit[n - rest + 1 :].sum()) if rest else 0
+    return (horizon // n) * int(hit.sum()) + partial
+
+
 def orbit_compressed_average(
     state: CombinedState,
     cocked: CockedSet,
@@ -202,8 +235,9 @@ def orbit_compressed_average(
 
         f(t) = 1 - |a0|^2 [amp0 in C] - |a1|^2 [shift^t(amp1) in C]
 
-    and the mean only requires the revisit counts, one membership test per
-    step, independent of 2**n.
+    and the mean only requires the revisit counts.  They come from window
+    sums over the n digits of amp1, O(n) array work independent of the
+    horizon and of 2**n.
     """
     if cocked.n != state.n:
         raise ValueError("cocked set and state have different n")
@@ -223,12 +257,7 @@ def orbit_compressed_average(
         basis.append(i)
     i0, i1 = basis
     k0 = horizon if cocked.contains(i0) else 0
-    k1 = 0
-    j = i1
-    for t in range(horizon):
-        if cocked.contains(j):
-            k1 += 1
-        j = shift_index(j, state.n, 1)
+    k1 = _revisit_count(i1, cocked, horizon)
     w0 = abs(state.a0) ** 2
     w1 = abs(state.a1) ** 2
     mean = 1.0 - w0 * (k0 / horizon) - w1 * (k1 / horizon)
@@ -273,7 +302,7 @@ def born_limit_sweep(
         state = cocked_start(n, a0, a1)
         cocked = CockedSet(n, eps(n))
         horizon = horizon_of(n)
-        use_dense = path == "dense" or (path == "auto" and n <= 13)
+        use_dense = path == "dense" or (path == "auto" and n <= DENSE_MAX_SITES)
         if use_dense:
             res = time_average_f(state, cocked, horizon)
         else:

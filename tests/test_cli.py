@@ -32,6 +32,12 @@ def test_ming_verify_rejects_composite():
     assert run(["ming", "verify", "--n", "4"]) == 2
 
 
+def test_ming_verify_keeps_dense_bound(capsys):
+    # the table has one row per orbit, so it stays within the dense bound
+    assert run(["ming", "verify", "--n", "17"]) == 2
+    assert "dense-mode bound" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # observable fn
 # ---------------------------------------------------------------------------
@@ -77,6 +83,13 @@ def test_born_sweep_row_count_and_values(tmp_path):
 def test_born_sweep_rejects_composite(tmp_path, capsys):
     assert run(["born", "sweep", "--n", "4,5", "--out", str(tmp_path / "x.csv")]) == 2
     assert "n must be prime" in capsys.readouterr().err
+
+
+def test_born_sweep_rejects_non_finite_amplitude(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["born", "sweep", "--a0", "nan,0", "--a1", "0,1", "--n", "5,7", "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_born_sweep_requires_out(capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mingsim.dynamics import (
     CombinedState,
@@ -15,6 +17,7 @@ from mingsim.dynamics import (
     orbit_compressed_average,
     time_average_f,
 )
+from mingsim.bitlattice import shift_index
 from mingsim.errors import NotNormalizedError, UnsupportedInitialStateError
 from mingsim.observable import CockedSet, PointerVariable, strict_cocked_index
 
@@ -61,6 +64,13 @@ def test_combined_state_rejects_bad_norm():
         combined_state(5, 0.0, 0.0, {3: 1.0}, {3: 1.0})
 
 
+def test_cocked_start_rejects_non_finite_amplitudes():
+    with pytest.raises(NotNormalizedError, match="not finite"):
+        cocked_start(5, math.nan, 0.0)
+    with pytest.raises(NotNormalizedError, match="not finite"):
+        cocked_start(5, math.inf, 1.0)
+
+
 def test_time_average_example_half_half():
     s = cocked_start(5, INV_SQRT2, INV_SQRT2)
     res = time_average_f(s, CockedSet(5, 0.0), horizon=5, keep_steps=True)
@@ -100,6 +110,52 @@ def test_compressed_large_n():
         res = orbit_compressed_average(s, CockedSet(n, 0.0))
         assert res.mean == pytest.approx(0.5 * (1 - 1 / n), abs=1e-12)
         assert res.closed_form == pytest.approx(res.mean, abs=1e-12)
+
+
+def test_compressed_large_n_with_budget():
+    # from the strict start, the moving branch is cocked for the 2b + 1
+    # shifts within b sites of the start, b = floor(eps * n)
+    n, eps = 100003, 0.2
+    res = orbit_compressed_average(cocked_start(n, 0.6, 0.8), CockedSet(n, eps))
+    b = math.floor(eps * n)
+    assert res.mean == pytest.approx(0.64 * (1 - (2 * b + 1) / n), abs=1e-12)
+
+
+# small primes and non-primes: the revisit count does not rely on n prime
+REVISIT_SIZES = [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 21, 25, 31, 32, 33, 47, 60, 61]
+
+
+def _stepped_mean(state, cocked, horizon):
+    """Literal reference: one shift and one membership test per step."""
+    ((i0, _),) = state.amp0.items()
+    ((j, _),) = state.amp1.items()
+    k0 = horizon if cocked.contains(i0) else 0
+    k1 = 0
+    for _ in range(horizon):
+        k1 += cocked.contains(j)
+        j = shift_index(j, state.n, 1)
+    w0, w1 = abs(state.a0) ** 2, abs(state.a1) ** 2
+    return 1.0 - w0 * (k0 / horizon) - w1 * (k1 / horizon)
+
+
+@st.composite
+def revisit_cases(draw):
+    n = draw(st.sampled_from(REVISIT_SIZES))
+    index = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    eps = draw(st.floats(min_value=0.0, max_value=0.5, exclude_max=True))
+    horizon = draw(st.integers(min_value=1, max_value=3 * n + 2))
+    return n, index, eps, horizon
+
+
+@given(revisit_cases())
+@settings(max_examples=300, deadline=None)
+def test_compressed_matches_stepped_reference(case):
+    n, index, eps, horizon = case
+    cocked = CockedSet(n, eps)
+    for i1 in (index, 0, (1 << n) - 1):
+        state = combined_state(n, 0.6, 0.8, {index: 1.0}, {i1: 1.0})
+        fast = orbit_compressed_average(state, cocked, horizon)
+        assert fast.mean == _stepped_mean(state, cocked, horizon)
 
 
 def test_compressed_needs_basis_branches():
