@@ -1,12 +1,20 @@
 """Reproducible command-line front door.
 
-Every run is described by a RunConfig (command id, parameters, seed,
-output path, format version) that serializes to canonical JSON.  A
-subcommand may load one from --config and override single fields with
-flags.  Artifacts are written atomically (temp file + rename), values are
+Every subcommand is one entry of the parameter table COMMANDS: a handler
+and its fields, each field declared once as (name, parser, default, check,
+help).  The table drives the front end.  build_parser makes one flag per
+field.  The dispatcher merges a --config JSON object over the defaults and
+explicit flags over that, parses every given value, runs its check, and
+records the resolved fields in a RunConfig (command id, parameters, seed,
+output path, format version) that serializes to canonical JSON.  A value
+that fails to parse or check is a ConfigInvalidError naming the field.
+Handlers only compute and return the artifact text.
+
+Artifacts are written atomically (temp file + rename), values are
 formatted through repr so identical configs give byte-identical files,
-and anything environment-dependent (wall clock, library version) lives
-only in the sidecar provenance JSON next to each artifact.
+and anything environment-dependent (wall clock, library version, compute
+time) lives only in the sidecar provenance JSON next to each artifact.
+All JSON is strict: a non-finite value raises instead of reaching disk.
 
 Exit codes: 0 success, 2 invalid config or flags, 3 numeric acceptance
 failure (failed reproduce criterion, degenerate fit), 4 I/O failure.
@@ -22,12 +30,14 @@ import datetime
 import io
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -59,8 +69,9 @@ class RunConfig:
 
 
 def canonical_json(obj) -> str:
-    """Stable serialization: sorted keys, no whitespace jitter, one newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Stable strict serialization: sorted keys, no whitespace jitter, one
+    newline; NaN and Infinity raise ValueError instead of being written."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def atomic_write(path: Path, data: str) -> None:
@@ -96,58 +107,95 @@ def render_csv(header, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config merging
+# the parameter table
 # ---------------------------------------------------------------------------
 
-
-def merge_params(args, defaults: dict) -> dict:
-    """Start from defaults, overlay --config file values, overlay given flags."""
-    params = dict(defaults)
-    if getattr(args, "config", None):
-        try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigInvalidError(f"config: cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalidError(f"config: {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigInvalidError("config: top level must be a JSON object")
-        for key, value in loaded.items():
-            if key in ("command", "format_version"):
-                continue
-            if key not in params:
-                raise ConfigInvalidError(f"config: unknown field {key!r}")
-            params[key] = value
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            params[key] = flag
-    return params
+REQUIRED = object()  # default of a field that has to be given
 
 
-def parse_complex_pair(text, field: str) -> complex:
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        return complex(float(text[0]), float(text[1]))
-    try:
-        re_part, im_part = str(text).split(",")
-        return complex(float(re_part), float(im_part))
-    except ValueError as exc:
-        raise ConfigInvalidError(f"{field}: expected re,im got {text!r}") from exc
+@dataclass(frozen=True)
+class Field:
+    """One parameter of one subcommand; its flag, --config key, parsing,
+    range check and provenance entry all come from this declaration.
+
+    parse turns a flag string or a --config JSON value into the field's
+    type; check is a predicate on the parsed value, and help states the
+    range it enforces.  A parse that raises ValueError or TypeError, or a
+    check that is false or raises, is a ConfigInvalidError naming the field.
+    """
+
+    name: str
+    parse: Callable
+    default: object  # used as it stands, never parsed
+    check: Callable | None = None
+    help: str | None = None
+    flag: str | None = None  # default: --name with dashes
+    flag_only: bool = False  # neither read from --config nor recorded in RunConfig.params
 
 
-def parse_int_list(text, field: str) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(x) for x in text]
-    try:
-        return [int(x) for x in str(text).split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigInvalidError(f"{field}: expected comma-separated integers, got {text!r}") from exc
+@dataclass(frozen=True)
+class Command:
+    name: str  # "group cmd", or one word for a top-level command
+    help: str
+    handler: Callable  # resolved fields -> artifact text, or (text or None, exit code)
+    fields: tuple[Field, ...]
+    config: bool = True  # accepts --config
 
 
-def require_prime_ns(ns, field: str):
+def finite(value) -> float:
+    """A number or numeric text; nan and +-inf are rejected."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{x!r} is not finite")
+    return x
+
+
+def integer(value) -> int:
+    """An integer, integer text or an integral float; 1.5 and booleans are rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def complex_pair(value) -> complex:
+    """re,im as text or as a two-element JSON list."""
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)) or len(parts) != 2:
+        raise ValueError(f"expected re,im, got {value!r}")
+    return complex(finite(parts[0]), finite(parts[1]))
+
+
+def _items(value) -> list:
+    """Comma-separated text, a JSON list or a single value, as a list."""
+    if isinstance(value, str):
+        return [x.strip() for x in value.split(",") if x.strip()]
+    return list(value) if isinstance(value, list) else [value]
+
+
+def prime_list(value) -> list[int]:
+    """One or more primes."""
+    ns = [integer(x) for x in _items(value)]
+    if not ns:
+        raise ValueError("expected at least one prime")
     for n in ns:
         if not is_prime(n):
-            raise ConfigInvalidError(f"{field}: n must be prime, got {n}")
+            raise ValueError(f"n must be prime, got {n}")
+    return ns
+
+
+def _dense_prime(n: int) -> bool:
+    require_dense(n)  # first: trial division is slow for huge n
+    return is_prime(n)
+
+
+def _positive(x) -> bool:
+    return x > 0
+
+
+SEED = Field("seed", integer, 0, lambda s: s >= 0, "random seed, >= 0, recorded in the provenance")
+OUT = Field("out", str, None, bool, "output file (default: stdout)", flag_only=True)
+OUT_REQUIRED = dataclasses.replace(OUT, default=REQUIRED, help="output file")
+EPSILON = Field("epsilon", finite, 0.0, lambda e: 0.0 <= e < 1.0, "deviation budget as a fraction of n, in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +203,12 @@ def require_prime_ns(ns, field: str):
 # ---------------------------------------------------------------------------
 
 
-def cmd_ming_verify(args) -> int:
-    params = merge_params(args, {"n": 5, "h": 1.0, "seed": 0})
-    n = int(params["n"])
-    h = float(params["h"])
-    if not is_prime(n):
-        raise ConfigInvalidError(f"n: n must be prime, got {n}")
-    if h <= 0:
-        raise ConfigInvalidError(f"h: must be positive, got {h}")
-    require_dense(n)  # the table lists every orbit, (2**n - 2) / n rows
-    residual = verify_exponential(build_block(n, h))
+def cmd_ming_verify(p) -> str:
+    n = p["n"]
+    residual = verify_exponential(build_block(n, p["h"]))
     rows = [(-1, 2, 0.0)]  # the two shift-fixed lines; identity is exact there
     rows += [(k, n, residual) for k in range(((1 << n) - 2) // n)]  # q orbits, n prime
-    text = render_csv(("orbit_id", "dimension", "residual"), rows)
-    config = RunConfig("ming verify", {"n": n, "h": h}, seed=int(params["seed"]), out=args.out)
-    return emit(text, args.out, config)
+    return render_csv(("orbit_id", "dimension", "residual"), rows)
 
 
 def read_state_csv(path: str) -> dict[int, complex]:
@@ -200,172 +239,44 @@ def read_state_csv(path: str) -> dict[int, complex]:
     return state
 
 
-def cmd_observable_fn(args) -> int:
-    params = merge_params(args, {"n": None, "epsilon": 0.0, "state": None, "seed": 0})
-    if params["n"] is None:
-        raise ConfigInvalidError("n: required")
-    if params["state"] is None:
-        raise ConfigInvalidError("state: required")
-    n = int(params["n"])
-    try:
-        cocked = observable.CockedSet(n, float(params["epsilon"]))
-    except ValueError as exc:
-        raise ConfigInvalidError(f"epsilon: {exc}") from exc
-    state = read_state_csv(str(params["state"]))
-    for index in state:
-        if not 0 <= index < 2**n:
-            raise ConfigInvalidError(f"state: index {index} out of range for n={n}")
-    value = observable.pointer_value(state, cocked)
-    print(repr(value))
-    return EXIT_OK
+def cmd_observable_fn(p) -> str:
+    cocked = observable.CockedSet(p["n"], p["epsilon"])
+    return repr(observable.pointer_value(read_state_csv(p["state"]), cocked)) + "\n"
 
 
-def cmd_born_sweep(args) -> int:
-    params = merge_params(args, {"a0": "1,0", "a1": "0,1", "n": "5,7,11,13", "epsilon": 0.0, "seed": 0})
-    a0 = parse_complex_pair(params["a0"], "a0")
-    a1 = parse_complex_pair(params["a1"], "a1")
-    ns = parse_int_list(params["n"], "n")
-    require_prime_ns(ns, "n")
-    epsilon = float(params["epsilon"])
-    if not 0.0 <= epsilon < 1.0:
-        raise ConfigInvalidError(f"epsilon: must lie in [0, 1), got {epsilon}")
-    if abs(a0) ** 2 + abs(a1) ** 2 <= 0:
-        raise ConfigInvalidError("a0: amplitudes must not both vanish")
-    if args.out is None:
-        raise ConfigInvalidError("out: required")
+def cmd_born_sweep(p) -> str:
     rows = [
         (row.n, row.mean, row.born_weight, row.abs_error)
-        for row in dynamics.born_limit_sweep((a0, a1), ns, epsilon_schedule=epsilon)
+        for row in dynamics.born_limit_sweep((p["a0"], p["a1"]), p["n"], epsilon_schedule=p["epsilon"])
     ]
-    text = render_csv(("n", "mean", "born_weight", "abs_error"), rows)
-    config = RunConfig(
-        "born sweep",
-        {"a0": [a0.real, a0.imag], "a1": [a1.real, a1.imag], "n": ns, "epsilon": epsilon},
-        seed=int(params["seed"]),
-        out=args.out,
-    )
-    return emit(text, args.out, config)
+    return render_csv(("n", "mean", "born_weight", "abs_error"), rows)
 
 
-def cmd_limit_compare(args) -> int:
-    params = merge_params(
-        args,
-        {"a0": "0.6,0", "a1": "0,0.8", "n": "5,7,11,13,101,1009", "epsilon": 0.0, "tolerance": 1e-3, "seed": 0},
-    )
-    a0 = parse_complex_pair(params["a0"], "a0")
-    a1 = parse_complex_pair(params["a1"], "a1")
-    ns = parse_int_list(params["n"], "n")
-    require_prime_ns(ns, "n")
-    if args.out is None:
-        raise ConfigInvalidError("out: required")
-    sweep = dynamics.born_limit_sweep((a0, a1), ns, epsilon_schedule=float(params["epsilon"]))
-    report = thermolimit.compare_limit((a0, a1), sweep, tolerance=float(params["tolerance"]))
-    payload = {
-        "ns": list(report.ns),
-        "errors": list(report.errors),
-        "limit_value": report.limit_value,
-        "fitted_exponent": report.fitted_exponent,
-        "fitted_intercept": report.fitted_intercept,
-        "final_error": report.final_error,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-    }
-    config = RunConfig(
-        "limit compare",
-        {
-            "a0": [a0.real, a0.imag],
-            "a1": [a1.real, a1.imag],
-            "n": ns,
-            "epsilon": float(params["epsilon"]),
-            "tolerance": float(params["tolerance"]),
-        },
-        seed=int(params["seed"]),
-        out=args.out,
-    )
-    return emit(canonical_json(payload), args.out, config)
+def cmd_limit_compare(p) -> str:
+    a = (p["a0"], p["a1"])
+    sweep = dynamics.born_limit_sweep(a, p["n"], epsilon_schedule=p["epsilon"])
+    report = thermolimit.compare_limit(a, sweep, tolerance=p["tolerance"])
+    payload = dataclasses.asdict(report)
+    del payload["self_correlation"]  # E[F*F] = E[F] holds by construction
+    return canonical_json(payload)
 
 
-CURVE_MODES = ("analytic", "mc", "time")
-_KIND_BY_MODE = {"analytic": "phase-analytic", "mc": "phase-monte-carlo", "time": "time-trajectory"}
-
-
-def cmd_fkm_autocorr(args) -> int:
-    params = merge_params(
-        args,
-        {
-            "n": 256,
-            "beta": 1.0,
-            "kappa0": 1.0,
-            "omega0_sq": 1.0,
-            "tau_max": 20.0,
-            "tau_steps": 200,
-            "mode": "analytic",
-            "seed": 42,
-            "samples": 100_000,
-            "horizon_periods": 1e4,
-            "oversample": 4,
-        },
-    )
-    mode = str(params["mode"])
-    if mode not in CURVE_MODES:
-        raise ConfigInvalidError(f"mode: must be one of {CURVE_MODES}, got {mode!r}")
-    n = int(params["n"])
-    beta = float(params["beta"])
-    steps = int(params["tau_steps"])
-    if n < 1:
-        raise ConfigInvalidError(f"n: must be positive, got {n}")
-    if beta <= 0:
-        raise ConfigInvalidError(f"beta: must be positive, got {beta}")
-    if steps < 2:
-        raise ConfigInvalidError(f"tau_steps: need at least 2, got {steps}")
-    if float(params["tau_max"]) <= 0:
-        raise ConfigInvalidError(f"tau_max: must be positive, got {params['tau_max']}")
-    if args.out is None:
-        raise ConfigInvalidError("out: required")
-    seed = int(params["seed"])
-    chain = fkm.scaled_ring(n, beta, kappa0=float(params["kappa0"]), omega0_sq=float(params["omega0_sq"]))
-    tau = np.linspace(0.0, float(params["tau_max"]), steps)
-    if mode == "analytic":
+def cmd_fkm_autocorr(p) -> str:
+    n, beta, seed = p["n"], p["beta"], p["seed"]
+    chain = fkm.scaled_ring(n, beta, kappa0=p["kappa0"], omega0_sq=p["omega0_sq"])
+    tau = np.linspace(0.0, p["tau_max"], p["tau_steps"])
+    if p["mode"] == "analytic":
         curve = fkm.phase_autocorrelation(chain, tau)
-    elif mode == "mc":
-        curve = fkm.mc_phase_autocorrelation(chain, tau, samples=int(params["samples"]), seed=seed)
+    elif p["mode"] == "mc":
+        curve = fkm.mc_phase_autocorrelation(chain, tau, samples=p["samples"], seed=seed)
     else:
-        oversample = int(params["oversample"])
-        if oversample < 1:
-            raise ConfigInvalidError(f"oversample: must be at least 1, got {oversample}")
-        horizon = float(params["horizon_periods"]) * 2 * np.pi / fkm.dft_frequencies(chain).max()
-        if not (np.isfinite(horizon) and horizon > tau[-1]):
-            raise ConfigInvalidError(
-                f"horizon_periods: horizon {horizon:.6g} must be finite and exceed tau_max {tau[-1]:.6g}"
-            )
         x0 = fkm.sample_gibbs(chain, seed)
-        curve = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=oversample).curve
-    rows = [
-        (float(t), float(v), curve.kind, n, beta, seed)
-        for t, v in zip(curve.tau, curve.values)
-    ]
-    text = render_csv(("tau", "value", "kind", "n", "beta", "seed"), rows)
-    config = RunConfig(
-        "fkm autocorr",
-        {
-            "n": n,
-            "beta": beta,
-            "kappa0": float(params["kappa0"]),
-            "omega0_sq": float(params["omega0_sq"]),
-            "tau_max": float(params["tau_max"]),
-            "tau_steps": steps,
-            "mode": mode,
-            "samples": int(params["samples"]),
-            "horizon_periods": float(params["horizon_periods"]),
-            "oversample": int(params["oversample"]),
-        },
-        seed=seed,
-        out=args.out,
-    )
-    status = emit(text, args.out, config)
-    if status == EXIT_OK and args.svg:
-        atomic_write(Path(args.svg), render_svg(curve))
-    return status
+        horizon = p["horizon_periods"] * 2 * np.pi / fkm.dft_frequencies(chain).max()
+        curve = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=p["oversample"]).curve
+    if p["svg"] is not None:
+        atomic_write(Path(p["svg"]), render_svg(curve))
+    rows = [(float(t), float(v), curve.kind, n, beta, seed) for t, v in zip(curve.tau, curve.values)]
+    return render_csv(("tau", "value", "kind", "n", "beta", "seed"), rows)
 
 
 def render_svg(curve) -> str:
@@ -394,63 +305,154 @@ def render_svg(curve) -> str:
     )
 
 
-def cmd_fkm_oufit(args) -> int:
-    params = merge_params(args, {"in_path": None, "window_factor": 5.0, "seed": 0})
-    if params["in_path"] is None:
-        raise ConfigInvalidError("in: required")
+def read_curve_csv(path: str) -> fkm.AutocorrCurve:
     try:
-        raw = Path(str(params["in_path"])).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigInvalidError(f"in: cannot read {params['in_path']}: {exc}") from exc
+        raise ConfigInvalidError(f"in_path: cannot read {path}: {exc}") from exc
     reader = csv.DictReader(io.StringIO(raw))
-    taus, vals, kinds = [], [], set()
     if reader.fieldnames is None or "tau" not in reader.fieldnames or "value" not in reader.fieldnames:
-        raise ConfigInvalidError("in: curve CSV needs tau and value columns")
+        raise ConfigInvalidError("in_path: curve CSV needs tau and value columns")
+    taus, vals, kinds = [], [], set()
     for lineno, row in enumerate(reader, start=2):
         try:
-            taus.append(float(row["tau"]))
-            vals.append(float(row["value"]))
+            taus.append(finite(row["tau"]))
+            vals.append(finite(row["value"]))
         except (TypeError, ValueError) as exc:
-            raise ConfigInvalidError(f"in: line {lineno}: bad curve row: {exc}") from exc
+            raise ConfigInvalidError(f"in_path: line {lineno}: bad curve row: {exc}") from exc
         kinds.add(row.get("kind") or "phase-analytic")
-    curve = fkm.AutocorrCurve(tau=np.array(taus), values=np.array(vals), kind=sorted(kinds)[0])
-    fit = fkm.ou_fit(curve, window_factor=float(params["window_factor"]))
-    print(
-        canonical_json(
-            {"gamma": fit.gamma, "residual": fit.residual, "amplitude": fit.amplitude, "window": fit.window}
-        ),
-        end="",
-    )
-    return EXIT_OK
+    return fkm.AutocorrCurve(tau=np.array(taus), values=np.array(vals), kind=min(kinds, default="phase-analytic"))
 
 
-def cmd_reproduce(args) -> int:
-    only = None
-    if args.only:
-        only = [c.strip().upper() for c in args.only.split(",") if c.strip()]
-        unknown = [c for c in only if c not in acceptance.CRITERION_IDS]
-        if unknown:
-            raise ConfigInvalidError(f"only: unknown criteria {unknown}")
-    faults = frozenset([args.inject_fault]) if args.inject_fault else frozenset()
-    results = acceptance.run_all(faults=faults, only=only)
+def cmd_fkm_oufit(p) -> str:
+    fit = fkm.ou_fit(read_curve_csv(p["in_path"]), window_factor=p["window_factor"])
+    return canonical_json(dataclasses.asdict(fit))
+
+
+def cmd_reproduce(p):
+    faults = frozenset(p["faults"])
+    results = acceptance.run_all(faults=faults, only=p["only"])
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{res.criterion}  {status}  {res.seconds:6.1f}s  {res.detail}")
     failed = [r.criterion for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed" + (f"; failed: {', '.join(failed)}" if failed else ""))
-    if args.out:
-        payload = {
-            "results": [dataclasses.asdict(r) for r in results],
-            "passed": not failed,
-            "faults": sorted(faults),
-        }
-        config = RunConfig("reproduce", {"only": only or list(acceptance.CRITERION_IDS), "faults": sorted(faults)}, out=args.out)
-        emit(canonical_json(payload), args.out, config)
-    return EXIT_OK if not failed else EXIT_NUMERIC
+    report = {"results": [dataclasses.asdict(r) for r in results], "passed": not failed, "faults": sorted(faults)}
+    return (canonical_json(report) if p["out"] else None), (EXIT_NUMERIC if failed else EXIT_OK)
 
 
-def emit(text: str, out: str | None, config: RunConfig) -> int:
+COMMANDS = (
+    Command("ming verify", "per-orbit exponential residuals as CSV", cmd_ming_verify, (
+        Field("n", integer, 5, _dense_prime, "prime register size, at most 13"),
+        Field("h", finite, 1.0, _positive, "generator scale, > 0"),
+        SEED, OUT,
+    )),
+    Command("observable fn", "evaluate f_n on a state CSV (index,re,im)", cmd_observable_fn, (
+        Field("n", integer, REQUIRED, lambda n: n >= 2, "register size, >= 2"),
+        EPSILON,
+        Field("state", str, REQUIRED, bool, "CSV of index,re,im rows"),
+        SEED,
+    )),
+    Command("born sweep", "per-n one-period means vs Born weight", cmd_born_sweep, (
+        Field("a0", complex_pair, 1 + 0j, help="re,im"),
+        Field("a1", complex_pair, 1j, help="re,im"),
+        Field("n", prime_list, (5, 7, 11, 13), help="comma-separated primes"),
+        EPSILON, SEED, OUT_REQUIRED,
+    )),
+    Command("limit compare", "sweep vs limit system, JSON report", cmd_limit_compare, (
+        Field("a0", complex_pair, 0.6 + 0j, help="re,im"),
+        Field("a1", complex_pair, 0.8j, help="re,im"),
+        Field("n", prime_list, (5, 7, 11, 13, 101, 1009), help="comma-separated primes"),
+        EPSILON,
+        Field("tolerance", finite, 1e-3, lambda t: t >= 0, "largest final error that passes, >= 0"),
+        SEED, OUT_REQUIRED,
+    )),
+    Command("fkm autocorr", "autocorrelation curve as CSV", cmd_fkm_autocorr, (
+        Field("n", integer, 256, _positive, "ring size, >= 1"),
+        Field("beta", finite, 1.0, _positive, "inverse temperature, > 0"),
+        Field("kappa0", finite, 1.0, help="coupling scale, kappa = kappa0 n^2 / pi^2"),
+        Field("omega0_sq", finite, 1.0, help="on-site stiffness"),
+        Field("tau_max", finite, 20.0, _positive, "largest lag, > 0"),
+        Field("tau_steps", integer, 200, lambda k: k >= 2, "lag grid points, >= 2"),
+        Field("mode", str, "analytic", lambda m: m in ("analytic", "mc", "time"), "analytic | mc | time"),
+        Field("samples", integer, 100_000, lambda k: k >= 2, "Monte-Carlo sample count, >= 2"),
+        Field("horizon_periods", finite, 1e4, _positive, "trajectory length in periods of the fastest mode, > 0"),
+        Field("oversample", integer, 4, _positive, "trajectory points per lag step, >= 1"),
+        dataclasses.replace(SEED, default=42),
+        OUT_REQUIRED,
+        Field("svg", str, None, bool, "also write a self-contained SVG chart", flag_only=True),
+    )),
+    Command("fkm oufit", "exponential-decay fit of a curve CSV", cmd_fkm_oufit, (
+        Field("in_path", str, REQUIRED, bool, "curve CSV with tau and value columns", flag="--in"),
+        Field("window_factor", finite, 5.0, _positive, "fit window in decay times, > 0"),
+        SEED,
+    )),
+    Command("reproduce", "run the acceptance criteria and print a pass/fail table", cmd_reproduce, (
+        Field("only", lambda v: [c.upper() for c in _items(v)], acceptance.CRITERION_IDS,
+              lambda ids: ids and set(ids) <= set(acceptance.CRITERION_IDS), "comma-separated criterion ids, e.g. A1,A5"),
+        Field("faults", lambda v: [v], (), lambda fs: set(fs) <= acceptance.KNOWN_FAULTS,
+              "fault hook: " + " | ".join(sorted(acceptance.KNOWN_FAULTS)), flag="--inject-fault"),
+        dataclasses.replace(OUT, help="also write the table as a JSON report"),
+    ), config=False),
+)
+
+
+# ---------------------------------------------------------------------------
+# dispatcher
+# ---------------------------------------------------------------------------
+
+
+def resolve(command: Command, args) -> dict:
+    """Field values: defaults, then --config fields, then explicit flags.
+
+    Each given value is parsed and checked; a default is used as it stands.
+    """
+    given = {}
+    if getattr(args, "config", None) is not None:
+        try:
+            given = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigInvalidError(f"config: cannot read {args.config}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigInvalidError(f"config: {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(given, dict):
+            raise ConfigInvalidError("config: top level must be a JSON object")
+        for key in given.keys() - {f.name for f in command.fields if not f.flag_only} - {"command", "format_version"}:
+            raise ConfigInvalidError(f"config: unknown field {key!r}")
+    given.update((f.name, getattr(args, f.name)) for f in command.fields if getattr(args, f.name) is not None)
+    params = {}
+    for f in command.fields:
+        if f.name not in given:
+            if f.default is REQUIRED:
+                raise ConfigInvalidError(f"{f.name}: required")
+            params[f.name] = f.default
+            continue
+        try:
+            value = params[f.name] = f.parse(given[f.name])
+            if f.check is not None and not f.check(value):
+                raise ValueError(f"{value!r} is out of range ({f.help})")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigInvalidError(f"{f.name}: {exc}") from exc
+    return params
+
+
+def run(command: Command, args) -> int:
+    """Resolve the fields, run the handler and emit its artifact; the
+    sidecar's elapsed time covers the compute and the write."""
+    p = resolve(command, args)
+    recorded = {f.name: p[f.name] for f in command.fields if not (f.flag_only or f.name == "seed")}
+    params = {key: [v.real, v.imag] if isinstance(v, complex) else v for key, v in recorded.items()}
+    config = RunConfig(command.name, params, seed=p.get("seed", 0), out=p.get("out"))
     start = time.perf_counter()
+    result = command.handler(p)
+    text, status = result if isinstance(result, tuple) else (result, EXIT_OK)
+    if text is not None:
+        emit(text, p.get("out"), config, start)
+    return status
+
+
+def emit(text: str, out: str | None, config: RunConfig, start: float) -> int:
+    """Write text to out with a sidecar (elapsed from start), or to stdout."""
     if out is None:
         sys.stdout.write(text)
         return EXIT_OK
@@ -459,100 +461,38 @@ def emit(text: str, out: str | None, config: RunConfig) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mingsim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"mingsim {__version__}")
     sub = parser.add_subparsers(dest="group", required=True)
-
-    def add_common(p, out=True):
-        p.add_argument("--config", help="JSON file with parameter fields; flags override")
-        p.add_argument("--seed", type=int, default=None)
-        if out:
-            p.add_argument("--out", default=None, help="output file (default: stdout where supported)")
-
-    g_ming = sub.add_parser("ming", help="generator checks").add_subparsers(dest="cmd", required=True)
-    p = g_ming.add_parser("verify", help="per-orbit exponential residuals as CSV")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--h", type=float, default=None)
-    add_common(p)
-    p.set_defaults(handler=cmd_ming_verify)
-
-    g_obs = sub.add_parser("observable", help="pointer variable").add_subparsers(dest="cmd", required=True)
-    p = g_obs.add_parser("fn", help="evaluate f_n on a state CSV (index,re,im)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--state", default=None)
-    add_common(p, out=False)
-    p.set_defaults(handler=cmd_observable_fn)
-
-    g_born = sub.add_parser("born", help="time-average sweeps").add_subparsers(dest="cmd", required=True)
-    p = g_born.add_parser("sweep", help="per-n one-period means vs Born weight")
-    p.add_argument("--a0", default=None, help="re,im")
-    p.add_argument("--a1", default=None, help="re,im")
-    p.add_argument("--n", default=None, help="comma-separated primes")
-    p.add_argument("--epsilon", type=float, default=None)
-    add_common(p)
-    p.set_defaults(handler=cmd_born_sweep)
-
-    g_limit = sub.add_parser("limit", help="two-point limit comparison").add_subparsers(dest="cmd", required=True)
-    p = g_limit.add_parser("compare", help="sweep vs limit system, JSON report")
-    p.add_argument("--a0", default=None)
-    p.add_argument("--a1", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    add_common(p)
-    p.set_defaults(handler=cmd_limit_compare)
-
-    g_fkm = sub.add_parser("fkm", help="harmonic ring autocorrelation").add_subparsers(dest="cmd", required=True)
-    p = g_fkm.add_parser("autocorr", help="autocorrelation curve as CSV")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--kappa0", type=float, default=None)
-    p.add_argument("--omega0-sq", dest="omega0_sq", type=float, default=None)
-    p.add_argument("--tau-max", dest="tau_max", type=float, default=None)
-    p.add_argument("--tau-steps", dest="tau_steps", type=int, default=None)
-    p.add_argument("--mode", choices=CURVE_MODES, default=None)
-    p.add_argument("--samples", type=int, default=None, help="Monte-Carlo sample count")
-    p.add_argument("--horizon-periods", dest="horizon_periods", type=float, default=None)
-    p.add_argument("--oversample", type=int, default=None)
-    p.add_argument("--svg", default=None, help="also write a self-contained SVG chart")
-    add_common(p)
-    p.set_defaults(handler=cmd_fkm_autocorr)
-    p = g_fkm.add_parser("oufit", help="exponential-decay fit of a curve CSV")
-    p.add_argument("--in", dest="in_path", default=None)
-    p.add_argument("--window-factor", dest="window_factor", type=float, default=None)
-    add_common(p, out=False)
-    p.set_defaults(handler=cmd_fkm_oufit)
-
-    p = sub.add_parser("reproduce", help="run the acceptance criteria and print a pass/fail table")
-    p.add_argument("--only", default=None, help="comma-separated criterion ids, e.g. A1,A5")
-    p.add_argument("--inject-fault", dest="inject_fault", choices=sorted(acceptance.KNOWN_FAULTS), default=None)
-    p.add_argument("--out", default=None, help="also write the table as a JSON report")
-    p.set_defaults(handler=cmd_reproduce)
-
+    groups = {}
+    for command in COMMANDS:
+        group, _, leaf = command.name.partition(" ")
+        if not leaf:
+            p = sub.add_parser(group, help=command.help)
+        else:
+            if group not in groups:
+                helps = "; ".join(c.help for c in COMMANDS if c.name.startswith(group + " "))
+                groups[group] = sub.add_parser(group, help=helps).add_subparsers(dest="cmd", required=True)
+            p = groups[group].add_parser(leaf, help=command.help)
+        for f in command.fields:
+            p.add_argument(f.flag or "--" + f.name.replace("_", "-"), dest=f.name, default=None, help=f.help)
+        if command.config:
+            p.add_argument("--config", help="JSON file with parameter fields; flags override")
+        p.set_defaults(command=command)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("MINGSIM_LOG_LEVEL", "WARNING"))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except ConfigInvalidError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return run(args.command, args)
     except DegenerateFitError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except MingsimError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (MingsimError, ValueError, OverflowError) as exc:  # rejected input; ConfigInvalidError names the field
+        print(f"config error: {args.command.name}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -312,8 +312,8 @@ def time_autocorrelation(
     step = tau[1] - tau[0]
     if tau[0] != 0.0 or step <= 0 or not np.allclose(np.diff(tau), step, rtol=1e-9):
         raise ValueError("tau grid must be uniform and start at 0")
-    if horizon <= tau[-1]:
-        raise ValueError("horizon must exceed the largest tau")
+    if not (math.isfinite(horizon) and horizon > tau[-1]):
+        raise ValueError(f"horizon {horizon:.6g} must be finite and exceed the largest tau {tau[-1]:.6g}")
     if oversample < 1:
         raise ValueError("oversample must be at least 1")
     dt = step / oversample

@@ -26,12 +26,11 @@ zero block and is left untouched at every t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 import scipy.linalg
 
-from .bitlattice import OrbitDecomposition, shift_index
+from .bitlattice import OrbitDecomposition
 
 
 def rescaled_h(h0: float, n: int) -> float:
@@ -121,22 +120,8 @@ class Propagator:
     n_sites: int
     t: float
     mode: str
-    _decomp: OrbitDecomposition
     _members: np.ndarray | None = None
     _phases: np.ndarray | None = None
-
-    def apply_index(self, index: int) -> int:
-        """Image of a basis index under the permutation mode."""
-        if self.mode != "permutation":
-            raise ValueError("basis-index action is only defined in permutation mode")
-        return shift_index(index, self.n_sites, int(self.t))
-
-    def apply_sparse(self, amplitudes: Mapping[int, complex]) -> dict[int, complex]:
-        if self.mode != "permutation":
-            raise ValueError("sparse action is only defined in permutation mode")
-        steps = int(self.t)
-        n = self.n_sites
-        return {shift_index(i, n, steps): a for i, a in amplitudes.items()}
 
     def apply_dense(self, state: np.ndarray) -> np.ndarray:
         """Apply to a dense amplifier vector of length 2**n."""
@@ -162,9 +147,9 @@ class Propagator:
 
 
 def assemble_propagator(
-    decomp: OrbitDecomposition, t: float, h: float = 1.0, mode: str = "auto"
+    decomp: OrbitDecomposition, t: float, mode: str = "auto"
 ) -> Propagator:
-    """Build the time-t propagator; h cancels and is accepted for signature parity.
+    """Build the time-t propagator (h cancels from exp((2 pi t / h) A)).
 
     Integer t selects the exact permutation mode; any other t the
     interpolated Fourier mode (dense bound applies to the decomposition
@@ -178,11 +163,8 @@ def assemble_propagator(
     if mode == "auto":
         mode = "permutation" if t_is_integer else "interpolated"
     if mode == "permutation":
-        return Propagator(n_sites=decomp.n, t=float(t), mode=mode, _decomp=decomp)
+        return Propagator(n_sites=decomp.n, t=float(t), mode=mode)
     n = decomp.n
     members = np.array([decomp.orbit_members(oid) for oid in range(decomp.q)])
     phases = np.exp(-2j * np.pi * np.arange(n) * (t / n))
-    return Propagator(
-        n_sites=n, t=float(t), mode=mode, _decomp=decomp,
-        _members=members, _phases=phases,
-    )
+    return Propagator(n_sites=n, t=float(t), mode=mode, _members=members, _phases=phases)

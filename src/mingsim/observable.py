@@ -103,6 +103,9 @@ def _norm_sq_and_cocked_weight(state, cocked: CockedSet) -> tuple[float, float]:
                     inside += p
         return total, inside
     if isinstance(state, Mapping):
+        for i in state:
+            if i < 0 or i >> cocked.n:
+                raise ValueError(f"basis index {i} out of range for n={cocked.n}")
         total = sum(abs(c) ** 2 for c in state.values())
         inside = sum(abs(c) ** 2 for i, c in state.items() if cocked.contains(i))
         return total, inside
@@ -125,6 +128,8 @@ class PointerVariable:
         total, inside = _norm_sq_and_cocked_weight(state, self.cocked)
         if total == 0.0:
             raise NotNormalizedError("state has zero norm")
+        if not math.isfinite(total):
+            raise NotNormalizedError(f"state norm {math.sqrt(total)!r} is not finite")
         if not normalize and abs(math.sqrt(total) - 1.0) > NORM_ATOL:
             raise NotNormalizedError(
                 f"state norm {math.sqrt(total):.6g} deviates from 1; "

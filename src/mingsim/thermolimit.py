@@ -35,6 +35,8 @@ class TwoPointSystem:
     w1: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.w0) and math.isfinite(self.w1)):
+            raise ValueError(f"weights must be finite, got ({self.w0}, {self.w1})")
         if self.w0 < -WEIGHT_ATOL or self.w1 < -WEIGHT_ATOL:
             raise ValueError(f"weights must be nonnegative, got ({self.w0}, {self.w1})")
         if abs(self.w0 + self.w1 - 1.0) > WEIGHT_ATOL:
@@ -45,6 +47,8 @@ def limit_system(a: tuple[complex, complex]) -> TwoPointSystem:
     """Born weights of the particle amplitudes; amplitudes must be normalized."""
     a0, a1 = a
     total = abs(a0) ** 2 + abs(a1) ** 2
+    if not math.isfinite(total):
+        raise NotNormalizedError(f"|a0|^2 + |a1|^2 = {total!r} is not finite")
     if abs(total - 1.0) > 1e-9:
         raise NotNormalizedError(
             f"|a0|^2 + |a1|^2 = {total!r} deviates from 1 beyond 1e-9"

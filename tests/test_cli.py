@@ -1,9 +1,18 @@
 """Command-line contract: formats, determinism, config handling, exit codes."""
 
+import contextlib
+import io
 import json
+import math
+import re
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mingsim import cli
 
@@ -275,3 +284,234 @@ def test_reproduce_report_is_strict_json(capsys, tmp_path):
     assert report["results"][0]["passed"] is True
     sidecar = _strict_json((tmp_path / "report.json.provenance.json").read_text(encoding="utf-8"))
     assert sidecar["config"]["command"] == "reproduce"
+
+
+# ---------------------------------------------------------------------------
+# the input contract: every invalid field exits 2, names the field, writes nothing
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, config, field",
+    [
+        (["fkm", "autocorr", "--n", "8", "--omega0-sq", "nan"], None, "omega0_sq"),
+        (["fkm", "autocorr", "--beta", "nan"], None, "beta"),
+        (["fkm", "autocorr", "--mode", "mc", "--samples", "1"], None, "samples"),
+        (["fkm", "autocorr"], {"n": "abc"}, "n"),
+        (["fkm", "autocorr", "--tau-max", "nan"], None, "tau_max"),
+        (["fkm", "autocorr", "--mode", "mc", "--n", "8"], {"samples": 1.5}, "samples"),
+        (["ming", "verify", "--n", "5", "--h", "nan"], None, "h"),
+        (["ming", "verify", "--n", "5", "--h", "inf"], None, "h"),
+        (["limit", "compare", "--epsilon", "2"], None, "epsilon"),
+        (["limit", "compare", "--tolerance", "nan"], None, "tolerance"),
+        (["born", "sweep", "--n", ""], None, "n"),
+        (["born", "sweep"], {"seed": "x"}, "seed"),
+        (["born", "sweep"], {"epsilon": "x"}, "epsilon"),
+    ],
+)
+def test_invalid_field_exits_2_naming_it(tmp_path, capsys, argv, config, field):
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + ["--config", str(tmp_path / "run.json")]
+    assert run(argv + ["--out", str(tmp_path / "artifact")]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == ([tmp_path / "run.json"] if config is not None else [])
+
+
+@pytest.mark.parametrize("factor", ["0", "nan"])
+def test_oufit_rejects_bad_window_factor(tmp_path, capsys, factor):
+    curve = tmp_path / "curve.csv"
+    tau = np.linspace(0.0, 20.0, 200)
+    curve.write_text("tau,value\n" + "".join(f"{t!r},{np.exp(-t)!r}\n" for t in tau), encoding="utf-8")
+    assert run(["fkm", "oufit", "--in", str(curve), "--window-factor", factor]) == 2
+    assert "window_factor:" in capsys.readouterr().err
+
+
+def test_observable_fn_rejects_non_finite_state(tmp_path, capsys):
+    state = tmp_path / "state.csv"
+    state.write_text("index,re,im\n3,nan,0\n", encoding="utf-8")
+    assert run(["observable", "fn", "--n", "5", "--epsilon", "0", "--state", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not finite" in captured.err
+
+
+def test_sidecar_elapsed_covers_compute(tmp_path, monkeypatch):
+    from mingsim import fkm
+
+    original = fkm.phase_autocorrelation
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fkm, "phase_autocorrelation", slow)
+    out = tmp_path / "curve.csv"
+    assert run(["fkm", "autocorr", "--n", "8", "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "curve.csv.provenance.json").read_text(encoding="utf-8"))
+    assert sidecar["elapsed_seconds"] >= 0.05
+
+
+# ---------------------------------------------------------------------------
+# fuzz over every subcommand's flags
+# ---------------------------------------------------------------------------
+
+BAD_TOKENS = ["nan", "inf", "-inf", "-1", "0", "", "abc", "1.5", "1,2"]
+
+
+def _reals(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _names(*names):
+    return st.sampled_from(names)
+
+
+_PAIR = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(lambda p: f"{p[0]!r},{p[1]!r}")
+_PAIR_BAD = ["0,0", "nan,0", "0,inf", "1e200,0", "1", "1,2,3"]
+_PRIMES = st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 101, 1009]), min_size=1, max_size=4).map(
+    lambda ns: ",".join(map(str, ns))
+)
+_SEED = ("seed", _ints(0, 2**31), ["-5"])
+_EPSILON = ("epsilon", _reals(0.0, 0.99), ["1", "1.0"])
+
+ALWAYS_DRAWN = {  # flags whose default is large or missing
+    ("reproduce", "only"), ("fkm autocorr", "n"), ("fkm autocorr", "samples"), ("fkm autocorr", "horizon-periods"),
+    ("observable fn", "n"), ("observable fn", "state"), ("fkm oufit", "in"),
+}
+# flag -> (--config key or None, valid values, invalid edge values); sizes are
+# bounded so that every valid draw runs in milliseconds
+FUZZ_FLAGS = {
+    "ming verify": {"n": ("n", _names("2", "3", "5", "7", "11", "13"), ["1", "4", "17", "1000000007"]),
+                    "h": ("h", _reals(0.01, 100), []), "seed": _SEED},
+    "observable fn": {"n": ("n", _ints(2, 64), ["1"]), "epsilon": _EPSILON,
+                      "state": ("state", _names("state-ok"), ["state-nan", "state-wide", "state-header", "nope"]),
+                      "seed": _SEED},
+    "born sweep": {"a0": ("a0", _PAIR, _PAIR_BAD), "a1": ("a1", _PAIR, _PAIR_BAD), "epsilon": _EPSILON,
+                   "n": ("n", _PRIMES, ["4,5", ","]), "seed": _SEED},
+    "limit compare": {"a0": ("a0", _names("0.6,0", "0,-0.6"), _PAIR_BAD), "a1": ("a1", _names("0,0.8", "0.8,0"), _PAIR_BAD),
+                      "epsilon": _EPSILON,
+                      "n": ("n", _PRIMES, ["9"]), "tolerance": ("tolerance", _reals(0.0, 1.0), []), "seed": _SEED},
+    "fkm autocorr": {"n": ("n", _ints(1, 64), []), "beta": ("beta", _reals(0.1, 10), []),
+                     "kappa0": ("kappa0", _reals(0, 10), ["-1"]), "omega0-sq": ("omega0_sq", _reals(0.1, 10), ["-1"]),
+                     "tau-max": ("tau_max", _reals(0.5, 20), []), "tau-steps": ("tau_steps", _ints(2, 100), []),
+                     "mode": ("mode", _names("analytic", "mc", "time"), ["bogus"]),
+                     "samples": ("samples", _ints(2, 2000), []),
+                     "horizon-periods": ("horizon_periods", _reals(0.01, 50), []),
+                     "oversample": ("oversample", _ints(1, 4), []), "seed": _SEED,
+                     "svg": (None, _names("curve.svg"), [])},
+    "fkm oufit": {"in": ("in_path", _names("curve-ok"), ["curve-nan", "curve-short", "curve-header", "curve-zero", "nope"]),
+                  "window-factor": ("window_factor", _reals(0.01, 50), []), "seed": _SEED},
+    "reproduce": {"only": (None, _names("A1", "a2", "A1,A2"), ["A9", "abc"]),
+                  "inject-fault": (None, _names("ming-block"), ["bogus"])},
+}
+FILE_FLAGS = {"state", "in"}  # their drawn value names an input file
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz-inputs")
+    tau = np.linspace(0.0, 20.0, 60)
+    files = {
+        "state-ok": "index,re,im\n3,0.6,0\n1,0,0.8\n",
+        "state-nan": "index,re,im\n3,nan,0\n",
+        "state-wide": "index,re,im\n99,1,0\n",
+        "state-header": "index,re,im\n",
+        "curve-ok": "tau,value\n" + "".join(f"{t!r},{math.exp(-0.5 * t)!r}\n" for t in tau.tolist()),
+        "curve-nan": "tau,value\n0,1\n1,nan\n2,0.2\n",
+        "curve-short": "tau,value\n0,1\n1\n2,0.2\n",
+        "curve-header": "tau,value\n",
+        "curve-zero": "tau,value\n" + "".join(f"{t!r},0.0\n" for t in tau.tolist()),
+    }
+    for name, body in files.items():
+        (base / name).write_text(body, encoding="utf-8")
+    return base
+
+
+def _as_json(text):
+    """A drawn flag string as the JSON value a config file would hold."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+@st.composite
+def fuzz_calls(draw):
+    """(command, flags, --config fields, whether --out is given); each drawn
+    value is invalid with probability 1/8."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags, config = {}, {}
+    for flag, (key, valid, invalid) in FUZZ_FLAGS[command].items():
+        if (command, flag) in ALWAYS_DRAWN or draw(st.booleans()):
+            bad = draw(st.integers(0, 7)) == 0
+            value = draw(st.sampled_from(invalid + BAD_TOKENS) if bad else valid)
+            if key is not None and draw(st.integers(0, 3)) == 0:
+                config[key] = _as_json(value)
+            else:
+                flags[flag] = value
+    if command != "reproduce" and draw(st.integers(0, 9)) == 0:
+        config[draw(st.sampled_from(["frobnicate", "out", "n"]))] = draw(st.sampled_from([None, True, [1, 2], {"x": 1}]))
+    return command, flags, config, draw(st.integers(0, 9)) > 0
+
+
+def _assert_finite_csv(text):
+    for row in text.splitlines()[1:]:
+        for cell in row.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), row
+
+
+@given(fuzz_calls())
+@settings(max_examples=150, deadline=None)
+def test_fuzz_every_subcommand(fuzz_inputs, call):
+    command, flags, config, with_out = call
+    work = Path(tempfile.mkdtemp(dir=fuzz_inputs))
+    argv = command.split()
+    for flag, value in flags.items():
+        if flag in FILE_FLAGS and value != "nope":
+            value = str(fuzz_inputs / value)
+        elif flag == "svg" and value:
+            value = str(work / value)
+        argv.append(f"--{flag}={value}")
+    if config:
+        for key in ("state", "in_path"):
+            if isinstance(config.get(key), str) and config[key] != "nope":
+                config[key] = str(fuzz_inputs / config[key])
+        (fuzz_inputs / f"{work.name}.json").write_text(json.dumps(config), encoding="utf-8")
+        argv.append(f"--config={fuzz_inputs / work.name}.json")
+    if with_out and command not in ("observable fn", "fkm oufit"):
+        argv.append(f"--out={work / 'artifact'}")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
+    written = sorted(work.iterdir())
+    if code == 2:
+        assert written == [], argv
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        if path.name.endswith(".json") or command in ("limit compare", "reproduce"):
+            _strict_json(text)
+        elif path.suffix == ".svg":
+            assert not re.search(r"\b(nan|inf)\b", text), argv
+        else:
+            _assert_finite_csv(text)
+    printed = stdout.getvalue()
+    if code == 0 and command == "fkm oufit":
+        _strict_json(printed)
+    elif code == 0 and command == "observable fn":
+        assert 0.0 <= float(printed) <= 1.0, argv
+    elif code == 0 and command == "ming verify" and not with_out:
+        _assert_finite_csv(printed)

@@ -431,3 +431,10 @@ def test_recurrence_of_small_ring():
     assert tau_star > 1.0
     with pytest.raises(ValueError):
         fkm.recurrence_peak(chain, tau_max=10.0, dt=0.01, skip=20.0)
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, 20.0])
+def test_time_autocorrelation_rejects_bad_horizon(horizon):
+    chain = fkm.scaled_ring(8, beta=1.0)
+    with pytest.raises(ValueError, match="horizon"):
+        fkm.time_autocorrelation(chain, fkm.sample_gibbs(chain, 1), horizon, TAU)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mingsim import dynamics
 from mingsim.bitlattice import BitConfig, decompose_orbits, shift
 from mingsim.ming import (
     MingBlock,
@@ -95,10 +96,7 @@ def test_propagator_integer_matches_digit_shift():
     dec = decompose_orbits(5)
     prop = assemble_propagator(dec, 1)
     assert prop.mode == "permutation"
-    for idx in range(2**5):
-        expected = shift(BitConfig(5, idx)).index
-        assert prop.apply_index(idx) == expected
-    # dense action is the same relabeling
+    # the dense action is the digit-shift relabeling
     rng = np.random.default_rng(3)
     v = rng.normal(size=2**5) + 1j * rng.normal(size=2**5)
     w = prop.apply_dense(v)
@@ -107,14 +105,14 @@ def test_propagator_integer_matches_digit_shift():
 
 
 def test_propagator_sparse_matches_dense():
-    dec = decompose_orbits(7)
-    prop = assemble_propagator(dec, 3)
+    # the sparse permutation branch of evolve_combined against the dense propagator
     amps = {1: 0.5 + 0.1j, 9: -0.25j, 127: 1.0, 0: 0.125}
-    moved = prop.apply_sparse(amps)
+    state = dynamics.combined_state(7, 0.6, 0.8, {0: 1.0}, amps)
+    moved = dynamics.evolve_combined(state, 3).amp1
     dense = np.zeros(2**7, dtype=complex)
-    for i, a in amps.items():
+    for i, a in state.amp1.items():
         dense[i] = a
-    dense_moved = prop.apply_dense(dense)
+    dense_moved = assemble_propagator(decompose_orbits(7), 3).apply_dense(dense)
     for i, a in moved.items():
         assert dense_moved[i] == a
     assert len(moved) == len(amps)

@@ -151,3 +151,18 @@ def test_macroscopic_rejects_bad_tails():
     fam = pointer_family(0.0)
     with pytest.raises(NotNormalizedError):
         macroscopic_check(fam, [p], lambda k: np.array([1.0, 1.0]), 6, 0.05)
+
+
+@pytest.mark.parametrize("re", [float("nan"), float("inf")])
+def test_pointer_rejects_non_finite_norm(re):
+    c = CockedSet(5, 0.0)
+    for normalize in (False, True):
+        with pytest.raises(NotNormalizedError, match="not finite"):
+            pointer_value({3: complex(re, 0.0)}, c, normalize=normalize)
+
+
+def test_pointer_rejects_mapping_index_out_of_range():
+    c = CockedSet(5, 0.0)
+    for index in (-1, 2**5):
+        with pytest.raises(ValueError, match="out of range"):
+            pointer_value({index: 1.0}, c)

@@ -75,3 +75,15 @@ def test_compare_limit_degenerate_branch():
     assert rep.fitted_exponent is None
     assert rep.final_error == pytest.approx(0.0, abs=1e-15)
     assert rep.passed
+
+
+@pytest.mark.parametrize("a", [(math.nan, 0.0), (math.inf, 0.0), (0.6, complex(0.0, math.nan))])
+def test_limit_system_rejects_non_finite_amplitudes(a):
+    with pytest.raises(NotNormalizedError, match="not finite"):
+        limit_system(a)
+
+
+@pytest.mark.parametrize("w", [(math.nan, math.nan), (math.nan, 1.0), (1.0, math.inf)])
+def test_two_point_rejects_non_finite_weights(w):
+    with pytest.raises(ValueError, match="finite"):
+        TwoPointSystem(*w)
