@@ -69,7 +69,7 @@ def _a2(faults):
             entries[0, 0] += 1e-6
             block = dataclasses.replace(block, entries=entries)
         worst = max(worst, ming.verify_exponential(block))
-    approx = ming.offdiagonal_approximation_error(ming.build_block(101, h=1.0), band=3)
+    approx = ming.offdiagonal_approximation_error(ming.build_block(101, h=1.0))
     ok = worst <= 1e-9 and approx <= 0.05
     return ok, f"max exp residual {worst:.2e} (tol 1e-9), n=101 entry error {approx:.4f} (tol 0.05)"
 

@@ -21,6 +21,7 @@ partition into q = (2**n - 2)/n cyclic orbits plus the two fixed points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,57 +118,37 @@ def shift(config: BitConfig, steps: int = 1) -> BitConfig:
 class OrbitDecomposition:
     """Partition of [0, 2**n - 1] into shift orbits.
 
-    Cyclic orbits get ids 0..q-1 ordered by their minimal member (the
-    representative); the two fixed points 0 and 2**n - 1 carry the
-    sentinel id -1.  ``offset`` holds the phase m with
-    index = representative * 2**m mod (2**n - 1) for orbit members, and
-    0 for the fixed points.
+    Row k of ``members`` (shape q x n, read-only) lists cyclic orbit k in
+    phase-offset order, members[k, m] = members[k, 0] * 2**m mod (2**n - 1).
+    Column 0 holds each orbit's minimal member (its representative), and
+    rows are ordered by it.  The fixed points 0 and 2**n - 1 lie on no row.
     """
 
     n: int
-    q: int
-    representatives: tuple[int, ...]
-    orbit_id: np.ndarray
-    offset: np.ndarray
+    members: np.ndarray
 
     def __post_init__(self) -> None:
-        self.orbit_id.setflags(write=False)
-        self.offset.setflags(write=False)
+        self.members.setflags(write=False)
 
     @property
-    def fixed_points(self) -> tuple[int, int]:
-        return (0, (1 << self.n) - 1)
-
-    def orbit_of(self, index: int) -> tuple[int, int]:
-        """Return (orbit id, phase offset m) for an index; fixed points give (-1, 0)."""
-        return int(self.orbit_id[index]), int(self.offset[index])
-
-    def orbit_members(self, oid: int) -> list[int]:
-        """Members of cyclic orbit `oid` ordered by phase offset 0..n-1."""
-        rep = self.representatives[oid]
-        modulus = (1 << self.n) - 1
-        out = []
-        k = rep
-        for _ in range(self.n):
-            out.append(k)
-            k = (k * 2) % modulus
-        return out
+    def q(self) -> int:
+        return len(self.members)
 
 
+@lru_cache(maxsize=16)
 def decompose_orbits(n: int) -> OrbitDecomposition:
     """Build the full orbit table for prime n within the dense bound.
 
     Every non-fixed index belongs to exactly one orbit of length n; the
     representative is the minimal index on the orbit and representatives
-    are listed in increasing order.
+    are listed in increasing order.  Cached; safe because the table is
+    read-only.
     """
     require_prime(n)
     require_dense(n)
     size = 1 << n
     modulus = size - 1
-    orbit_id = np.full(size, -1, dtype=np.int64)
-    offset = np.zeros(size, dtype=np.int64)
-    reps: list[int] = []
+    rows: list[list[int]] = []
     seen = np.zeros(size, dtype=bool)
     seen[0] = seen[modulus] = True
     for start in range(1, modulus):
@@ -183,13 +164,6 @@ def decompose_orbits(n: int) -> OrbitDecomposition:
                 break
         # prime n forces full-length orbits off the fixed points
         assert len(members) == n, (n, start, members)
-        oid = len(reps)
-        reps.append(start)
-        for m, idx in enumerate(members):
-            orbit_id[idx] = oid
-            offset[idx] = m
-    q = len(reps)
-    assert q * n == size - 2
-    return OrbitDecomposition(
-        n=n, q=q, representatives=tuple(reps), orbit_id=orbit_id, offset=offset
-    )
+        rows.append(members)
+    assert len(rows) * n == size - 2
+    return OrbitDecomposition(n=n, members=np.array(rows, dtype=np.int64))

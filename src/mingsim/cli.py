@@ -98,10 +98,15 @@ def write_sidecar(path: Path, config: RunConfig, elapsed: float) -> None:
 
 
 def render_csv(header, rows) -> str:
+    """CSV text, floats written through repr; like canonical_json, a NaN or
+    infinity raises ValueError instead of being written."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
+        for name, x in zip(header, row):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"{name} {x!r} is not finite")
         writer.writerow([x if isinstance(x, str) else repr(x) if isinstance(x, float) else str(x) for x in row])
     return buf.getvalue()
 
@@ -256,9 +261,7 @@ def cmd_limit_compare(p) -> str:
     a = (p["a0"], p["a1"])
     sweep = dynamics.born_limit_sweep(a, p["n"], epsilon_schedule=p["epsilon"])
     report = thermolimit.compare_limit(a, sweep, tolerance=p["tolerance"])
-    payload = dataclasses.asdict(report)
-    del payload["self_correlation"]  # E[F*F] = E[F] holds by construction
-    return canonical_json(payload)
+    return canonical_json(dataclasses.asdict(report))
 
 
 def cmd_fkm_autocorr(p) -> str:
@@ -273,10 +276,11 @@ def cmd_fkm_autocorr(p) -> str:
         x0 = fkm.sample_gibbs(chain, seed)
         horizon = p["horizon_periods"] * 2 * np.pi / fkm.dft_frequencies(chain).max()
         curve = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=p["oversample"]).curve
+    rows = [(float(t), float(v), curve.kind, n, beta, seed) for t, v in zip(curve.tau, curve.values)]
+    text = render_csv(("tau", "value", "kind", "n", "beta", "seed"), rows)  # first: it rejects non-finite values
     if p["svg"] is not None:
         atomic_write(Path(p["svg"]), render_svg(curve))
-    rows = [(float(t), float(v), curve.kind, n, beta, seed) for t, v in zip(curve.tau, curve.values)]
-    return render_csv(("tau", "value", "kind", "n", "beta", "seed"), rows)
+    return text
 
 
 def render_svg(curve) -> str:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -44,14 +43,10 @@ from .observable import CockedSet, PointerVariable, strict_cocked_index
 
 NORM_RTOL = 1e-9
 
-_cached_decomposition = lru_cache(maxsize=16)(decompose_orbits)
-
 
 def _as_sparse(amp) -> dict[int, complex]:
     if isinstance(amp, Mapping):
         return {int(i): complex(c) for i, c in amp.items() if c != 0}
-    if isinstance(amp, (int, np.integer)):
-        return {int(amp): 1.0 + 0j}
     v = np.asarray(amp, dtype=complex).ravel()
     nz = np.nonzero(v)[0]
     return {int(i): complex(v[i]) for i in nz}
@@ -100,8 +95,9 @@ class CombinedState:
 
 
 def combined_state(n: int, a0: complex, a1: complex, amp0, amp1) -> CombinedState:
-    """Normalize-friendly constructor: branch amplitudes may be indices,
-    dense vectors or mappings; branch vectors are scaled to norm one."""
+    """Normalize-friendly constructor: each branch vector is a mapping
+    index -> amplitude or a dense vector of length 2**n; zero entries are
+    dropped, branch vectors are scaled to norm one and (a0, a1) likewise."""
     s0 = _as_sparse(amp0)
     s1 = _as_sparse(amp1)
     for label, s in (("amp0", s0), ("amp1", s1)):
@@ -122,24 +118,20 @@ def cocked_start(n: int, a0: complex, a1: complex) -> CombinedState:
     return combined_state(n, a0, a1, {i: 1.0}, {i: 1.0})
 
 
-def evolve_combined(state: CombinedState, t: float, mode: str = "auto") -> CombinedState:
+def evolve_combined(state: CombinedState, t: float) -> CombinedState:
     """Advance the psi1 branch by time t; the psi0 branch is frozen.
 
-    Integer t uses exact index relabeling at any n.  Non-integer t needs
-    the interpolated propagator and therefore the dense bound.
+    Integer t relabels indices exactly at any n.  Any other t applies the
+    interpolated propagator to a dense 2**n vector, so the dense bound
+    applies; the orbit table comes from the cached decompose_orbits.
     """
-    t_int = float(t).is_integer()
-    if mode == "auto":
-        mode = "permutation" if t_int else "interpolated"
-    if mode == "permutation":
-        if not t_int:
-            raise ValueError("permutation mode needs integer t")
+    if float(t).is_integer():
         moved = {
             shift_index(i, state.n, int(t)): c for i, c in state.amp1.items()
         }
     else:
         require_dense(state.n)
-        prop = assemble_propagator(_cached_decomposition(state.n), t, mode="interpolated")
+        prop = assemble_propagator(decompose_orbits(state.n), t)
         dense = np.zeros(1 << state.n, dtype=complex)
         for i, c in state.amp1.items():
             dense[i] = c
@@ -151,32 +143,10 @@ def evolve_combined(state: CombinedState, t: float, mode: str = "auto") -> Combi
 
 @dataclass(frozen=True)
 class TimeAverageResult:
-    n: int
-    horizon: int
     mean: float
-    per_step: tuple[float, ...] | None
-    closed_form: float | None
 
 
-def _closed_form_if_applicable(state: CombinedState, cocked: CockedSet, horizon: int) -> float | None:
-    """|a1|^2 (1 - 1/n) holds for the strict cocked start over one period."""
-    if cocked.epsilon != 0.0 or horizon != state.n:
-        return None
-    target = strict_cocked_index(state.n)
-    for _, amp in state.branches:
-        if set(amp) != {target}:
-            return None
-        if abs(abs(next(iter(amp.values()))) - 1.0) > 1e-12:
-            return None
-    return abs(state.a1) ** 2 * (1.0 - 1.0 / state.n)
-
-
-def time_average_f(
-    state: CombinedState,
-    cocked: CockedSet,
-    horizon: int,
-    keep_steps: bool = False,
-) -> TimeAverageResult:
+def time_average_f(state: CombinedState, cocked: CockedSet, horizon: int) -> TimeAverageResult:
     """Stroboscopic mean of f_n over t = 0 .. horizon-1 (exact permutation steps)."""
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -189,14 +159,7 @@ def time_average_f(
         if t > 0:
             current = evolve_combined(current, 1)
         vals.append(pv.value(current))
-    mean = math.fsum(vals) / horizon
-    return TimeAverageResult(
-        n=state.n,
-        horizon=horizon,
-        mean=mean,
-        per_step=tuple(vals) if keep_steps else None,
-        closed_form=_closed_form_if_applicable(state, cocked, horizon),
-    )
+    return TimeAverageResult(mean=math.fsum(vals) / horizon)
 
 
 def _revisit_count(index: int, cocked: CockedSet, horizon: int) -> int:
@@ -260,14 +223,7 @@ def orbit_compressed_average(
     k1 = _revisit_count(i1, cocked, horizon)
     w0 = abs(state.a0) ** 2
     w1 = abs(state.a1) ** 2
-    mean = 1.0 - w0 * (k0 / horizon) - w1 * (k1 / horizon)
-    return TimeAverageResult(
-        n=state.n,
-        horizon=horizon,
-        mean=mean,
-        per_step=None,
-        closed_form=_closed_form_if_applicable(state, cocked, horizon),
-    )
+    return TimeAverageResult(mean=1.0 - w0 * (k0 / horizon) - w1 * (k1 / horizon))
 
 
 @dataclass(frozen=True)
@@ -282,31 +238,29 @@ def born_limit_sweep(
     a: tuple[complex, complex],
     n_list: Iterable[int],
     epsilon_schedule: float | Callable[[int], float] = 0.0,
-    horizon_rule: Callable[[int], int] | None = None,
     path: str = "auto",
 ) -> list[SweepRow]:
     """Tabulate <f_n> against the Born weight |a1|^2 across lattice sizes.
 
     path "dense" forces full state evolution (dense bound applies),
     "compressed" the revisit-count evaluation, "auto" picks per size.
-    Every size starts from the strict cocked configuration in both branches.
+    Every size starts from the strict cocked configuration in both branches
+    and averages over one period, horizon n.
     """
     if path not in ("auto", "dense", "compressed"):
         raise ValueError(f"unknown path {path!r}")
     eps = epsilon_schedule if callable(epsilon_schedule) else (lambda n: float(epsilon_schedule))
-    horizon_of = horizon_rule or (lambda n: n)
     a0, a1 = a
     rows = []
     for n in n_list:
         require_prime(n)
         state = cocked_start(n, a0, a1)
         cocked = CockedSet(n, eps(n))
-        horizon = horizon_of(n)
         use_dense = path == "dense" or (path == "auto" and n <= DENSE_MAX_SITES)
         if use_dense:
-            res = time_average_f(state, cocked, horizon)
+            res = time_average_f(state, cocked, n)
         else:
-            res = orbit_compressed_average(state, cocked, horizon)
+            res = orbit_compressed_average(state, cocked, n)
         w1 = abs(state.a1) ** 2
         rows.append(
             SweepRow(n=n, mean=res.mean, born_weight=w1, abs_error=abs(res.mean - w1))

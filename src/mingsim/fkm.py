@@ -38,6 +38,13 @@ from .errors import DegenerateFitError, IndefiniteFormError, ZeroModeError
 
 _FREQ_SQ_TOL = 1e-12
 
+# Monte-Carlo samples drawn per block.  It fixes how the normal draws split
+# between p and q, and so the output bytes; it is not a memory knob.
+_MC_CHUNK = 20000
+
+_OU_MAX_ITER = 8  # window refits in ou_fit
+_ENERGY_WINDOWS = 8  # spectral windows in equipartition_normality
+
 
 @dataclass(frozen=True)
 class HarmonicChain:
@@ -219,13 +226,13 @@ def mc_phase_autocorrelation(
     tau_grid,
     samples: int,
     seed,
-    chunk: int = 20000,
 ) -> AutocorrCurve:
     """Monte-Carlo phase average of p0(0) p0(tau) over Gibbs samples.
 
     Works in mode coordinates throughout; per-tau standard errors come from
-    the sample variance.  Fixed chunking keeps the accumulation order, and
-    with it the output bytes, independent of memory pressure.
+    the sample variance.  Samples are drawn in fixed blocks of _MC_CHUNK,
+    which keeps the draw split and the accumulation order, and with them
+    the output bytes, independent of memory pressure.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -243,7 +250,7 @@ def mc_phase_autocorrelation(
     done = 0
     sqrt_beta = math.sqrt(chain.beta)
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(_MC_CHUNK, samples - done)
         p_modes = rng.normal(size=(m, chain.n)) / sqrt_beta
         q_modes = rng.normal(size=(m, chain.n)) / (sqrt_beta * omega)
         a = p_modes @ w_site
@@ -261,7 +268,6 @@ def mc_phase_autocorrelation(
 @dataclass(frozen=True)
 class TimeAutocorrelation:
     curve: AutocorrCurve
-    phase: AutocorrCurve
     sup_gap: float
 
 
@@ -294,7 +300,7 @@ def time_autocorrelation(
     The trajectory is evaluated exactly in mode coordinates on a grid
     `oversample` times finer than the (uniform, zero-based) tau grid, and
     the estimate at tau_j averages products over the horizon.  Also returns
-    the analytic phase curve on the same grid and the sup-norm gap, the
+    the sup-norm gap to the analytic phase curve on the same grid, the
     agreement metric between time statistics and the Gibbs average.
 
     The site-0 momentum is the phasor sum p0(t) = Re sum_k c_k exp(i w_k t)
@@ -328,7 +334,7 @@ def time_autocorrelation(
     curve = AutocorrCurve(tau=tau, values=values, kind="time-trajectory")
     phase = phase_autocorrelation(chain, tau)
     gap = float(np.abs(curve.values - phase.values).max())
-    return TimeAutocorrelation(curve=curve, phase=phase, sup_gap=gap)
+    return TimeAutocorrelation(curve=curve, sup_gap=gap)
 
 
 def recurrence_peak(
@@ -374,13 +380,12 @@ def equipartition_normality(
     chain: HarmonicChain,
     x: PhasePoint,
     epsilon: float,
-    energy_windows: int = 8,
 ) -> bool:
     """Does a phase point look equipartition-typical at scale epsilon?
 
     Two checks, both over the normal-mode decomposition:
 
-    * energy: the mode energies, grouped into `energy_windows` contiguous
+    * energy: the mode energies, grouped into _ENERGY_WINDOWS contiguous
       spectral windows, have window means within relative epsilon of the
       global mean (per-mode energies of a Gibbs draw fluctuate at order
       one, so the windowed average is the quantity that concentrates);
@@ -397,7 +402,7 @@ def equipartition_normality(
     mean_e = energies.mean()
     if mean_e <= 0.0:
         return False
-    windows = max(2, min(energy_windows, chain.n))
+    windows = max(2, min(_ENERGY_WINDOWS, chain.n))
     for block in np.array_split(energies, windows):
         if abs(block.mean() - mean_e) > epsilon * mean_e:
             return False
@@ -417,12 +422,13 @@ class OuFit:
     window: float  # fit used tau <= window
 
 
-def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0, max_iter: int = 8) -> OuFit:
+def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0) -> OuFit:
     """Least-squares fit of c * exp(-gamma tau) on the window tau <= window_factor / gamma.
 
     The window is found self-consistently: fit, shrink the window to
-    window_factor / gamma_hat, refit, until stable.  The residual is the
-    2-norm misfit divided by the 2-norm of the data on the final window.
+    window_factor / gamma_hat, refit, until stable or after _OU_MAX_ITER
+    fits.  The residual is the 2-norm misfit divided by the 2-norm of the
+    data on the final window.
     """
     tau = curve.tau
     vals = curve.values
@@ -440,7 +446,7 @@ def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0, max_iter: int = 8) 
 
     model = lambda t, c, g: c * np.exp(-g * t)
     n_window = len(tau)
-    for _ in range(max_iter):
+    for _ in range(_OU_MAX_ITER):
         cut = window_factor / gamma
         new_window = int(np.searchsorted(tau, cut, side="right"))
         new_window = max(new_window, 3)

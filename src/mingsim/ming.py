@@ -32,12 +32,7 @@ import scipy.linalg
 
 from .bitlattice import OrbitDecomposition
 
-
-def rescaled_h(h0: float, n: int) -> float:
-    """Size-dependent quantum of action h0/n used in the amplifier scaling."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return h0 / n
+_BAND = 3  # largest |i - j| that offdiagonal_approximation_error checks
 
 
 def _first_column(length: int, h: float) -> np.ndarray:
@@ -88,18 +83,18 @@ def verify_exponential(block: MingBlock) -> float:
     return float(np.abs(u - cycle_permutation(block.n)).max())
 
 
-def offdiagonal_approximation_error(block: MingBlock, band: int = 3) -> float:
+def offdiagonal_approximation_error(block: MingBlock) -> float:
     """Relative mismatch of near-diagonal entry magnitudes against h / (2 pi |i-j|).
 
     The large-n entry asymptotics fix the magnitude h / (2 pi |i - j|) close
     to the diagonal; the entry's phase is a branch convention, so the check
-    compares moduli.  Returns the max relative error over 1 <= |i-j| <= band.
+    compares moduli.  Returns the max relative error over 1 <= |i-j| <= _BAND.
     """
-    if band < 1 or band >= block.n:
-        raise ValueError(f"band must lie in [1, n), got {band}")
+    if block.n <= _BAND:
+        raise ValueError(f"block dimension must exceed the band {_BAND}, got {block.n}")
     c = block.entries[:, 0]
     worst = 0.0
-    for s in range(1, band + 1):
+    for s in range(1, _BAND + 1):
         target = block.h / (2 * np.pi * s)
         # circulant: entries at literal offset +s and -s have moduli |c[s]|, |c[n-s]|
         for mag in (abs(c[s]), abs(c[block.n - s])):
@@ -111,10 +106,12 @@ def offdiagonal_approximation_error(block: MingBlock, band: int = 3) -> float:
 class Propagator:
     """Time-t amplifier propagator assembled from an orbit decomposition.
 
-    mode "permutation" (integer t): pure index relabeling, exact.
-    mode "interpolated" (real t): per-orbit Fourier phases
-    exp(-2 pi i j t / n) on mode j, which reduces to the permutation at
-    integer t and obeys the group law in t.
+    `mode` records the branch that t selected.  "permutation" (integer t)
+    is the exact index relabeling.  "interpolated" (any other t) applies
+    the Fourier phases exp(-2 pi i j t / n) to mode j of every orbit row
+    of the decomposition's `members` table; that is exp((2 pi t / h) A) on
+    each orbit block, which obeys the group law in t.  The fixed points
+    are left untouched in both branches.
     """
 
     n_sites: int
@@ -146,25 +143,15 @@ class Propagator:
         return out
 
 
-def assemble_propagator(
-    decomp: OrbitDecomposition, t: float, mode: str = "auto"
-) -> Propagator:
+def assemble_propagator(decomp: OrbitDecomposition, t: float) -> Propagator:
     """Build the time-t propagator (h cancels from exp((2 pi t / h) A)).
 
-    Integer t selects the exact permutation mode; any other t the
-    interpolated Fourier mode (dense bound applies to the decomposition
-    already, so no further size check is needed).
+    Integer t gives the exact permutation; any other t the interpolated
+    Fourier phases on the rows of decomp.members (the decomposition already
+    enforces the dense bound, so no further size check is needed).
     """
-    if mode not in ("auto", "permutation", "interpolated"):
-        raise ValueError(f"unknown propagator mode {mode!r}")
-    t_is_integer = float(t).is_integer()
-    if mode == "permutation" and not t_is_integer:
-        raise ValueError("permutation mode needs integer t")
-    if mode == "auto":
-        mode = "permutation" if t_is_integer else "interpolated"
-    if mode == "permutation":
-        return Propagator(n_sites=decomp.n, t=float(t), mode=mode)
+    if float(t).is_integer():
+        return Propagator(n_sites=decomp.n, t=float(t), mode="permutation")
     n = decomp.n
-    members = np.array([decomp.orbit_members(oid) for oid in range(decomp.q)])
     phases = np.exp(-2j * np.pi * np.arange(n) * (t / n))
-    return Propagator(n_sites=n, t=float(t), mode=mode, _members=members, _phases=phases)
+    return Propagator(n_sites=n, t=float(t), mode="interpolated", _members=decomp.members, _phases=phases)

@@ -199,7 +199,6 @@ def macroscopic_check(
     tails,
     horizon: int,
     tolerance: float,
-    trend_slack: float | None = None,
 ) -> MacroscopicReport:
     """Exact prefix-independence probe for a variable family.
 
@@ -208,10 +207,10 @@ def macroscopic_check(
     |0>), and the family is evaluated on the dense product state at every
     total size up to `horizon`.  The report carries the max pairwise
     spread of the values across prefixes per size.  PASS means the spread
-    never grows by more than `trend_slack` in one step (a noise-tolerant
-    nonincreasing trend) and the final spread is at or below `tolerance`.
-    Both thresholds are explicit inputs, never hidden defaults of the
-    physics.
+    never grows by more than tolerance / 2 in one step (a noise-tolerant
+    nonincreasing trend; the report keeps this trend_slack) and the final
+    spread is at or below `tolerance`, an explicit input rather than a
+    hidden default of the physics.
     """
     require_dense(horizon)
     if not prefixes:
@@ -224,8 +223,7 @@ def macroscopic_check(
         raise ValueError("prefix length must be a power of two")
     if horizon <= n0:
         raise ValueError(f"horizon {horizon} must exceed prefix size {n0}")
-    if trend_slack is None:
-        trend_slack = tolerance / 2
+    trend_slack = tolerance / 2
     if callable(tails):
         tail_at = tails
     else:

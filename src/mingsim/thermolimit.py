@@ -89,8 +89,6 @@ class ConvergenceReport:
     final_error: float
     tolerance: float
     passed: bool
-    # indicator self-correlation E[F*F] next to E[F]; equal by idempotence
-    self_correlation: tuple[float, float]
 
 
 def compare_limit(
@@ -102,13 +100,16 @@ def compare_limit(
 
     Reports |mean_n - E[chi_P1]| per size, the least-squares log-log decay
     exponent of the errors (None when they vanish identically), and the
-    n -> infinity intercept of a linear fit of mean_n against 1/n.
+    n -> infinity intercept of a linear fit of mean_n against 1/n.  Each
+    size may appear once: a repeated size would leave both fits rank-deficient.
     """
     if not sweep:
         raise ValueError("sweep table is empty")
     system = limit_system(a)
     target = expectation(system, CHI_P1)
     ns = tuple(r.n for r in sweep)
+    if len(set(ns)) != len(ns):
+        raise ValueError(f"sweep repeats a size: n = {list(ns)}")
     means = np.array([r.mean for r in sweep])
     errors = tuple(float(abs(m - target)) for m in means)
     nonzero = [e for e in errors if e > 1e-15]
@@ -122,8 +123,7 @@ def compare_limit(
     else:
         intercept = float(means[0])
     final_error = errors[-1]
-    ef = expectation(system, CHI_P1 * CHI_P1)
-    report = ConvergenceReport(
+    return ConvergenceReport(
         ns=ns,
         errors=errors,
         limit_value=target,
@@ -132,8 +132,4 @@ def compare_limit(
         final_error=final_error,
         tolerance=tolerance,
         passed=bool(final_error <= tolerance),
-        self_correlation=(ef, target),
     )
-    # idempotence of the indicator is structural, not numerical
-    assert report.self_correlation[0] == report.self_correlation[1]
-    return report

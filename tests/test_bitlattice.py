@@ -82,13 +82,10 @@ def test_shift_index_large_n():
 def test_decompose_n3():
     dec = decompose_orbits(3)
     assert dec.q == 2
-    assert dec.representatives == (1, 3)
-    assert dec.orbit_members(0) == [1, 2, 4]
-    assert dec.orbit_members(1) == [3, 6, 5]
-    assert dec.fixed_points == (0, 7)
-    assert dec.orbit_of(0) == (-1, 0)
-    assert dec.orbit_of(7) == (-1, 0)
-    assert dec.orbit_of(5) == (1, 2)
+    # rows by representative (column 0), members by phase offset
+    assert dec.members.tolist() == [[1, 2, 4], [3, 6, 5]]
+    # the fixed points lie on no orbit
+    assert not {0, 7} & set(dec.members.ravel().tolist())
 
 
 def test_decompose_rejects_nonprime():
@@ -106,12 +103,12 @@ def test_decomposition_partitions_everything(n):
     dec = decompose_orbits(n)
     size = 2**n
     assert dec.q == (size - 2) // n
+    assert dec.members.shape == (dec.q, n)
     counts = np.zeros(size, dtype=int)
-    for oid in range(dec.q):
-        members = dec.orbit_members(oid)
-        assert len(set(members)) == n
+    for members in dec.members:
+        assert len(set(members.tolist())) == n
         counts[members] += 1
-    counts[list(dec.fixed_points)] += 1
+    counts[[0, size - 1]] += 1
     assert (counts == 1).all()
 
 
@@ -119,11 +116,13 @@ def test_decomposition_partitions_everything(n):
 def test_offsets_consistent_with_representative(n):
     dec = decompose_orbits(n)
     modulus = 2**n - 1
-    for idx in range(1, modulus):
-        oid, m = dec.orbit_of(idx)
-        rep = dec.representatives[oid]
-        assert idx == (rep * pow(2, m, modulus)) % modulus
-        assert rep == min(dec.orbit_members(oid))
+    reps = dec.members[:, 0]
+    assert (np.diff(reps) > 0).all()
+    for members in dec.members:
+        rep = int(members[0])
+        assert rep == members.min()
+        for m, idx in enumerate(members.tolist()):
+            assert idx == (rep * pow(2, m, modulus)) % modulus
 
 
 def test_is_prime_small():
@@ -139,5 +138,7 @@ def test_tables_are_readonly():
     dec = decompose_orbits(5)
     assert isinstance(dec, OrbitDecomposition)
     with pytest.raises(ValueError):
-        dec.orbit_id[0] = 5
+        dec.members[0, 0] = 5
+    # cached: every caller shares the one read-only table
+    assert decompose_orbits(5) is dec
     assert DENSE_MAX_SITES == 13

@@ -318,6 +318,27 @@ def test_invalid_field_exits_2_naming_it(tmp_path, capsys, argv, config, field):
     assert list(tmp_path.iterdir()) == ([tmp_path / "run.json"] if config is not None else [])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # finite but extreme values that overflow inside the computation
+        ["fkm", "autocorr", "--n", "8", "--beta", "5e-324"],
+        ["fkm", "autocorr", "--n", "8", "--kappa0", "1e308"],
+        ["fkm", "autocorr", "--n", "8", "--tau-max", "1e308"],
+        ["ming", "verify", "--n", "5", "--h", "5e-324"],
+        ["ming", "verify", "--n", "5", "--h", "1e308"],
+        # a repeated size would make the limit fits rank-deficient
+        ["limit", "compare", "--n", "5,5"],
+    ],
+)
+def test_unusable_result_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    svg = ["--svg", str(tmp_path / "chart.svg")] if argv[0] == "fkm" else []
+    with np.errstate(all="ignore"):
+        assert run(argv + ["--out", str(tmp_path / "artifact")] + svg) == 2
+    assert f"config error: {argv[0]} {argv[1]}:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("factor", ["0", "nan"])
 def test_oufit_rejects_bad_window_factor(tmp_path, capsys, factor):
     curve = tmp_path / "curve.csv"

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mingsim import dynamics
 from mingsim.bitlattice import BitConfig, decompose_orbits, shift
@@ -11,7 +14,6 @@ from mingsim.ming import (
     build_block,
     cycle_permutation,
     offdiagonal_approximation_error,
-    rescaled_h,
     verify_exponential,
 )
 
@@ -83,13 +85,9 @@ def test_exponential_identity_h_independent():
 def test_offdiagonal_magnitudes_near_diagonal():
     # desk-size check of the h/(2 pi s) asymptotics used by the acceptance suite
     block = build_block(101, 1.0)
-    assert offdiagonal_approximation_error(block, band=3) <= 0.05
+    assert offdiagonal_approximation_error(block) <= 0.05
     # and it really is an O((s/n)^2) effect, not a near-miss
-    assert offdiagonal_approximation_error(block, band=3) <= 0.005
-
-
-def test_rescaled_h():
-    assert rescaled_h(1.0, 101) == pytest.approx(1.0 / 101)
+    assert offdiagonal_approximation_error(block) <= 0.005
 
 
 def test_propagator_integer_matches_digit_shift():
@@ -122,10 +120,33 @@ def test_interpolated_reduces_to_permutation_at_integer_t():
     dec = decompose_orbits(5)
     rng = np.random.default_rng(11)
     v = rng.normal(size=2**5) + 1j * rng.normal(size=2**5)
+    half = assemble_propagator(dec, 0.5)
     for t in (0, 1, 2, 4, 5, 9):
-        perm = assemble_propagator(dec, t).apply_dense(v)
-        interp = assemble_propagator(dec, float(t), mode="interpolated").apply_dense(v)
-        assert np.abs(perm - interp).max() < 1e-12
+        perm = assemble_propagator(dec, t)
+        assert perm.mode == "permutation"
+        interp = assemble_propagator(dec, t - 0.5).apply_dense(half.apply_dense(v))
+        assert np.abs(perm.apply_dense(v) - interp).max() < 1e-12
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.floats(-3.0, 3.0).filter(lambda t: not t.is_integer()),
+    st.floats(0.1, 10.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_interpolated_propagator_is_block_exponential(n, t, h):
+    # on each orbit row of `members` the propagator is exp((2 pi t / h) A),
+    # taken from a general dense matrix exponential of the block
+    dec = decompose_orbits(n)
+    prop = assemble_propagator(dec, t)
+    assert prop.mode == "interpolated"
+    expected = scipy.linalg.expm((2 * np.pi * t / h) * build_block(n, h).entries)
+    for m in range(n):
+        # orbits are disjoint, so one dense vector probes basis column m of every row
+        v = np.zeros(2**n, dtype=complex)
+        v[dec.members[:, m]] = 1.0
+        column = prop.apply_dense(v)[dec.members]
+        assert np.abs(column - expected[:, m]).max() < 1e-12
 
 
 def test_interpolated_group_law_and_unitarity():

@@ -65,7 +65,6 @@ def test_compare_limit_exact_decay():
     assert rep.fitted_intercept == pytest.approx(0.64, abs=1e-9)
     assert rep.final_error <= 1e-3
     assert rep.passed
-    assert rep.self_correlation[0] == rep.self_correlation[1]
 
 
 def test_compare_limit_degenerate_branch():
@@ -75,6 +74,13 @@ def test_compare_limit_degenerate_branch():
     assert rep.fitted_exponent is None
     assert rep.final_error == pytest.approx(0.0, abs=1e-15)
     assert rep.passed
+
+
+def test_compare_limit_rejects_repeated_size():
+    # a repeated n leaves both least-squares fits rank-deficient
+    rows = born_limit_sweep((0.6, 0.8), [5, 5])
+    with pytest.raises(ValueError, match="repeats a size"):
+        compare_limit((0.6, 0.8), rows)
 
 
 @pytest.mark.parametrize("a", [(math.nan, 0.0), (math.inf, 0.0), (0.6, complex(0.0, math.nan))])
