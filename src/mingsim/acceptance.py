@@ -4,14 +4,13 @@ Each criterion function recomputes its claim from scratch and returns a
 pass/fail plus a one-line detail with the measured numbers.  Stochastic
 criteria run at pinned seeds; the seeds and any measured thresholds were
 selected on pilot runs and are frozen here on purpose, never recomputed
-silently.  `faults` names deliberate corruptions used to demonstrate
-fault isolation (a corrupted generator block must fail A2 and nothing
-else).
+silently.  Each check calls the library through its module attributes
+(`ming.build_block`, `fkm.ou_fit`, ...), so a test can swap in a broken
+kernel with monkeypatch and see which criteria catch it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import tempfile
 import time
@@ -21,8 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, fkm, ming, observable, thermolimit
-
-KNOWN_FAULTS = frozenset({"ming-block"})
 
 AMPLITUDES = (
     (1.0, 0.0),
@@ -43,7 +40,7 @@ class CriterionResult:
     seconds: float
 
 
-def _a1(faults):
+def _a1():
     """Stroboscopic one-period mean equals |a1|^2 (1 - 1/n) to 1e-12."""
     worst = 0.0
     for a0, a1 in AMPLITUDES:
@@ -59,22 +56,18 @@ def _a1(faults):
     return worst <= 1e-12, f"max |mean - born*(1-1/n)| = {worst:.2e} (tol 1e-12)"
 
 
-def _a2(faults):
+def _a2():
     """Block exponential reproduces the cycle; entry moduli track h/(2pi s)."""
     worst = 0.0
     for n in (1, 2, 3, 5, 7):
         block = ming.build_block(n, h=1.0)
-        if "ming-block" in faults:
-            entries = block.entries.copy()
-            entries[0, 0] += 1e-6
-            block = dataclasses.replace(block, entries=entries)
         worst = max(worst, ming.verify_exponential(block))
     approx = ming.offdiagonal_approximation_error(ming.build_block(101, h=1.0))
     ok = worst <= 1e-9 and approx <= 0.05
     return ok, f"max exp residual {worst:.2e} (tol 1e-9), n=101 entry error {approx:.4f} (tol 0.05)"
 
 
-def _a3(faults):
+def _a3():
     """Sweep intercept matches the two-point weight; error decay exponent -1."""
     details = []
     ok = True
@@ -112,7 +105,7 @@ def _prefix_pair(rng, sites, forced_flip):
     return _product_state(base), _product_state(partner)
 
 
-def _a4(faults):
+def _a4():
     """Pointer family insensitive across near-identical prefixes; site variable is not."""
     n0, horizon, pairs, seed = 6, 13, 20, 2024
     rng = np.random.default_rng(seed)
@@ -136,7 +129,7 @@ def _a4(faults):
     )
 
 
-def _a5(faults):
+def _a5():
     """Analytic curve exact at 0; Monte-Carlo within 3 stderr everywhere."""
     tau = np.linspace(0.0, 20.0, 200)
     ok = True
@@ -151,7 +144,7 @@ def _a5(faults):
     return ok, f"g(0) exact, max |mc - analytic|/stderr = {worst_z:.2f} (tol 3)"
 
 
-def _a6(faults):
+def _a6():
     """One Gibbs trajectory reproduces the phase curve; one excited mode does not."""
     # plain unit-coupling ring: the scaled family's conserved mode-energy
     # fluctuations put the sup gap near 0.2 for every seed, see ledger
@@ -169,7 +162,7 @@ def _a6(faults):
     )
 
 
-def _a7(faults):
+def _a7():
     """OU residual trend nonincreasing in n; small ring recurs to 99% of g(0)."""
     tau = np.linspace(0.0, 20.0, 200)
     resids = []
@@ -184,7 +177,7 @@ def _a7(faults):
     return ok, f"residuals {resid_txt}, recurrence |g|={peak:.4f} at tau={tau_star:.1f} (tol 0.99)"
 
 
-def _a8(faults):
+def _a8():
     """Same config, same bytes; dense and compressed paths agree to 1e-12."""
     from . import cli  # deferred: cli drives acceptance through `reproduce`
 
@@ -231,13 +224,10 @@ _CRITERIA = {
 CRITERION_IDS = tuple(_CRITERIA)
 
 
-def run_criterion(criterion: str, faults: frozenset = frozenset()) -> CriterionResult:
-    unknown = set(faults) - KNOWN_FAULTS
-    if unknown:
-        raise ValueError(f"unknown fault hooks: {sorted(unknown)}")
+def run_criterion(criterion: str) -> CriterionResult:
     fn, _, budget = _CRITERIA[criterion]
     start = time.perf_counter()
-    passed, detail = fn(frozenset(faults))
+    passed, detail = fn()
     elapsed = time.perf_counter() - start
     if elapsed > budget:
         passed = False
@@ -245,6 +235,6 @@ def run_criterion(criterion: str, faults: frozenset = frozenset()) -> CriterionR
     return CriterionResult(criterion=criterion, passed=bool(passed), detail=detail, seconds=elapsed)
 
 
-def run_all(faults: frozenset = frozenset(), only=None) -> list[CriterionResult]:
+def run_all(only=None) -> list[CriterionResult]:
     ids = CRITERION_IDS if only is None else tuple(only)
-    return [run_criterion(cid, faults) for cid in ids]
+    return [run_criterion(cid) for cid in ids]

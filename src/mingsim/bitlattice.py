@@ -60,45 +60,9 @@ def require_dense(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class BitConfig:
-    """One basis configuration of the n-site register."""
-
-    n: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one site, got n={self.n}")
-        if not 0 <= self.index < (1 << self.n):
-            raise ValueError(f"index {self.index} out of range for n={self.n}")
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        """Digits (d_0, ..., d_{n-1}), least significant site first."""
-        return tuple((self.index >> k) & 1 for k in range(self.n))
-
-    def bitstring(self) -> str:
-        """Digit string with site 0 leftmost, e.g. index 3 at n=5 -> '11000'."""
-        return "".join(str(d) for d in self.digits)
-
-    @classmethod
-    def from_digits(cls, digits) -> "BitConfig":
-        ds = tuple(digits)
-        idx = 0
-        for k, d in enumerate(ds):
-            if d not in (0, 1):
-                raise ValueError(f"digit at site {k} must be 0 or 1, got {d}")
-            idx |= d << k
-        return cls(n=len(ds), index=idx)
-
-    @classmethod
-    def from_bitstring(cls, s: str) -> "BitConfig":
-        return cls.from_digits(int(c) for c in s)
-
-
 def shift_index(index: int, n: int, steps: int = 1) -> int:
-    """Apply the digit cycle `steps` times to a raw index.
+    """Apply the digit cycle (d_0, .., d_{n-1}) -> (d_{n-1}, d_0, .., d_{n-2})
+    `steps` times to an index; this is the package's one shift.
 
     Fixed points 0 and 2**n - 1 are invariant; everything else is
     index * 2**steps mod (2**n - 1).  Negative steps run the cycle backwards.
@@ -107,11 +71,6 @@ def shift_index(index: int, n: int, steps: int = 1) -> int:
     if index == 0 or index == modulus:
         return index
     return (index * pow(2, steps % n, modulus)) % modulus
-
-
-def shift(config: BitConfig, steps: int = 1) -> BitConfig:
-    """Cyclic digit shift: (d_0, .., d_{n-1}) -> (d_{n-1}, d_0, .., d_{n-2})."""
-    return BitConfig(config.n, shift_index(config.index, config.n, steps))
 
 
 @dataclass(frozen=True)

@@ -334,14 +334,13 @@ def cmd_fkm_oufit(p) -> str:
 
 
 def cmd_reproduce(p):
-    faults = frozenset(p["faults"])
-    results = acceptance.run_all(faults=faults, only=p["only"])
+    results = acceptance.run_all(only=p["only"])
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{res.criterion}  {status}  {res.seconds:6.1f}s  {res.detail}")
     failed = [r.criterion for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed" + (f"; failed: {', '.join(failed)}" if failed else ""))
-    report = {"results": [dataclasses.asdict(r) for r in results], "passed": not failed, "faults": sorted(faults)}
+    report = {"results": [dataclasses.asdict(r) for r in results], "passed": not failed}
     return (canonical_json(report) if p["out"] else None), (EXIT_NUMERIC if failed else EXIT_OK)
 
 
@@ -394,8 +393,6 @@ COMMANDS = (
     Command("reproduce", "run the acceptance criteria and print a pass/fail table", cmd_reproduce, (
         Field("only", lambda v: [c.upper() for c in _items(v)], acceptance.CRITERION_IDS,
               lambda ids: ids and set(ids) <= set(acceptance.CRITERION_IDS), "comma-separated criterion ids, e.g. A1,A5"),
-        Field("faults", lambda v: [v], (), lambda fs: set(fs) <= acceptance.KNOWN_FAULTS,
-              "fault hook: " + " | ".join(sorted(acceptance.KNOWN_FAULTS)), flag="--inject-fault"),
         dataclasses.replace(OUT, help="also write the table as a JSON report"),
     ), config=False),
 )
@@ -452,6 +449,7 @@ def run(command: Command, args) -> int:
     text, status = result if isinstance(result, tuple) else (result, EXIT_OK)
     if text is not None:
         emit(text, p.get("out"), config, start)
+    log.debug("%s: params %s, elapsed %.3f s", command.name, p, time.perf_counter() - start)
     return status
 
 
@@ -491,11 +489,13 @@ def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("MINGSIM_LOG_LEVEL", "WARNING"))
     args = build_parser().parse_args(argv)
     try:
-        return run(args.command, args)
+        # an overflowing input raises here instead of warning on stderr
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return run(args.command, args)
     except DegenerateFitError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (MingsimError, ValueError, OverflowError) as exc:  # rejected input; ConfigInvalidError names the field
+    except (MingsimError, ValueError, OverflowError, FloatingPointError) as exc:  # rejected input; ConfigInvalidError names the field
         print(f"config error: {args.command.name}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

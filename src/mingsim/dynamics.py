@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -122,7 +122,7 @@ def evolve_combined(state: CombinedState, t: float) -> CombinedState:
     """Advance the psi1 branch by time t; the psi0 branch is frozen.
 
     Integer t relabels indices exactly at any n.  Any other t applies the
-    interpolated propagator to a dense 2**n vector, so the dense bound
+    Fourier-phase propagator to a dense 2**n vector, so the dense bound
     applies; the orbit table comes from the cached decompose_orbits.
     """
     if float(t).is_integer():
@@ -237,7 +237,7 @@ class SweepRow:
 def born_limit_sweep(
     a: tuple[complex, complex],
     n_list: Iterable[int],
-    epsilon_schedule: float | Callable[[int], float] = 0.0,
+    epsilon_schedule: float = 0.0,
     path: str = "auto",
 ) -> list[SweepRow]:
     """Tabulate <f_n> against the Born weight |a1|^2 across lattice sizes.
@@ -245,17 +245,17 @@ def born_limit_sweep(
     path "dense" forces full state evolution (dense bound applies),
     "compressed" the revisit-count evaluation, "auto" picks per size.
     Every size starts from the strict cocked configuration in both branches
-    and averages over one period, horizon n.
+    and averages over one period, horizon n.  epsilon_schedule is the one
+    deviation fraction of the cocked set at every size.
     """
     if path not in ("auto", "dense", "compressed"):
         raise ValueError(f"unknown path {path!r}")
-    eps = epsilon_schedule if callable(epsilon_schedule) else (lambda n: float(epsilon_schedule))
     a0, a1 = a
     rows = []
     for n in n_list:
         require_prime(n)
         state = cocked_start(n, a0, a1)
-        cocked = CockedSet(n, eps(n))
+        cocked = CockedSet(n, float(epsilon_schedule))
         use_dense = path == "dense" or (path == "auto" and n <= DENSE_MAX_SITES)
         if use_dense:
             res = time_average_f(state, cocked, n)

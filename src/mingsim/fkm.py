@@ -8,7 +8,7 @@ The chain couples n unit masses on a ring,
 so the normal-mode frequencies are omega_k^2 = omega0_sq
 + 4 kappa sin^2(pi k / n).  Everything downstream works in the real
 orthonormal mode basis (cos/sin pairs), in which the flow is an exact
-per-mode rotation and energy is conserved to roundoff.
+per-mode rotation.
 
 The site-0 momentum autocorrelation under the Gibbs phase average has the
 closed form
@@ -43,7 +43,6 @@ _FREQ_SQ_TOL = 1e-12
 _MC_CHUNK = 20000
 
 _OU_MAX_ITER = 8  # window refits in ou_fit
-_ENERGY_WINDOWS = 8  # spectral windows in equipartition_normality
 
 
 @dataclass(frozen=True)
@@ -138,17 +137,6 @@ class PhasePoint:
         self.p.setflags(write=False)
 
 
-def chain_energy(chain: HarmonicChain, x: PhasePoint) -> float:
-    modes = normal_modes(chain)
-    q_modes = modes.vectors.T @ x.q
-    return float(0.5 * (x.p @ x.p) + 0.5 * ((modes.frequencies * q_modes) @ (modes.frequencies * q_modes)))
-
-
-def _mode_coordinates(modes: NormalModes, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
-    v = modes.vectors
-    return v.T @ x.q, v.T @ x.p
-
-
 def sample_gibbs(chain: HarmonicChain, seed) -> PhasePoint:
     """Draw one phase point from the Gibbs measure exp(-beta H).
 
@@ -173,21 +161,6 @@ def single_mode_state(chain: HarmonicChain, mode: int, energy: float) -> PhasePo
     p_modes = np.zeros(chain.n)
     p_modes[mode] = math.sqrt(2.0 * energy)
     return PhasePoint(q=np.zeros(chain.n), p=modes.vectors @ p_modes)
-
-
-def evolve_chain(chain: HarmonicChain, x: PhasePoint, t: float) -> PhasePoint:
-    """Exact mode rotation by time t (zero modes stream freely)."""
-    modes = normal_modes(chain)
-    q, p = _mode_coordinates(modes, x)
-    w = modes.frequencies
-    zero = w <= math.sqrt(_FREQ_SQ_TOL)
-    c = np.cos(w * t)
-    s = np.sin(w * t)
-    safe_w = np.where(zero, 1.0, w)
-    q_new = np.where(zero, q + p * t, q * c + (p / safe_w) * s)
-    p_new = np.where(zero, p, p * c - w * q * s)
-    v = modes.vectors
-    return PhasePoint(q=v @ q_new, p=v @ p_new)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +247,7 @@ class TimeAutocorrelation:
 def _site0_momentum_series(chain: HarmonicChain, x0: PhasePoint, dt: float, total: int) -> np.ndarray:
     """p0(j dt) for j = 0..total-1 along the exact orbit from x0."""
     modes = normal_modes(chain)
-    q, p = _mode_coordinates(modes, x0)
+    q, p = modes.vectors.T @ x0.q, modes.vectors.T @ x0.p
     w_site = modes.vectors[0, :]
     keep = w_site != 0.0
     omega = modes.frequencies[keep]
@@ -372,46 +345,8 @@ def recurrence_peak(
 
 
 # ---------------------------------------------------------------------------
-# normality and the OU fit
+# the OU fit
 # ---------------------------------------------------------------------------
-
-
-def equipartition_normality(
-    chain: HarmonicChain,
-    x: PhasePoint,
-    epsilon: float,
-) -> bool:
-    """Does a phase point look equipartition-typical at scale epsilon?
-
-    Two checks, both over the normal-mode decomposition:
-
-    * energy: the mode energies, grouped into _ENERGY_WINDOWS contiguous
-      spectral windows, have window means within relative epsilon of the
-      global mean (per-mode energies of a Gibbs draw fluctuate at order
-      one, so the windowed average is the quantity that concentrates);
-    * signs: the 2n mode coordinates have positive/negative counts
-      balanced within epsilon * sqrt(n) of half the nonzero count.
-
-    A zero-energy point has no sign statistics and returns False.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    modes = normal_modes(chain)
-    q, p = _mode_coordinates(modes, x)
-    energies = 0.5 * (p**2 + (modes.frequencies * q) ** 2)
-    mean_e = energies.mean()
-    if mean_e <= 0.0:
-        return False
-    windows = max(2, min(_ENERGY_WINDOWS, chain.n))
-    for block in np.array_split(energies, windows):
-        if abs(block.mean() - mean_e) > epsilon * mean_e:
-            return False
-    coords = np.concatenate([q, p])
-    nonzero = coords[coords != 0.0]
-    if len(nonzero) == 0:
-        return False
-    plus = int((nonzero > 0).sum())
-    return abs(plus - len(nonzero) / 2) <= epsilon * math.sqrt(chain.n)
 
 
 @dataclass(frozen=True)

@@ -104,38 +104,26 @@ def offdiagonal_approximation_error(block: MingBlock) -> float:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Time-t amplifier propagator assembled from an orbit decomposition.
+    """Time-t amplifier propagator exp((2 pi t / h) A) on every orbit block.
 
-    `mode` records the branch that t selected.  "permutation" (integer t)
-    is the exact index relabeling.  "interpolated" (any other t) applies
-    the Fourier phases exp(-2 pi i j t / n) to mode j of every orbit row
-    of the decomposition's `members` table; that is exp((2 pi t / h) A) on
-    each orbit block, which obeys the group law in t.  The fixed points
-    are left untouched in both branches.
+    apply_dense multiplies mode j of every orbit row of the decomposition's
+    `members` table by the Fourier phase exp(-2 pi i j t / n), for any real
+    t; this obeys the group law in t.  At integer t it gives the digit-shift
+    permutation to rounding (about 1e-14 for n <= 13), so it serves as a
+    dense reference that shares no code with bitlattice.shift_index.  The
+    fixed points are left untouched.
     """
 
     n_sites: int
     t: float
-    mode: str
-    _members: np.ndarray | None = None
-    _phases: np.ndarray | None = None
+    _members: np.ndarray
+    _phases: np.ndarray
 
     def apply_dense(self, state: np.ndarray) -> np.ndarray:
         """Apply to a dense amplifier vector of length 2**n."""
         size = 1 << self.n_sites
         if state.shape != (size,):
             raise ValueError(f"expected state of shape ({size},), got {state.shape}")
-        if self.mode == "permutation":
-            idx = np.arange(size)
-            out = np.empty(size, dtype=complex)
-            # vectorized doubling map; endpoints are fixed
-            modulus = size - 1
-            mult = pow(2, int(self.t) % self.n_sites, modulus)
-            images = (idx[1:-1] * mult) % modulus
-            out[images] = state[1:-1]
-            out[0] = state[0]
-            out[modulus] = state[modulus]
-            return out
         out = np.asarray(state, dtype=complex).copy()
         block = out[self._members]
         block = np.fft.ifft(np.fft.fft(block, axis=1) * self._phases[None, :], axis=1)
@@ -146,12 +134,9 @@ class Propagator:
 def assemble_propagator(decomp: OrbitDecomposition, t: float) -> Propagator:
     """Build the time-t propagator (h cancels from exp((2 pi t / h) A)).
 
-    Integer t gives the exact permutation; any other t the interpolated
-    Fourier phases on the rows of decomp.members (the decomposition already
-    enforces the dense bound, so no further size check is needed).
+    The decomposition already enforces the dense bound, so no further size
+    check is needed.
     """
-    if float(t).is_integer():
-        return Propagator(n_sites=decomp.n, t=float(t), mode="permutation")
     n = decomp.n
     phases = np.exp(-2j * np.pi * np.arange(n) * (t / n))
-    return Propagator(n_sites=n, t=float(t), mode="interpolated", _members=decomp.members, _phases=phases)
+    return Propagator(n_sites=n, t=float(t), _members=decomp.members, _phases=phases)

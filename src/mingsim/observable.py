@@ -150,15 +150,11 @@ def pointer_value(state, cocked: CockedSet, normalize: bool = False) -> float:
 VariableFamily = Callable[[int], Callable[[np.ndarray], float]]
 
 
-def pointer_family(epsilon_schedule: float | Callable[[int], float]) -> VariableFamily:
-    """f_n family with a per-size negligibility fraction eps(n)."""
-    if callable(epsilon_schedule):
-        eps = epsilon_schedule
-    else:
-        eps = lambda n: float(epsilon_schedule)
+def pointer_family(epsilon_schedule: Callable[[int], float]) -> VariableFamily:
+    """f_n family with a per-size negligibility fraction epsilon_schedule(n)."""
 
     def at_size(n: int):
-        pv = PointerVariable(CockedSet(n, eps(n)))
+        pv = PointerVariable(CockedSet(n, epsilon_schedule(n)))
         return lambda v: pv.value(v, normalize=True)
 
     return at_size
@@ -196,16 +192,15 @@ class MacroscopicReport:
 def macroscopic_check(
     family: VariableFamily,
     prefixes: Sequence[np.ndarray],
-    tails,
+    tails: Callable[[int], np.ndarray],
     horizon: int,
     tolerance: float,
 ) -> MacroscopicReport:
     """Exact prefix-independence probe for a variable family.
 
-    Each prefix v0 over n0 sites is extended one site at a time with the
-    given tail vectors (a sequence or a map site -> C^2 vector, default
-    |0>), and the family is evaluated on the dense product state at every
-    total size up to `horizon`.  The report carries the max pairwise
+    Each prefix v0 over n0 sites is extended one site at a time, site k
+    getting the single-site vector tails(k), and the family is evaluated on
+    the dense product state at every total size up to `horizon`.  The report carries the max pairwise
     spread of the values across prefixes per size.  PASS means the spread
     never grows by more than tolerance / 2 in one step (a noise-tolerant
     nonincreasing trend; the report keeps this trend_slack) and the final
@@ -224,17 +219,12 @@ def macroscopic_check(
     if horizon <= n0:
         raise ValueError(f"horizon {horizon} must exceed prefix size {n0}")
     trend_slack = tolerance / 2
-    if callable(tails):
-        tail_at = tails
-    else:
-        tail_seq = list(tails)
-        tail_at = lambda k: tail_seq[k - n0]
     sizes = tuple(range(n0 + 1, horizon + 1))
     values = np.zeros((len(prefixes), len(sizes)))
     for pi, prefix in enumerate(prefixes):
         state = np.asarray(prefix, dtype=complex)
         for si, size in enumerate(sizes):
-            tail = np.asarray(tail_at(size - 1), dtype=complex)
+            tail = np.asarray(tails(size - 1), dtype=complex)
             if tail.shape != (2,):
                 raise ValueError("tail vectors must be single-site (length 2)")
             if abs(np.linalg.norm(tail) - 1.0) > 1e-9:

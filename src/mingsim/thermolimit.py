@@ -5,12 +5,11 @@ probability space {P0, P1}: P0 carries the weight of the branch that keeps
 pointing at cocked, P1 the weight of the branch that fired.  The weights
 are the Born weights |a0|^2 and |a1|^2 of the initial particle state.
 
-Variables on two points are spanned by the indicators chi_P0 and chi_P1,
-so products stay in the same family (pointwise) and the indicator
-idempotence E[F * F] = E[F] is exact.  `compare_limit` quantifies how the
-finite-size time averages approach expectation(chi_P1): the error of the
-strict cocked start is exactly |a1|^2 / n, so the fitted log-log decay
-exponent sits at -1.
+The limit value of the pointer average is the expectation of the
+indicator of P1, which is the weight w1.  `compare_limit` quantifies how
+the finite-size time averages approach it: the error of the strict cocked
+start is exactly |a1|^2 / n, so the fitted log-log decay exponent sits
+at -1.
 """
 
 from __future__ import annotations
@@ -57,29 +56,6 @@ def limit_system(a: tuple[complex, complex]) -> TwoPointSystem:
 
 
 @dataclass(frozen=True)
-class LimitVariable:
-    """Function on the two-point space, written as c0 * chi_P0 + c1 * chi_P1."""
-
-    c0: float
-    c1: float
-
-    def __mul__(self, other: "LimitVariable") -> "LimitVariable":
-        return LimitVariable(self.c0 * other.c0, self.c1 * other.c1)
-
-    def __add__(self, other: "LimitVariable") -> "LimitVariable":
-        return LimitVariable(self.c0 + other.c0, self.c1 + other.c1)
-
-
-CHI_P0 = LimitVariable(1.0, 0.0)
-CHI_P1 = LimitVariable(0.0, 1.0)
-UNIT = LimitVariable(1.0, 1.0)
-
-
-def expectation(system: TwoPointSystem, variable: LimitVariable) -> float:
-    return system.w0 * variable.c0 + system.w1 * variable.c1
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
     ns: tuple[int, ...]
     errors: tuple[float, ...]
@@ -98,15 +74,16 @@ def compare_limit(
 ) -> ConvergenceReport:
     """Error table of a Born sweep against the two-point expectation.
 
-    Reports |mean_n - E[chi_P1]| per size, the least-squares log-log decay
-    exponent of the errors (None when they vanish identically), and the
-    n -> infinity intercept of a linear fit of mean_n against 1/n.  Each
-    size may appear once: a repeated size would leave both fits rank-deficient.
+    Reports |mean_n - w1| per size (w1 = E[chi_P1], the weight of P1), the
+    least-squares log-log decay exponent of the errors (None when they
+    vanish identically), and the n -> infinity intercept of a linear fit of
+    mean_n against 1/n.  Each size may appear once: a repeated size would
+    leave both fits rank-deficient.
     """
     if not sweep:
         raise ValueError("sweep table is empty")
     system = limit_system(a)
-    target = expectation(system, CHI_P1)
+    target = system.w1
     ns = tuple(r.n for r in sweep)
     if len(set(ns)) != len(ns):
         raise ValueError(f"sweep repeats a size: n = {list(ns)}")

@@ -12,12 +12,7 @@ def test_criterion(criterion):
     assert res.passed, f"{criterion} failed: {res.detail}"
 
 
-def test_fault_injection_isolated_to_a2():
-    results = acceptance.run_all(faults=frozenset({"ming-block"}))
+def test_fault_injection_isolated_to_a2(corrupted_generator_block):
+    results = acceptance.run_all()
     failed = {r.criterion for r in results if not r.passed}
     assert failed == {"A2"}
-
-
-def test_unknown_fault_rejected():
-    with pytest.raises(ValueError):
-        acceptance.run_criterion("A1", faults=frozenset({"bogus"}))

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from mingsim.bitlattice import (
     DENSE_MAX_SITES,
-    BitConfig,
     OrbitDecomposition,
     decompose_orbits,
     is_prime,
-    shift,
     shift_index,
 )
 from mingsim.errors import DenseBoundError, NonPrimeOrderError
@@ -19,19 +17,30 @@ from mingsim.errors import DenseBoundError, NonPrimeOrderError
 PRIMES_DENSE = [2, 3, 5, 7, 11, 13]
 
 
+def digits(index: int, n: int) -> tuple[int, ...]:
+    """(d_0, ..., d_{n-1}): site k carries bit k of the index."""
+    return tuple((index >> k) & 1 for k in range(n))
+
+
+def bitstring(index: int, n: int) -> str:
+    """Digit string with site 0 leftmost."""
+    return "".join(map(str, digits(index, n)))
+
+
 def test_digit_convention():
-    # site 0 is the least significant bit and prints first
-    c = BitConfig(5, 3)
-    assert c.digits == (1, 1, 0, 0, 0)
-    assert c.bitstring() == "11000"
-    assert BitConfig.from_bitstring("11000") == c
+    # site 0 is the least significant bit and prints first; one shift moves
+    # the digit of site k to site k + 1, and the last site's to site 0
+    assert digits(3, 5) == (1, 1, 0, 0, 0)
+    assert bitstring(3, 5) == "11000"
+    n = 7
+    for k in range(n):
+        assert shift_index(1 << k, n) == 1 << ((k + 1) % n)
 
 
 def test_shift_example_n5():
     # 11000 -> 01100, i.e. index 3 -> 6
-    c = shift(BitConfig(5, 3))
-    assert c.index == 6
-    assert c.bitstring() == "01100"
+    assert shift_index(3, 5) == 6
+    assert bitstring(shift_index(3, 5), 5) == "01100"
 
 
 def test_shift_is_doubling_mod():
@@ -65,10 +74,9 @@ def test_shift_matches_digit_rotation():
     rng = np.random.default_rng(7)
     for n in PRIMES_DENSE:
         for idx in rng.integers(0, 2**n, size=20):
-            c = BitConfig(n, int(idx))
-            d = c.digits
+            d = digits(int(idx), n)
             rotated = (d[-1],) + d[:-1]
-            assert shift(c).digits == rotated
+            assert digits(shift_index(int(idx), n), n) == rotated
 
 
 def test_shift_index_large_n():

@@ -3,10 +3,12 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import re
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +129,17 @@ def test_sidecar_provenance(tmp_path):
     assert sidecar["config"]["seed"] == 99
     assert sidecar["config"]["params"]["n"] == [5, 7]
     assert "wall_clock_utc" in sidecar and "version" in sidecar
+
+
+def test_debug_log_per_command(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="mingsim")
+    assert run(["born", "sweep", "--n", "5,7", "--seed", "99", "--out", str(tmp_path / "sweep.csv")]) == 0
+    records = [r for r in caplog.records if r.name == "mingsim"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    message = records[0].getMessage()
+    assert message.startswith("born sweep: params ")
+    assert "'n': [5, 7]" in message and "'seed': 99" in message
+    assert re.search(r", elapsed \d+\.\d{3} s$", message)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +271,14 @@ def test_reproduce_subset(capsys):
     capsys.readouterr()
 
 
-def test_reproduce_fault_subset(capsys, tmp_path):
+def test_reproduce_fault_subset(capsys, tmp_path, corrupted_generator_block):
     rpt = tmp_path / "report.json"
-    code = run(["reproduce", "--only", "A2", "--inject-fault", "ming-block", "--out", str(rpt)])
+    code = run(["reproduce", "--only", "A2", "--out", str(rpt)])
     assert code == 3
     assert "A2  FAIL" in capsys.readouterr().out
     report = json.loads(rpt.read_text(encoding="utf-8"))
     assert report["passed"] is False
-    assert report["faults"] == ["ming-block"]
+    assert report["results"][0]["passed"] is False
 
 
 def _strict_json(text):
@@ -333,9 +346,13 @@ def test_invalid_field_exits_2_naming_it(tmp_path, capsys, argv, config, field):
 )
 def test_unusable_result_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     svg = ["--svg", str(tmp_path / "chart.svg")] if argv[0] == "fkm" else []
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run(argv + ["--out", str(tmp_path / "artifact")] + svg) == 2
-    assert f"config error: {argv[0]} {argv[1]}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {argv[0]} {argv[1]}:" in err
+    # the overflow is reported as the subcommand's error, not as a numpy warning
+    assert caught == [] and "Warning" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -426,8 +443,7 @@ FUZZ_FLAGS = {
                      "svg": (None, _names("curve.svg"), [])},
     "fkm oufit": {"in": ("in_path", _names("curve-ok"), ["curve-nan", "curve-short", "curve-header", "curve-zero", "nope"]),
                   "window-factor": ("window_factor", _reals(0.01, 50), []), "seed": _SEED},
-    "reproduce": {"only": (None, _names("A1", "a2", "A1,A2"), ["A9", "abc"]),
-                  "inject-fault": (None, _names("ming-block"), ["bogus"])},
+    "reproduce": {"only": (None, _names("A1", "a2", "A1,A2"), ["A9", "abc"])},
 }
 FILE_FLAGS = {"state", "in"}  # their drawn value names an input file
 

@@ -17,9 +17,11 @@ from mingsim.dynamics import (
     orbit_compressed_average,
     time_average_f,
 )
-from mingsim.bitlattice import shift_index
+from mingsim.acceptance import AMPLITUDES
+from mingsim.bitlattice import decompose_orbits, shift_index
 from mingsim.errors import NotNormalizedError, UnsupportedInitialStateError
-from mingsim.observable import CockedSet, PointerVariable, strict_cocked_index
+from mingsim.ming import assemble_propagator
+from mingsim.observable import CockedSet, PointerVariable, pointer_value, strict_cocked_index
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -103,6 +105,36 @@ def test_compressed_equals_dense(n, eps):
     dense = time_average_f(s, c, horizon=n)
     fast = orbit_compressed_average(s, c, horizon=n)
     assert fast.mean == pytest.approx(dense.mean, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13])
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+def test_dense_propagator_reference(n, eps):
+    # a dense 2**n vector stepped by the Fourier-phase propagator, read
+    # through the cocked mask, against the per-step pointer values and the
+    # means of both evaluators at every horizon 1..n
+    step = assemble_propagator(decompose_orbits(n), 1)
+    cocked = CockedSet(n, eps)
+    mask = cocked.mask()
+    for a0, a1 in AMPLITUDES:
+        state = cocked_start(n, a0, a1)
+        frozen = np.zeros(2**n, dtype=complex)
+        moving = np.zeros(2**n, dtype=complex)
+        for i, c in state.amp0.items():
+            frozen[i] = c
+        for i, c in state.amp1.items():
+            moving[i] = c
+        w0, w1 = abs(state.a0) ** 2, abs(state.a1) ** 2
+        inside0 = np.sum(np.abs(frozen[mask]) ** 2)
+        series = []
+        for t in range(n):
+            series.append(1.0 - w0 * inside0 - w1 * np.sum(np.abs(moving[mask]) ** 2))
+            assert abs(series[t] - pointer_value(evolve_combined(state, t), cocked)) <= 1e-12
+            moving = step.apply_dense(moving)
+        for horizon in range(1, n + 1):
+            mean = np.mean(series[:horizon])
+            assert abs(time_average_f(state, cocked, horizon).mean - mean) <= 1e-12
+            assert abs(orbit_compressed_average(state, cocked, horizon).mean - mean) <= 1e-12
 
 
 def test_compressed_large_n():

@@ -19,6 +19,11 @@ from mingsim.errors import (
 TAU = np.linspace(0.0, 20.0, 200)
 
 
+def energy(stiffness, x):
+    """H = (p.p + q^T K q) / 2, from the site-basis stiffness matrix K."""
+    return 0.5 * (x.p @ x.p + x.q @ stiffness @ x.q)
+
+
 # ---------------------------------------------------------------------------
 # chain and modes
 # ---------------------------------------------------------------------------
@@ -119,8 +124,9 @@ def test_gibbs_rejects_zero_mode():
 def test_gibbs_mean_energy_equipartition():
     # E[H] = n/beta; pilot z = -0.45 at this seed
     chain = fkm.scaled_ring(8, beta=1.0)
+    k = fkm.stiffness_matrix(chain)
     rng = np.random.default_rng(7)
-    vals = np.array([fkm.chain_energy(chain, fkm.sample_gibbs(chain, rng)) for _ in range(100_000)])
+    vals = np.array([energy(k, fkm.sample_gibbs(chain, rng)) for _ in range(100_000)])
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - 8.0) < 3 * se
 
@@ -128,9 +134,10 @@ def test_gibbs_mean_energy_equipartition():
 def test_gibbs_energy_scales_inversely_with_beta():
     chain_hot = fkm.scaled_ring(8, beta=1.0)
     chain_cold = fkm.scaled_ring(8, beta=10.0)
+    k_hot, k_cold = fkm.stiffness_matrix(chain_hot), fkm.stiffness_matrix(chain_cold)
     rng = np.random.default_rng(5)
-    e_hot = np.mean([fkm.chain_energy(chain_hot, fkm.sample_gibbs(chain_hot, rng)) for _ in range(20_000)])
-    e_cold = np.mean([fkm.chain_energy(chain_cold, fkm.sample_gibbs(chain_cold, rng)) for _ in range(20_000)])
+    e_hot = np.mean([energy(k_hot, fkm.sample_gibbs(chain_hot, rng)) for _ in range(20_000)])
+    e_cold = np.mean([energy(k_cold, fkm.sample_gibbs(chain_cold, rng)) for _ in range(20_000)])
     assert abs(e_hot / e_cold - 10.0) < 0.2
 
 
@@ -157,55 +164,38 @@ def test_single_mode_state_carries_requested_energy():
     chain = fkm.scaled_ring(16, beta=1.0)
     x = fkm.single_mode_state(chain, 5, energy=7.5)
     assert np.allclose(x.q, 0.0)
-    assert fkm.chain_energy(chain, x) == pytest.approx(7.5, rel=1e-12)
+    assert energy(fkm.stiffness_matrix(chain), x) == pytest.approx(7.5, rel=1e-12)
     with pytest.raises(ValueError):
         fkm.single_mode_state(chain, 16, energy=1.0)
 
 
 # ---------------------------------------------------------------------------
-# evolution
+# evolution (the exact flow lives in the trajectory kernel)
 # ---------------------------------------------------------------------------
 
 
 def test_evolve_identity_at_zero():
     chain = fkm.scaled_ring(8, beta=1.0)
     x = fkm.sample_gibbs(chain, 1)
-    y = fkm.evolve_chain(chain, x, 0.0)
-    assert np.allclose(y.q, x.q, atol=1e-15) and np.allclose(y.p, x.p, atol=1e-15)
+    series = fkm._site0_momentum_series(chain, x, 0.1, 3)
+    assert series[0] == pytest.approx(x.p[0], rel=1e-12)
 
 
 def test_quarter_period_rotation():
     # single oscillator at omega = 2: (q, p) -> (p/omega, -omega q)
     chain = fkm.HarmonicChain(n=1, beta=1.0, omega0_sq=4.0)
     x = fkm.PhasePoint(q=np.array([0.3]), p=np.array([-1.1]))
-    y = fkm.evolve_chain(chain, x, math.pi / 4)
-    assert y.q[0] == pytest.approx(-1.1 / 2.0, abs=1e-12)
-    assert y.p[0] == pytest.approx(-2.0 * 0.3, abs=1e-12)
-
-
-def test_energy_drift_over_long_time():
-    chain = fkm.scaled_ring(256, beta=1.0)
-    x0 = fkm.sample_gibbs(chain, 3)
-    e0 = fkm.chain_energy(chain, x0)
-    e1 = fkm.chain_energy(chain, fkm.evolve_chain(chain, x0, 1e4))
-    assert abs(e1 - e0) / e0 < 1e-9
-
-
-def test_evolution_composes():
-    chain = fkm.scaled_ring(64, beta=1.0)
-    x0 = fkm.sample_gibbs(chain, 11)
-    y = fkm.evolve_chain(chain, fkm.evolve_chain(chain, x0, 0.7), 1.6)
-    z = fkm.evolve_chain(chain, x0, 2.3)
-    assert np.allclose(y.q, z.q, atol=1e-9) and np.allclose(y.p, z.p, atol=1e-9)
+    series = fkm._site0_momentum_series(chain, x, math.pi / 4, 2)
+    assert series[1] == pytest.approx(-2.0 * 0.3, abs=1e-12)
 
 
 def test_zero_mode_streams_freely():
+    # a uniform state moves only the zero mode, whose momentum stays put
     chain = fkm.HarmonicChain(n=4, beta=1.0, omega0_sq=0.0, kappa=1.0)
     ones = np.ones(4)
     x = fkm.PhasePoint(q=0.2 * ones, p=0.5 * ones)
-    y = fkm.evolve_chain(chain, x, 3.0)
-    assert np.allclose(y.q, (0.2 + 0.5 * 3.0) * ones, atol=1e-12)
-    assert np.allclose(y.p, 0.5 * ones, atol=1e-12)
+    series = fkm._site0_momentum_series(chain, x, 0.75, 5)
+    assert np.allclose(series, 0.5, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +211,22 @@ def test_mc_matches_analytic_within_three_stderr():
     assert mc.kind == "phase-monte-carlo"
     assert (mc.stderr > 0).all()
     assert (np.abs(mc.values - ana.values) < 3 * mc.stderr).all()
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_mc_stderr_matches_isserlis(n):
+    # p0(0) and p0(tau) are jointly Gaussian with covariance g(tau), so by
+    # Isserlis' theorem Var[p0(0) p0(tau)] = g(0)^2 + g(tau)^2 and the
+    # stderr must be sqrt((g(0)^2 + g(tau)^2) / N).  The tolerance is fixed
+    # from theory: the product's kurtosis is at most 15 (tau = 0, a squared
+    # normal), so the estimated stderr has relative sd <= sqrt(14 / N) / 2,
+    # 0.006 at N = 1e5, and 5% is over eight of those.
+    samples = 100_000
+    chain = fkm.scaled_ring(n, beta=1.0)
+    g = fkm.phase_autocorrelation(chain, TAU).values
+    mc = fkm.mc_phase_autocorrelation(chain, TAU, samples=samples, seed=10)
+    ratio = mc.stderr / np.sqrt((g[0] ** 2 + g**2) / samples)
+    assert np.abs(ratio - 1.0).max() < 0.05
 
 
 def test_mc_determinism():
@@ -345,44 +351,6 @@ def test_site0_weight_vanishes_on_every_sin_column(n):
 
 
 # ---------------------------------------------------------------------------
-# equipartition normality
-# ---------------------------------------------------------------------------
-
-
-def test_zero_point_is_not_normal():
-    chain = fkm.scaled_ring(16, beta=1.0)
-    x = fkm.PhasePoint(q=np.zeros(16), p=np.zeros(16))
-    assert fkm.equipartition_normality(chain, x, 0.5) is False
-
-
-def test_single_mode_is_not_normal():
-    chain = fkm.scaled_ring(256, beta=1.0)
-    x = fkm.single_mode_state(chain, 100, energy=256.0)
-    assert fkm.equipartition_normality(chain, x, 0.5) is False
-
-
-def test_balanced_construction_is_normal():
-    # equal mode energies, exactly half the coordinates of each sign
-    chain = fkm.scaled_ring(16, beta=1.0)
-    modes = fkm.normal_modes(chain)
-    signs = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
-    q_modes = signs / modes.frequencies
-    p_modes = -signs
-    x = fkm.PhasePoint(q=modes.vectors @ q_modes, p=modes.vectors @ p_modes)
-    assert fkm.equipartition_normality(chain, x, 0.5) is True
-
-
-def test_gibbs_normality_frequency():
-    # measured 50/100 at these seeds; band guards against rng stream drift
-    chain = fkm.scaled_ring(1024, beta=1.0)
-    hits = sum(
-        fkm.equipartition_normality(chain, fkm.sample_gibbs(chain, seed), 0.5)
-        for seed in range(100)
-    )
-    assert 35 <= hits <= 65
-
-
-# ---------------------------------------------------------------------------
 # OU fit and recurrence
 # ---------------------------------------------------------------------------
 
@@ -411,6 +379,18 @@ def test_ou_fit_degenerate_inputs():
     short = fkm.AutocorrCurve(tau=TAU[:2], values=np.exp(-TAU[:2]), kind="phase-analytic")
     with pytest.raises(DegenerateFitError):
         fkm.ou_fit(short)
+
+
+def test_ou_residual_recomputed_from_fit():
+    # A7's curves: the reported residual is the relative 2-norm misfit of
+    # amplitude * exp(-gamma tau) over tau <= window
+    for n in (64, 256, 1024):
+        curve = fkm.phase_autocorrelation(fkm.scaled_ring(n, beta=1.0), TAU)
+        fit = fkm.ou_fit(curve)
+        inside = curve.tau <= fit.window
+        v = curve.values[inside]
+        misfit = fit.amplitude * np.exp(-fit.gamma * curve.tau[inside]) - v
+        assert abs(np.linalg.norm(misfit) / np.linalg.norm(v) - fit.residual) <= 1e-12
 
 
 def test_ou_residual_trend_with_ring_size():

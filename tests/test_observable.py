@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mingsim.bitlattice import BitConfig, shift_index
+from mingsim.bitlattice import shift_index
 from mingsim.errors import NotNormalizedError
 from mingsim.observable import (
     CockedSet,
@@ -18,7 +18,8 @@ from mingsim.observable import (
 
 
 def idx(s: str) -> int:
-    return BitConfig.from_bitstring(s).index
+    # digit string with site 0 leftmost, site k carrying bit k of the index
+    return int(s[::-1], 2)
 
 
 def test_strict_membership_n5():
@@ -148,7 +149,7 @@ def test_macroscopic_pointer_passes_local_fails():
 def test_macroscopic_rejects_bad_tails():
     rng = np.random.default_rng(4)
     p = random_product_prefix(3, rng)
-    fam = pointer_family(0.0)
+    fam = pointer_family(lambda n: 0.0)
     with pytest.raises(NotNormalizedError):
         macroscopic_check(fam, [p], lambda k: np.array([1.0, 1.0]), 6, 0.05)
 

@@ -7,13 +7,9 @@ import pytest
 from mingsim.dynamics import born_limit_sweep
 from mingsim.errors import NotNormalizedError
 from mingsim.thermolimit import (
-    CHI_P0,
-    CHI_P1,
-    UNIT,
     ConvergenceReport,
     TwoPointSystem,
     compare_limit,
-    expectation,
     limit_system,
 )
 
@@ -38,20 +34,6 @@ def test_two_point_invariants():
         TwoPointSystem(0.7, 0.7)
     with pytest.raises(ValueError):
         TwoPointSystem(-0.1, 1.1)
-
-
-def test_expectations():
-    sys = limit_system((0.6, 0.8))
-    assert expectation(sys, CHI_P1) == pytest.approx(0.64, abs=1e-15)
-    assert expectation(sys, CHI_P0) == pytest.approx(0.36, abs=1e-15)
-    assert expectation(sys, UNIT) == pytest.approx(1.0, abs=1e-15)
-    assert expectation(sys, CHI_P0 + CHI_P1) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_indicator_idempotence():
-    sys = limit_system((0.6, 0.8))
-    for chi in (CHI_P0, CHI_P1):
-        assert expectation(sys, chi * chi) == expectation(sys, chi)
 
 
 def test_compare_limit_exact_decay():
