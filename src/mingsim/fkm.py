@@ -38,9 +38,14 @@ from .errors import DegenerateFitError, IndefiniteFormError, ZeroModeError
 
 _FREQ_SQ_TOL = 1e-12
 
-# Monte-Carlo samples drawn per block.  It fixes how the normal draws split
-# between p and q, and so the output bytes; it is not a memory knob.
+# Monte-Carlo samples per chunk.  Each chunk draws all of its p normals,
+# then all of its q normals, so the chunk fixes how the stream splits between
+# p and q, and with it the output bytes; it is not a memory knob.
 _MC_CHUNK = 20000
+
+# Normal draws held at once inside a chunk (~2 MB of doubles).  The row
+# blocks cut the chunk's stream without reordering it: a memory bound only.
+_MC_BLOCK_VALUES = 1 << 18
 
 _OU_MAX_ITER = 8  # window refits in ou_fit
 
@@ -137,16 +142,22 @@ class PhasePoint:
         self.p.setflags(write=False)
 
 
+def _gibbs_start(chain: HarmonicChain, seed) -> tuple[NormalModes, np.random.Generator]:
+    """Modes and generator for Gibbs draws; zero modes have no Gibbs marginal."""
+    modes = normal_modes(chain)
+    if (modes.frequencies <= math.sqrt(_FREQ_SQ_TOL)).any():
+        raise ZeroModeError("chain has a zero mode; the Gibbs measure is not normalizable")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return modes, rng
+
+
 def sample_gibbs(chain: HarmonicChain, seed) -> PhasePoint:
     """Draw one phase point from the Gibbs measure exp(-beta H).
 
     Mode coordinates are independent Gaussians: Var Q_k = 1/(beta w_k^2),
     Var P_k = 1/beta.  Zero modes have no Gibbs marginal and are rejected.
     """
-    modes = normal_modes(chain)
-    if (modes.frequencies <= math.sqrt(_FREQ_SQ_TOL)).any():
-        raise ZeroModeError("chain has a zero mode; the Gibbs measure is not normalizable")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    modes, rng = _gibbs_start(chain, seed)
     n = chain.n
     q_modes = rng.normal(size=n) / (math.sqrt(chain.beta) * modes.frequencies)
     p_modes = rng.normal(size=n) / math.sqrt(chain.beta)
@@ -202,32 +213,71 @@ def mc_phase_autocorrelation(
 ) -> AutocorrCurve:
     """Monte-Carlo phase average of p0(0) p0(tau) over Gibbs samples.
 
-    Works in mode coordinates throughout; per-tau standard errors come from
-    the sample variance.  Samples are drawn in fixed blocks of _MC_CHUNK,
-    which keeps the draw split and the accumulation order, and with them
-    the output bytes, independent of memory pressure.
+    Works in mode coordinates throughout: with P_k, Q_k the Gibbs mode
+    draws and v_k = vectors[0, k] the site-0 weights, each sample gives
+    p0(0) = sum_k v_k P_k and p0(tau) = sum_k v_k (P_k cos w_k tau
+    - w_k Q_k sin w_k tau).  Per-tau standard errors come from the sample
+    variance.
+
+    Samples come in chunks of _MC_CHUNK.  Each chunk draws its p normals in
+    row blocks, then its q normals in the same blocks; numpy fills an (m, n)
+    draw row by row, so this is the stream of one (m, n) p draw followed by
+    one (m, n) q draw.  A block is a multiple of 8 rows holding about
+    _MC_BLOCK_VALUES doubles (a lone last row joins the block before it),
+    so memory is O(_MC_BLOCK_VALUES + _MC_CHUNK * len(tau)) whatever n is.
+    The tau products skip the columns whose site-0 weight is exactly 0.0,
+    the sin half of every cos/sin pair: they add nothing but work.
+
+    The reduction is the one-shot formula's, and with single-threaded BLAS
+    so are the bits while n fits in one BLAS K block (384 columns on the
+    OpenBLAS this was measured with).  Block edges fall on multiples of 8
+    rows, where gemv's row groups start, and no block is one row, which
+    numpy would send to gemv instead of gemm.  A one-sample chunk is a gemv
+    whose sums group the zero columns with the rest, so it keeps them.
+    Past one K block the shorter inner sum is split differently and the
+    last digit may move.  Threaded BLAS deals a gemv's rows out to threads
+    by count, so there even the one-shot formula's bits vary with the
+    thread count.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     tau = np.asarray(tau_grid, dtype=float)
-    modes = normal_modes(chain)
-    if (modes.frequencies <= math.sqrt(_FREQ_SQ_TOL)).any():
-        raise ZeroModeError("chain has a zero mode; the Gibbs measure is not normalizable")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    modes, rng = _gibbs_start(chain, seed)
+    n = chain.n
     w_site = modes.vectors[0, :]
     omega = modes.frequencies
+    support = np.flatnonzero(w_site != 0.0)
     cos_t = np.cos(np.outer(omega, tau))
     sin_t = np.sin(np.outer(omega, tau))
+    sqrt_beta = math.sqrt(chain.beta)
+    q_scale = sqrt_beta * omega
+    rows = max(8, _MC_BLOCK_VALUES // n // 8 * 8)
     sum1 = np.zeros(tau.shape)
     sum2 = np.zeros(tau.shape)
     done = 0
-    sqrt_beta = math.sqrt(chain.beta)
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        p_modes = rng.normal(size=(m, chain.n)) / sqrt_beta
-        q_modes = rng.normal(size=(m, chain.n)) / (sqrt_beta * omega)
-        a = p_modes @ w_site
-        b = (p_modes * w_site) @ cos_t - (q_modes * (w_site * omega)) @ sin_t
+        keep = support if m > 1 else np.arange(n)  # see the docstring
+        p_weight, q_weight = w_site[keep], (w_site * omega)[keep]
+        cos_k, sin_k = cos_t[keep], sin_t[keep]
+        # blocks of `rows`; a one-row remainder joins the block before it
+        edges = [*range(0, max(m - 1, 1), rows), m]
+        spans = list(zip(edges, edges[1:]))
+        a = np.empty(m)
+        b = np.empty((m, tau.size))
+        for lo, hi in spans:
+            p_modes = rng.normal(size=(hi - lo, n))
+            p_modes /= sqrt_beta
+            a[lo:hi] = p_modes @ w_site
+            p_site = np.take(p_modes, keep, axis=1)
+            p_site *= p_weight
+            b[lo:hi] = p_site @ cos_k
+        for lo, hi in spans:
+            q_modes = rng.normal(size=(hi - lo, n))
+            q_modes /= q_scale
+            q_site = np.take(q_modes, keep, axis=1)
+            q_site *= q_weight
+            b[lo:hi] -= q_site @ sin_k
         prod = a[:, None] * b
         sum1 += prod.sum(axis=0)
         sum2 += (prod**2).sum(axis=0)

@@ -5,6 +5,11 @@ runs; the pilot value is noted next to each.
 """
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +260,101 @@ def test_mc_rejects_zero_mode():
     chain = fkm.HarmonicChain(n=8, beta=1.0, omega0_sq=0.0, kappa=1.0)
     with pytest.raises(ZeroModeError):
         fkm.mc_phase_autocorrelation(chain, TAU, samples=100, seed=0)
+
+
+def _one_shot_mc(chain, tau, samples, seed):
+    """Reference estimator: whole (m, n) draws and every mode column per chunk."""
+    modes = fkm.normal_modes(chain)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    w_site = modes.vectors[0, :]
+    omega = modes.frequencies
+    cos_t = np.cos(np.outer(omega, tau))
+    sin_t = np.sin(np.outer(omega, tau))
+    sum1 = np.zeros(tau.shape)
+    sum2 = np.zeros(tau.shape)
+    sqrt_beta = math.sqrt(chain.beta)
+    done = 0
+    while done < samples:
+        m = min(20000, samples - done)  # the documented chunk fixes the p/q split
+        p_modes = rng.normal(size=(m, chain.n)) / sqrt_beta
+        q_modes = rng.normal(size=(m, chain.n)) / (sqrt_beta * omega)
+        a = p_modes @ w_site
+        b = (p_modes * w_site) @ cos_t - (q_modes * (w_site * omega)) @ sin_t
+        prod = a[:, None] * b
+        sum1 += prod.sum(axis=0)
+        sum2 += (prod**2).sum(axis=0)
+        done += m
+    mean = sum1 / samples
+    var = (sum2 - samples * mean**2) / (samples - 1)
+    return mean, np.sqrt(np.clip(var, 0.0, None) / samples)
+
+
+def _run_on_one_blas_thread(script):
+    """stdout of `script` run by a fresh interpreter with BLAS on one thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(fkm.__file__).parents[1]), str(Path(__file__).parent)])
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+# At n = 256 a block is 1024 rows: 1025 samples fold a lone row into it, 1026
+# leave a two-row second block, 20001 a one-sample second chunk.  At n = 200
+# the block is rounded down to 1304 rows.  n = 9 is odd: no alternating mode.
+_BIT_CASES = [(n, s) for n in (8, 9, 200, 256) for s in (2, 1025, 1026, 20001)]
+
+
+def test_mc_bit_identical_to_one_shot_draws():
+    # Threaded BLAS deals a gemv's rows out to threads by count, and a row's
+    # rounding depends on its place in its thread's share, so there even the
+    # one-shot formula's bits move with the thread count: compare on one.
+    script = f"""
+from test_fkm import TAU, _one_shot_mc, fkm, np
+
+def same(n, samples, seed, ref_seed):
+    chain = fkm.scaled_ring(n, beta=2.5)
+    mc = fkm.mc_phase_autocorrelation(chain, TAU, samples, seed)
+    values, stderr = _one_shot_mc(chain, TAU, samples, ref_seed)
+    return np.array_equal(mc.values, values) and np.array_equal(mc.stderr, stderr)
+
+for n, samples in {_BIT_CASES!r}:
+    print(n, samples, same(n, samples, 7, 7))
+rng_mc, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+print("generator", same(256, 20001, rng_mc, rng_ref) and rng_mc.normal() == rng_ref.normal())
+"""
+    lines = _run_on_one_blas_thread(script).splitlines()
+    assert len(lines) == len(_BIT_CASES) + 1
+    assert [line for line in lines if not line.endswith(" True")] == []
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_mc_matches_one_shot_draws_at_large_n(n):
+    # dropping the zero-weight columns changes BLAS's blocking of the inner
+    # sum past a few hundred columns, so only the last bit may move
+    chain = fkm.scaled_ring(n, beta=1.0)
+    mc = fkm.mc_phase_autocorrelation(chain, TAU, samples=1025, seed=7)
+    values, stderr = _one_shot_mc(chain, TAU, 1025, 7)
+    assert np.allclose(mc.values, values, rtol=0.0, atol=1e-15)
+    assert np.allclose(mc.stderr, stderr, rtol=0.0, atol=1e-15)
+
+
+def test_mc_peak_memory_independent_of_ring_width():
+    # Bound from the block layout, in doubles: the draw block, its gathered
+    # site-0 columns and slack (3 x _MC_BLOCK_VALUES); the chunk's b, the
+    # products and their squares (3 x m x |tau|, plus one of slack); the
+    # cos/sin tables with their gathered copies and temporaries (5 x n x |tau|).
+    # One (m, n) draw is 41 MB here; the one-shot chunk holds three at once.
+    n, m = 1024, 5000
+    chain = fkm.scaled_ring(n, beta=1.0)
+    fkm.normal_modes(chain)  # the cached mode table is not part of the estimator
+    bound = 8 * (3 * fkm._MC_BLOCK_VALUES + 4 * m * TAU.size + 5 * n * TAU.size)
+    tracemalloc.start()
+    try:
+        fkm.mc_phase_autocorrelation(chain, TAU, samples=m, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
 
 
 # ---------------------------------------------------------------------------
