@@ -12,13 +12,16 @@ Handlers only compute and return the artifact text.
 
 Artifacts are written atomically (temp file + rename), values are
 formatted through repr so identical configs give byte-identical files,
-and anything environment-dependent (wall clock, library version, compute
-time) lives only in the sidecar provenance JSON next to each artifact.
+and anything environment-dependent (wall clock, library versions, BLAS
+thread settings, compute time) lives only in the sidecar provenance JSON
+next to each artifact.
 All JSON is strict: a non-finite value raises instead of reaching disk.
 
 Exit codes: 0 success, 2 invalid config or flags, 3 numeric acceptance
 failure (failed reproduce criterion, degenerate fit), 4 I/O failure.
-The only environment input is MINGSIM_LOG_LEVEL for the log verbosity.
+The only environment input is MINGSIM_LOG_LEVEL for the log verbosity;
+the BLAS thread variables are only recorded, because threaded BLAS may
+move the last digit of a Monte-Carlo or trajectory value.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import json
 import logging
 import math
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -40,6 +44,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
 
 from . import __version__, acceptance, dynamics, fkm, observable, thermolimit
 from .bitlattice import is_prime, require_dense
@@ -54,6 +59,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -91,6 +98,8 @@ def write_sidecar(path: Path, config: RunConfig, elapsed: float) -> None:
     sidecar = {
         "config": dataclasses.asdict(config),
         "version": __version__,
+        "libraries": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
+        "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "wall_clock_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": elapsed,
     }

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,13 @@ _FREQ_SQ_TOL = 1e-12
 # p and q, and with it the output bytes; it is not a memory knob.
 _MC_CHUNK = 20000
 
-# Normal draws held at once inside a chunk (~2 MB of doubles).  The row
-# blocks cut the chunk's stream without reordering it: a memory bound only.
+# Normal draws per row block (~2 MB of doubles).  The row blocks cut the
+# chunk's stream without reordering it: a memory bound only.  With the draw
+# one block ahead, up to two blocks of draws are alive at once.
 _MC_BLOCK_VALUES = 1 << 18
+
+# Mode-table angles computed at once by normal_modes (~8 MB of doubles).
+_MODE_BLOCK_VALUES = 1 << 20
 
 _OU_MAX_ITER = 8  # window refits in ou_fit
 
@@ -108,22 +113,29 @@ class NormalModes:
 
 @functools.lru_cache(maxsize=32)
 def normal_modes(chain: HarmonicChain) -> NormalModes:
-    # cached; safe because the returned arrays are read-only
+    """Mode table of the ring, cached; safe because its arrays are read-only.
+
+    The cos/sin pairs are filled into one preallocated array, a block of
+    pairs at a time (at most _MODE_BLOCK_VALUES angles per block).  Each
+    entry is the same expression, sqrt(2/n) * cos(2 pi k j / n) (or sin),
+    evaluated elementwise, so the block size moves no bit of the table.
+    """
     n = chain.n
     w_dft = dft_frequencies(chain)
     j = np.arange(n)
-    cols = [np.full(n, 1.0 / math.sqrt(n))]
-    freqs = [w_dft[0]]
-    for k in range(1, (n + 1) // 2):
-        theta = 2.0 * np.pi * k * j / n
-        cols.append(np.sqrt(2.0 / n) * np.cos(theta))
-        freqs.append(w_dft[k])
-        cols.append(np.sqrt(2.0 / n) * np.sin(theta))
-        freqs.append(w_dft[k])
+    vectors = np.empty((n, n))
+    vectors[:, 0] = 1.0 / math.sqrt(n)
+    half = (n + 1) // 2  # pairs k = 1 .. half - 1, in columns 2k - 1 and 2k
+    step = max(1, _MODE_BLOCK_VALUES // n)
+    for lo in range(1, half, step):
+        hi = min(lo + step, half)
+        theta = 2.0 * np.pi * np.arange(lo, hi) * j[:, None] / n
+        vectors[:, 2 * lo - 1 : 2 * hi - 1 : 2] = np.sqrt(2.0 / n) * np.cos(theta)
+        vectors[:, 2 * lo : 2 * hi : 2] = np.sqrt(2.0 / n) * np.sin(theta)
     if n % 2 == 0:
-        cols.append(np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n))
-        freqs.append(w_dft[n // 2])
-    return NormalModes(frequencies=np.array(freqs), vectors=np.column_stack(cols))
+        vectors[:, n - 1] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n)
+    # column c is DFT index (c + 1) // 2: 0, then each pair, then n/2
+    return NormalModes(frequencies=w_dft[(j + 1) // 2], vectors=vectors)
 
 
 @dataclass(frozen=True)
@@ -228,6 +240,13 @@ def mc_phase_autocorrelation(
     The tau products skip the columns whose site-0 weight is exactly 0.0,
     the sin half of every cos/sin pair: they add nothing but work.
 
+    Only the rng.normal calls run on a worker thread, one per block, in
+    stream order and at most one block ahead of the calling thread, which
+    meanwhile works on the block before.  All arithmetic stays on the
+    calling thread, because np.errstate is per thread: the caller's error
+    state governs every division, product and sum.  The worker's pool is
+    joined before this returns, on error too.
+
     The reduction is the one-shot formula's, and with single-threaded BLAS
     so are the bits while n fits in one BLAS K block (384 columns on the
     OpenBLAS this was measured with).  Block edges fall on multiples of 8
@@ -252,36 +271,47 @@ def mc_phase_autocorrelation(
     sqrt_beta = math.sqrt(chain.beta)
     q_scale = sqrt_beta * omega
     rows = max(8, _MC_BLOCK_VALUES // n // 8 * 8)
-    sum1 = np.zeros(tau.shape)
-    sum2 = np.zeros(tau.shape)
-    done = 0
-    while done < samples:
+    chunks = []
+    for done in range(0, samples, _MC_CHUNK):
         m = min(_MC_CHUNK, samples - done)
-        keep = support if m > 1 else np.arange(n)  # see the docstring
-        p_weight, q_weight = w_site[keep], (w_site * omega)[keep]
-        cos_k, sin_k = cos_t[keep], sin_t[keep]
         # blocks of `rows`; a one-row remainder joins the block before it
         edges = [*range(0, max(m - 1, 1), rows), m]
-        spans = list(zip(edges, edges[1:]))
-        a = np.empty(m)
-        b = np.empty((m, tau.size))
-        for lo, hi in spans:
-            p_modes = rng.normal(size=(hi - lo, n))
-            p_modes /= sqrt_beta
-            a[lo:hi] = p_modes @ w_site
-            p_site = np.take(p_modes, keep, axis=1)
-            p_site *= p_weight
-            b[lo:hi] = p_site @ cos_k
-        for lo, hi in spans:
-            q_modes = rng.normal(size=(hi - lo, n))
-            q_modes /= q_scale
-            q_site = np.take(q_modes, keep, axis=1)
-            q_site *= q_weight
-            b[lo:hi] -= q_site @ sin_k
-        prod = a[:, None] * b
-        sum1 += prod.sum(axis=0)
-        sum2 += (prod**2).sum(axis=0)
-        done += m
+        chunks.append((m, list(zip(edges, edges[1:]))))
+    sum1 = np.zeros(tau.shape)
+    sum2 = np.zeros(tau.shape)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # one rng.normal call per block in stream order (each chunk's p
+        # blocks, then its q blocks), submitted as the block before is taken
+        draws_ahead = (
+            pool.submit(rng.normal, size=(hi - lo, n)) for _, spans in chunks for _half in "pq" for lo, hi in spans
+        )
+        ahead = next(draws_ahead)
+        for m, spans in chunks:
+            keep = support if m > 1 else np.arange(n)  # see the docstring
+            p_weight, q_weight = w_site[keep], (w_site * omega)[keep]
+            cos_k, sin_k = cos_t[keep], sin_t[keep]
+            a = np.empty(m)
+            b = np.empty((m, tau.size))
+            for lo, hi in spans:
+                # rebinding `draws` frees the block before the next is
+                # submitted, so at most two blocks of draws are alive
+                draws = ahead.result()
+                ahead = next(draws_ahead, None)
+                draws /= sqrt_beta
+                a[lo:hi] = draws @ w_site
+                p_site = np.take(draws, keep, axis=1)
+                p_site *= p_weight
+                b[lo:hi] = p_site @ cos_k
+            for lo, hi in spans:
+                draws = ahead.result()
+                ahead = next(draws_ahead, None)
+                draws /= q_scale
+                q_site = np.take(draws, keep, axis=1)
+                q_site *= q_weight
+                b[lo:hi] -= q_site @ sin_k
+            prod = a[:, None] * b
+            sum1 += prod.sum(axis=0)
+            sum2 += (prod**2).sum(axis=0)
     mean = sum1 / samples
     var = (sum2 - samples * mean**2) / (samples - 1)
     stderr = np.sqrt(np.clip(var, 0.0, None) / samples)

@@ -121,7 +121,10 @@ def test_byte_identical_reruns(tmp_path):
     assert c.read_bytes() == d.read_bytes()
 
 
-def test_sidecar_provenance(tmp_path):
+def test_sidecar_provenance(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = tmp_path / "sweep.csv"
     assert run(["born", "sweep", "--n", "5,7", "--seed", "99", "--out", str(out)]) == 0
     sidecar = json.loads((tmp_path / "sweep.csv.provenance.json").read_text(encoding="utf-8"))
@@ -129,6 +132,9 @@ def test_sidecar_provenance(tmp_path):
     assert sidecar["config"]["seed"] == 99
     assert sidecar["config"]["params"]["n"] == [5, 7]
     assert "wall_clock_utc" in sidecar and "version" in sidecar
+    assert set(sidecar["libraries"]) == {"python", "numpy", "scipy"}
+    assert sidecar["libraries"]["numpy"] == np.__version__
+    assert sidecar["blas_thread_env"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
 
 
 def test_debug_log_per_command(tmp_path, caplog):
@@ -353,6 +359,14 @@ def test_unusable_result_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     assert f"config error: {argv[0]} {argv[1]}:" in err
     # the overflow is reported as the subcommand's error, not as a numpy warning
     assert caught == [] and "Warning" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mc_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["fkm", "autocorr", "--mode", "mc", "--n", "8", "--beta", "5e-324", "--samples", "100", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.strip() == "config error: fkm autocorr: overflow encountered in multiply"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -87,6 +88,39 @@ def test_indefinite_form_rejected():
     chain = fkm.HarmonicChain(n=8, beta=1.0, omega0_sq=1.0, kappa=-1.0)
     with pytest.raises(IndefiniteFormError):
         fkm.normal_modes(chain)
+
+
+def _per_mode_columns(chain):
+    """Reference mode table: one column per mode, stacked at the end."""
+    n = chain.n
+    w_dft = fkm.dft_frequencies(chain)
+    j = np.arange(n)
+    cols = [np.full(n, 1.0 / math.sqrt(n))]
+    freqs = [w_dft[0]]
+    for k in range(1, (n + 1) // 2):
+        theta = 2.0 * np.pi * k * j / n
+        cols.append(np.sqrt(2.0 / n) * np.cos(theta))
+        freqs.append(w_dft[k])
+        cols.append(np.sqrt(2.0 / n) * np.sin(theta))
+        freqs.append(w_dft[k])
+    if n % 2 == 0:
+        cols.append(np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n))
+        freqs.append(w_dft[n // 2])
+    return np.array(freqs), np.column_stack(cols)
+
+
+# 2048 and 2049 span two and three blocks of pairs, each ending in a partial one
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 255, 256, 2048, 2049])
+def test_normal_modes_match_per_mode_columns(n):
+    chain = fkm.HarmonicChain(n=n, beta=1.0, kappa=0.3)
+    if n > 2000:
+        pairs, step = (n + 1) // 2 - 1, fkm._MODE_BLOCK_VALUES // n
+        assert pairs > step and pairs % step != 0
+    frequencies, vectors = _per_mode_columns(chain)
+    modes = fkm.normal_modes(chain)
+    assert np.array_equal(modes.frequencies, frequencies)
+    assert np.array_equal(modes.vectors, vectors)
+    assert modes.vectors.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +294,17 @@ def test_mc_rejects_zero_mode():
     chain = fkm.HarmonicChain(n=8, beta=1.0, omega0_sq=0.0, kappa=1.0)
     with pytest.raises(ZeroModeError):
         fkm.mc_phase_autocorrelation(chain, TAU, samples=100, seed=0)
+
+
+def test_mc_worker_thread_joined_on_return_and_on_error():
+    threads = threading.active_count()
+    fkm.mc_phase_autocorrelation(fkm.scaled_ring(64, beta=1.0), TAU, samples=2_000, seed=1)
+    assert threading.active_count() == threads
+    # the overflow happens on the calling thread, under the caller's errstate
+    chain = fkm.HarmonicChain(n=8, beta=5e-324, kappa=0.3)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+        fkm.mc_phase_autocorrelation(chain, TAU, samples=100, seed=0)
+    assert threading.active_count() == threads
 
 
 def _one_shot_mc(chain, tau, samples, seed):
