@@ -31,6 +31,8 @@ AMPLITUDES = (
 DENSE_NS = (5, 7, 11, 13)
 COMPRESSED_NS = (101, 1009)
 
+TAU = np.linspace(0.0, 20.0, 200)  # lag grid of the ring checks A5..A7
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -131,14 +133,13 @@ def _a4():
 
 def _a5():
     """Analytic curve exact at 0; Monte-Carlo within 3 stderr everywhere."""
-    tau = np.linspace(0.0, 20.0, 200)
     ok = True
     worst_z = 0.0
     for n in (8, 256):
         chain = fkm.scaled_ring(n, beta=1.0)
-        ana = fkm.phase_autocorrelation(chain, tau)
+        ana = fkm.phase_autocorrelation(chain, TAU)
         ok = ok and ana.values[0] == 1.0  # 1/beta at beta = 1, exact
-        mc = fkm.mc_phase_autocorrelation(chain, tau, samples=100_000, seed=10)
+        mc = fkm.mc_phase_autocorrelation(chain, TAU, samples=100_000, seed=10)
         worst_z = max(worst_z, float(np.max(np.abs(mc.values - ana.values) / mc.stderr)))
     ok = ok and worst_z < 3.0
     return ok, f"g(0) exact, max |mc - analytic|/stderr = {worst_z:.2f} (tol 3)"
@@ -149,11 +150,10 @@ def _a6():
     # plain unit-coupling ring: the scaled family's conserved mode-energy
     # fluctuations put the sup gap near 0.2 for every seed, see ledger
     chain = fkm.HarmonicChain(n=256, beta=1.0, omega0_sq=1.0, kappa=1.0)
-    tau = np.linspace(0.0, 20.0, 200)
     horizon = 1e4 * 2.0 * math.pi / fkm.dft_frequencies(chain).max()
-    typical = fkm.time_autocorrelation(chain, fkm.sample_gibbs(chain, 8), horizon, tau, oversample=4)
+    typical = fkm.time_autocorrelation(chain, fkm.sample_gibbs(chain, 8), horizon, TAU, oversample=4)
     violator_state = fkm.single_mode_state(chain, 127, energy=chain.n / chain.beta)
-    violator = fkm.time_autocorrelation(chain, violator_state, horizon, tau, oversample=4)
+    violator = fkm.time_autocorrelation(chain, violator_state, horizon, TAU, oversample=4)
     threshold = 0.1 / chain.beta
     ok = typical.sup_gap <= threshold and violator.sup_gap > threshold
     return ok, (
@@ -164,10 +164,9 @@ def _a6():
 
 def _a7():
     """OU residual trend nonincreasing in n; small ring recurs to 99% of g(0)."""
-    tau = np.linspace(0.0, 20.0, 200)
     resids = []
     for n in (64, 256, 1024):
-        curve = fkm.phase_autocorrelation(fkm.scaled_ring(n, beta=1.0), tau)
+        curve = fkm.phase_autocorrelation(fkm.scaled_ring(n, beta=1.0), TAU)
         resids.append(fkm.ou_fit(curve).residual)
     trend_ok = resids[0] >= resids[1] >= resids[2]
     tau_star, peak = fkm.recurrence_peak(fkm.scaled_ring(8, beta=1.0), tau_max=1e4, dt=0.01, skip=1.0)

@@ -98,31 +98,17 @@ class OrbitDecomposition:
 def decompose_orbits(n: int) -> OrbitDecomposition:
     """Build the full orbit table for prime n within the dense bound.
 
-    Every non-fixed index belongs to exactly one orbit of length n; the
-    representative is the minimal index on the orbit and representatives
-    are listed in increasing order.  Cached; safe because the table is
+    Closed form: for each start index i = 1 .. 2**n - 2 the row
+    i * 2**m mod (2**n - 1), m = 0 .. n - 1, is the orbit of i in
+    phase-offset order.  The rows whose minimum is i itself are kept, one
+    per orbit, led by its minimal member and in increasing order; prime n
+    makes each a full orbit of length n.  Cached; safe because the table is
     read-only.
     """
     require_prime(n)
     require_dense(n)
-    size = 1 << n
-    modulus = size - 1
-    rows: list[list[int]] = []
-    seen = np.zeros(size, dtype=bool)
-    seen[0] = seen[modulus] = True
-    for start in range(1, modulus):
-        if seen[start]:
-            continue
-        members = []
-        k = start
-        while True:
-            members.append(k)
-            seen[k] = True
-            k = (k * 2) % modulus
-            if k == start:
-                break
-        # prime n forces full-length orbits off the fixed points
-        assert len(members) == n, (n, start, members)
-        rows.append(members)
-    assert len(rows) * n == size - 2
-    return OrbitDecomposition(n=n, members=np.array(rows, dtype=np.int64))
+    modulus = (1 << n) - 1
+    start = np.arange(1, modulus, dtype=np.int64)
+    table = start[:, None] * (1 << np.arange(n, dtype=np.int64)) % modulus
+    members = table[table.min(axis=1) == start]
+    return OrbitDecomposition(n=n, members=members)

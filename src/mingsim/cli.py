@@ -71,9 +71,6 @@ class RunConfig:
     out: str | None = None
     format_version: str = FORMAT_VERSION
 
-    def to_json(self) -> str:
-        return canonical_json(dataclasses.asdict(self))
-
 
 def canonical_json(obj) -> str:
     """Stable strict serialization: sorted keys, no whitespace jitter, one
@@ -312,7 +309,7 @@ def render_svg(curve) -> str:
         f'<text x="{width // 2}" y="20" text-anchor="middle" font-family="monospace">{curve.kind}</text>\n'
         f'<text x="{width - pad}" y="{height - pad + 30}" text-anchor="end" font-family="monospace">'
         f"tau {t.min():g}..{t.max():g}</text>\n"
-        f'<text x="{pad}" y="{pad - 10} " font-family="monospace">{v_lo:.3g}..{v_hi:.3g}</text>\n'
+        f'<text x="{pad}" y="{pad - 10}" font-family="monospace">{v_lo:.3g}..{v_hi:.3g}</text>\n'
         f'<polyline fill="none" stroke="#1f6fb2" stroke-width="1.5" points="{points}"/>\n'
         "</svg>\n"
     )
@@ -462,14 +459,13 @@ def run(command: Command, args) -> int:
     return status
 
 
-def emit(text: str, out: str | None, config: RunConfig, start: float) -> int:
+def emit(text: str, out: str | None, config: RunConfig, start: float) -> None:
     """Write text to out with a sidecar (elapsed from start), or to stdout."""
     if out is None:
         sys.stdout.write(text)
-        return EXIT_OK
-    atomic_write(Path(out), text)
-    write_sidecar(Path(out), config, elapsed=time.perf_counter() - start)
-    return EXIT_OK
+    else:
+        atomic_write(Path(out), text)
+        write_sidecar(Path(out), config, elapsed=time.perf_counter() - start)
 
 
 def build_parser() -> argparse.ArgumentParser:

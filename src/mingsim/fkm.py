@@ -49,7 +49,8 @@ _MC_CHUNK = 20000
 # one block ahead, up to two blocks of draws are alive at once.
 _MC_BLOCK_VALUES = 1 << 18
 
-# Mode-table angles computed at once by normal_modes (~8 MB of doubles).
+# Angles computed at once by normal_modes and per recurrence_peak chunk
+# (~8 MB of doubles).
 _MODE_BLOCK_VALUES = 1 << 20
 
 _OU_MAX_ITER = 8  # window refits in ou_fit
@@ -67,6 +68,9 @@ class HarmonicChain:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"ring needs at least one site, got n={self.n}")
+        for name in ("beta", "omega0_sq", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.beta > 0:
             raise ValueError(f"inverse temperature must be positive, got {self.beta}")
 
@@ -148,6 +152,8 @@ class PhasePoint:
         p = np.asarray(self.p, dtype=float)
         if q.shape != p.shape or q.ndim != 1:
             raise ValueError("q and p must be 1-d arrays of equal length")
+        if not (np.isfinite(q).all() and np.isfinite(p).all()):
+            raise ValueError("q and p must be finite")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
         self.q.setflags(write=False)
@@ -159,8 +165,7 @@ def _gibbs_start(chain: HarmonicChain, seed) -> tuple[NormalModes, np.random.Gen
     modes = normal_modes(chain)
     if (modes.frequencies <= math.sqrt(_FREQ_SQ_TOL)).any():
         raise ZeroModeError("chain has a zero mode; the Gibbs measure is not normalizable")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return modes, rng
+    return modes, np.random.default_rng(seed)
 
 
 def sample_gibbs(chain: HarmonicChain, seed) -> PhasePoint:
@@ -178,12 +183,10 @@ def sample_gibbs(chain: HarmonicChain, seed) -> PhasePoint:
 
 def single_mode_state(chain: HarmonicChain, mode: int, energy: float) -> PhasePoint:
     """All of `energy` in one normal mode's momentum; the equipartition violator."""
-    modes = normal_modes(chain)
     if not 0 <= mode < chain.n:
         raise ValueError(f"mode index {mode} out of range")
-    p_modes = np.zeros(chain.n)
-    p_modes[mode] = math.sqrt(2.0 * energy)
-    return PhasePoint(q=np.zeros(chain.n), p=modes.vectors @ p_modes)
+    p = normal_modes(chain).vectors[:, mode] * math.sqrt(2.0 * energy)
+    return PhasePoint(q=np.zeros(chain.n), p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +349,7 @@ def time_autocorrelation(
     x0: PhasePoint,
     horizon: float,
     tau_grid,
-    oversample: int = 32,
+    oversample: int,
 ) -> TimeAutocorrelation:
     """Single-trajectory stroboscopic time average of p0(t) p0(t+tau).
 
@@ -396,27 +399,25 @@ def recurrence_peak(
     dt: float,
     skip: float,
 ) -> tuple[float, float]:
-    """Largest |g_n| on [skip, tau_max]; quasi-periodic revisit probe.
+    """Largest |g_n| on the grid j dt in [skip, tau_max]; quasi-periodic revisit probe.
 
     The analytic curve is a finite cosine sum, so it keeps returning
     arbitrarily close to g_n(0); this scans a window and reports where and
-    how closely.  Distinct frequencies are collapsed first (the k and n-k
-    branches coincide), which makes long scans cheap for small rings.
+    how closely.  Each chunk of the grid is evaluated by
+    phase_autocorrelation, at most _MODE_BLOCK_VALUES angles at a time; the
+    first grid point of the largest |g_n| wins.
     """
     if not 0 < skip < tau_max:
         raise ValueError("need 0 < skip < tau_max")
-    w = dft_frequencies(chain)
-    w_unique, counts = np.unique(np.round(w, 12), return_counts=True)
-    weights = counts / (chain.n * chain.beta)
     best_tau = skip
     best_val = -np.inf
-    chunk = 1 << 17
+    chunk = max(1, _MODE_BLOCK_VALUES // chain.n)
     n_pts = int(tau_max / dt) + 1
     start_idx = int(math.ceil(skip / dt))
     for lo in range(start_idx, n_pts, chunk):
         hi = min(lo + chunk, n_pts)
         t = np.arange(lo, hi) * dt
-        vals = np.abs(np.cos(np.outer(t, w_unique)) @ weights)
+        vals = np.abs(phase_autocorrelation(chain, t).values)
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val = float(vals[j])

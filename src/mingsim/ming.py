@@ -104,18 +104,17 @@ def offdiagonal_approximation_error(block: MingBlock) -> float:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Time-t amplifier propagator exp((2 pi t / h) A) on every orbit block.
+    """Amplifier propagator exp((2 pi t / h) A) on every orbit block, held as
+    the orbit table and the n Fourier phases exp(-2 pi i j t / n) of time t.
 
     apply_dense multiplies mode j of every orbit row of the decomposition's
-    `members` table by the Fourier phase exp(-2 pi i j t / n), for any real
-    t; this obeys the group law in t.  At integer t it gives the digit-shift
-    permutation to rounding (about 1e-14 for n <= 13), so it serves as a
-    dense reference that shares no code with bitlattice.shift_index.  The
-    fixed points are left untouched.
+    `members` table by phase j, for any real t; this obeys the group law in
+    t.  At integer t it gives the digit-shift permutation to rounding (about
+    1e-14 for n <= 13), so it serves as a dense reference that shares no
+    code with bitlattice.shift_index.  The fixed points are left untouched.
     """
 
     n_sites: int
-    t: float
     _members: np.ndarray
     _phases: np.ndarray
 
@@ -139,4 +138,4 @@ def assemble_propagator(decomp: OrbitDecomposition, t: float) -> Propagator:
     """
     n = decomp.n
     phases = np.exp(-2j * np.pi * np.arange(n) * (t / n))
-    return Propagator(n_sites=n, t=float(t), _members=decomp.members, _phases=phases)
+    return Propagator(n_sites=n, _members=decomp.members, _phases=phases)

@@ -90,18 +90,13 @@ def _mask(n: int, left_size: int, budget: int) -> np.ndarray:
 
 
 def _norm_sq_and_cocked_weight(state, cocked: CockedSet) -> tuple[float, float]:
-    """Total |v|^2 and the part supported on the cocked set."""
+    """Total |v|^2 and the part supported on the cocked set.
+
+    A combined state is the |a|^2-weighted sum of its branch mappings.
+    """
     if hasattr(state, "branches"):
-        total = 0.0
-        inside = 0.0
-        for a, amp in state.branches:
-            w = abs(a) ** 2
-            for i, c in amp.items():
-                p = w * abs(c) ** 2
-                total += p
-                if cocked.contains(i):
-                    inside += p
-        return total, inside
+        parts = [(abs(a) ** 2, _norm_sq_and_cocked_weight(amp, cocked)) for a, amp in state.branches]
+        return sum(w * total for w, (total, _) in parts), sum(w * inside for w, (_, inside) in parts)
     if isinstance(state, Mapping):
         for i in state:
             if i < 0 or i >> cocked.n:
@@ -138,8 +133,10 @@ class PointerVariable:
         return 1.0 - inside / total
 
 
-def pointer_value(state, cocked: CockedSet, normalize: bool = False) -> float:
-    return PointerVariable(cocked).value(state, normalize=normalize)
+def pointer_value(state, cocked: CockedSet) -> float:
+    """f_n of a state whose norm is 1 within NORM_ATOL; PointerVariable.value
+    takes normalize=True to rescale any other nonzero state."""
+    return PointerVariable(cocked).value(state)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -217,6 +218,27 @@ def test_autocorr_svg(tmp_path):
     assert code == 0
     body = svg.read_text(encoding="utf-8")
     assert body.startswith("<svg ") and "<polyline" in body
+
+
+def test_autocorr_svg_numeric_attributes_parse(tmp_path):
+    svg = tmp_path / "curve.svg"
+    assert run(["fkm", "autocorr", "--n", "8", "--out", str(tmp_path / "curve.csv"), "--svg", str(svg)]) == 0
+    numeric = {"x", "y", "x1", "y1", "x2", "y2", "width", "height", "stroke-width"}
+    checked = 0
+    for element in ElementTree.parse(svg).iter():
+        for name, value in element.attrib.items():
+            if name in ("points", "viewBox"):
+                numbers = re.split("[ ,]", value)
+            elif name in numeric:
+                numbers = [value]
+            else:
+                continue
+            for number in numbers:
+                # float() forgives surrounding whitespace, so check it first
+                assert number == number.strip() != "", (element.tag, name, value)
+                float(number)
+                checked += 1
+    assert checked > 400  # each of the polyline's 200 points has two numbers
 
 
 def test_autocorr_validation(tmp_path, capsys):

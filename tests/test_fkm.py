@@ -42,6 +42,18 @@ def test_chain_validation():
         fkm.HarmonicChain(n=8, beta=0.0)
     with pytest.raises(ValueError):
         fkm.HarmonicChain(n=8, beta=-2.0)
+    for field in ("beta", "omega0_sq", "kappa"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                fkm.HarmonicChain(n=8, **{"beta": 1.0, field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_point_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        fkm.PhasePoint(q=[bad, 0.0], p=[0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        fkm.PhasePoint(q=[0.0, 0.0], p=[0.0, bad])
 
 
 def test_scaled_ring_schedule():
@@ -435,11 +447,11 @@ def test_time_autocorrelation_grid_validation():
     chain = _small_ring()
     x0 = fkm.sample_gibbs(chain, 0)
     with pytest.raises(ValueError):
-        fkm.time_autocorrelation(chain, x0, 100.0, np.array([1.0, 2.0]))
+        fkm.time_autocorrelation(chain, x0, 100.0, np.array([1.0, 2.0]), oversample=4)
     with pytest.raises(ValueError):
-        fkm.time_autocorrelation(chain, x0, 100.0, np.array([0.0, 1.0, 3.0]))
+        fkm.time_autocorrelation(chain, x0, 100.0, np.array([0.0, 1.0, 3.0]), oversample=4)
     with pytest.raises(ValueError):
-        fkm.time_autocorrelation(chain, x0, 10.0, TAU)
+        fkm.time_autocorrelation(chain, x0, 10.0, TAU, oversample=4)
     with pytest.raises(ValueError):
         fkm.time_autocorrelation(chain, x0, 100.0, TAU, oversample=0)
 
@@ -558,8 +570,15 @@ def test_recurrence_of_small_ring():
         fkm.recurrence_peak(chain, tau_max=10.0, dt=0.01, skip=20.0)
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_recurrence_peak_reads_the_analytic_curve(n):
+    chain = fkm.scaled_ring(n, beta=1.5)
+    tau_star, value = fkm.recurrence_peak(chain, tau_max=200.0, dt=0.01, skip=1.0)
+    assert abs(value - abs(fkm.phase_autocorrelation(chain, [tau_star]).values[0])) <= 1e-15
+
+
 @pytest.mark.parametrize("horizon", [math.inf, math.nan, 20.0])
 def test_time_autocorrelation_rejects_bad_horizon(horizon):
     chain = fkm.scaled_ring(8, beta=1.0)
     with pytest.raises(ValueError, match="horizon"):
-        fkm.time_autocorrelation(chain, fkm.sample_gibbs(chain, 1), horizon, TAU)
+        fkm.time_autocorrelation(chain, fkm.sample_gibbs(chain, 1), horizon, TAU, oversample=4)

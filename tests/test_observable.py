@@ -84,11 +84,11 @@ def test_pointer_scale_invariance_and_norm_gate():
     v /= np.linalg.norm(v)
     c = CockedSet(6, 0.2)
     base = pointer_value(v, c)
-    assert pointer_value((3 - 4j) * v, c, normalize=True) == pytest.approx(base, abs=1e-12)
+    assert PointerVariable(c).value((3 - 4j) * v, normalize=True) == pytest.approx(base, abs=1e-12)
     with pytest.raises(NotNormalizedError):
         pointer_value(1.1 * v, c)
     with pytest.raises(NotNormalizedError):
-        pointer_value(np.zeros(2**6), c, normalize=True)
+        PointerVariable(c).value(np.zeros(2**6), normalize=True)
 
 
 def test_pointer_on_sparse_mapping():
@@ -159,7 +159,7 @@ def test_pointer_rejects_non_finite_norm(re):
     c = CockedSet(5, 0.0)
     for normalize in (False, True):
         with pytest.raises(NotNormalizedError, match="not finite"):
-            pointer_value({3: complex(re, 0.0)}, c, normalize=normalize)
+            PointerVariable(c).value({3: complex(re, 0.0)}, normalize=normalize)
 
 
 def test_pointer_rejects_mapping_index_out_of_range():
