@@ -4,10 +4,10 @@ Every subcommand is one entry of the parameter table COMMANDS: a handler
 and its fields, each field declared once as (name, parser, default, check,
 help).  The table drives the front end.  build_parser makes one flag per
 field.  The dispatcher merges a --config JSON object over the defaults and
-explicit flags over that, parses every given value, runs its check, and
-records the resolved fields in a RunConfig (command id, parameters, seed,
-output path, format version) that serializes to canonical JSON.  A value
-that fails to parse or check is a ConfigInvalidError naming the field.
+explicit flags over that, parses every given value and runs its check.
+A value that fails to parse or check is a ConfigInvalidError naming the
+field.  The resolved fields are recorded in the sidecar's config object
+(command, format version, output path and parameters), in canonical JSON.
 Handlers only compute and return the artifact text.
 
 Artifacts are written atomically (temp file + rename), values are
@@ -17,8 +17,9 @@ thread settings, compute time) lives only in the sidecar provenance JSON
 next to each artifact.
 All JSON is strict: a non-finite value raises instead of reaching disk.
 
-Exit codes: 0 success, 2 invalid config or flags, 3 numeric acceptance
-failure (failed reproduce criterion, degenerate fit), 4 I/O failure.
+Exit codes: 0 success, 2 invalid config or flags (including an input too
+large to allocate), 3 numeric acceptance failure (failed reproduce
+criterion, degenerate fit), 4 I/O failure.
 The only environment input is MINGSIM_LOG_LEVEL for the log verbosity;
 the BLAS thread variables are only recorded, because threaded BLAS may
 move the last digit of a Monte-Carlo or trajectory value.
@@ -63,15 +64,6 @@ EXIT_IO = 4
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params: dict
-    seed: int = 0
-    out: str | None = None
-    format_version: str = FORMAT_VERSION
-
-
 def canonical_json(obj) -> str:
     """Stable strict serialization: sorted keys, no whitespace jitter, one
     newline; NaN and Infinity raise ValueError instead of being written."""
@@ -91,16 +83,17 @@ def atomic_write(path: Path, data: str) -> None:
         raise
 
 
-def write_sidecar(path: Path, config: RunConfig, elapsed: float) -> None:
+def write_sidecar(out: str, command: str, params: dict, elapsed: float) -> None:
+    path = Path(out)
     sidecar = {
-        "config": dataclasses.asdict(config),
+        "config": {"command": command, "format_version": FORMAT_VERSION, "out": out, "params": params},
         "version": __version__,
         "libraries": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
         "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "wall_clock_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": elapsed,
     }
-    atomic_write(Path(str(path) + ".provenance.json"), canonical_json(sidecar))
+    atomic_write(path.with_name(path.name + ".provenance.json"), canonical_json(sidecar))
 
 
 def render_csv(header, rows) -> str:
@@ -141,7 +134,7 @@ class Field:
     check: Callable | None = None
     help: str | None = None
     flag: str | None = None  # default: --name with dashes
-    flag_only: bool = False  # neither read from --config nor recorded in RunConfig.params
+    flag_only: bool = False  # neither read from --config nor recorded in the sidecar's params
 
 
 @dataclass(frozen=True)
@@ -203,7 +196,6 @@ def _positive(x) -> bool:
     return x > 0
 
 
-SEED = Field("seed", integer, 0, lambda s: s >= 0, "random seed, >= 0, recorded in the provenance")
 OUT = Field("out", str, None, bool, "output file (default: stdout)", flag_only=True)
 OUT_REQUIRED = dataclasses.replace(OUT, default=REQUIRED, help="output file")
 EPSILON = Field("epsilon", finite, 0.0, lambda e: 0.0 <= e < 1.0, "deviation budget as a fraction of n, in [0, 1)")
@@ -354,19 +346,18 @@ COMMANDS = (
     Command("ming verify", "per-orbit exponential residuals as CSV", cmd_ming_verify, (
         Field("n", integer, 5, _dense_prime, "prime register size, at most 13"),
         Field("h", finite, 1.0, _positive, "generator scale, > 0"),
-        SEED, OUT,
+        OUT,
     )),
     Command("observable fn", "evaluate f_n on a state CSV (index,re,im)", cmd_observable_fn, (
         Field("n", integer, REQUIRED, lambda n: n >= 2, "register size, >= 2"),
         EPSILON,
         Field("state", str, REQUIRED, bool, "CSV of index,re,im rows"),
-        SEED,
     )),
     Command("born sweep", "per-n one-period means vs Born weight", cmd_born_sweep, (
         Field("a0", complex_pair, 1 + 0j, help="re,im"),
         Field("a1", complex_pair, 1j, help="re,im"),
         Field("n", prime_list, (5, 7, 11, 13), help="comma-separated primes"),
-        EPSILON, SEED, OUT_REQUIRED,
+        EPSILON, OUT_REQUIRED,
     )),
     Command("limit compare", "sweep vs limit system, JSON report", cmd_limit_compare, (
         Field("a0", complex_pair, 0.6 + 0j, help="re,im"),
@@ -374,7 +365,7 @@ COMMANDS = (
         Field("n", prime_list, (5, 7, 11, 13, 101, 1009), help="comma-separated primes"),
         EPSILON,
         Field("tolerance", finite, 1e-3, lambda t: t >= 0, "largest final error that passes, >= 0"),
-        SEED, OUT_REQUIRED,
+        OUT_REQUIRED,
     )),
     Command("fkm autocorr", "autocorrelation curve as CSV", cmd_fkm_autocorr, (
         Field("n", integer, 256, _positive, "ring size, >= 1"),
@@ -387,14 +378,13 @@ COMMANDS = (
         Field("samples", integer, 100_000, lambda k: k >= 2, "Monte-Carlo sample count, >= 2"),
         Field("horizon_periods", finite, 1e4, _positive, "trajectory length in periods of the fastest mode, > 0"),
         Field("oversample", integer, 4, _positive, "trajectory points per lag step, >= 1"),
-        dataclasses.replace(SEED, default=42),
+        Field("seed", integer, 42, lambda s: s >= 0, "random seed of --mode mc and time, >= 0"),
         OUT_REQUIRED,
         Field("svg", str, None, bool, "also write a self-contained SVG chart", flag_only=True),
     )),
     Command("fkm oufit", "exponential-decay fit of a curve CSV", cmd_fkm_oufit, (
         Field("in_path", str, REQUIRED, bool, "curve CSV with tau and value columns", flag="--in"),
         Field("window_factor", finite, 5.0, _positive, "fit window in decay times, > 0"),
-        SEED,
     )),
     Command("reproduce", "run the acceptance criteria and print a pass/fail table", cmd_reproduce, (
         Field("only", lambda v: [c.upper() for c in _items(v)], acceptance.CRITERION_IDS,
@@ -424,7 +414,7 @@ def resolve(command: Command, args) -> dict:
             raise ConfigInvalidError(f"config: {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(given, dict):
             raise ConfigInvalidError("config: top level must be a JSON object")
-        for key in given.keys() - {f.name for f in command.fields if not f.flag_only} - {"command", "format_version"}:
+        for key in given.keys() - {f.name for f in command.fields if not f.flag_only}:
             raise ConfigInvalidError(f"config: unknown field {key!r}")
     given.update((f.name, getattr(args, f.name)) for f in command.fields if getattr(args, f.name) is not None)
     params = {}
@@ -447,25 +437,24 @@ def run(command: Command, args) -> int:
     """Resolve the fields, run the handler and emit its artifact; the
     sidecar's elapsed time covers the compute and the write."""
     p = resolve(command, args)
-    recorded = {f.name: p[f.name] for f in command.fields if not (f.flag_only or f.name == "seed")}
+    recorded = {f.name: p[f.name] for f in command.fields if not f.flag_only}
     params = {key: [v.real, v.imag] if isinstance(v, complex) else v for key, v in recorded.items()}
-    config = RunConfig(command.name, params, seed=p.get("seed", 0), out=p.get("out"))
     start = time.perf_counter()
     result = command.handler(p)
     text, status = result if isinstance(result, tuple) else (result, EXIT_OK)
     if text is not None:
-        emit(text, p.get("out"), config, start)
+        emit(text, p.get("out"), command.name, params, start)
     log.debug("%s: params %s, elapsed %.3f s", command.name, p, time.perf_counter() - start)
     return status
 
 
-def emit(text: str, out: str | None, config: RunConfig, start: float) -> None:
+def emit(text: str, out: str | None, command: str, params: dict, start: float) -> None:
     """Write text to out with a sidecar (elapsed from start), or to stdout."""
     if out is None:
         sys.stdout.write(text)
     else:
         atomic_write(Path(out), text)
-        write_sidecar(Path(out), config, elapsed=time.perf_counter() - start)
+        write_sidecar(out, command, params, elapsed=time.perf_counter() - start)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,7 +489,9 @@ def main(argv=None) -> int:
     except DegenerateFitError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (MingsimError, ValueError, OverflowError, FloatingPointError) as exc:  # rejected input; ConfigInvalidError names the field
+    # rejected input, ConfigInvalidError naming the field; MemoryError is an
+    # input whose arrays cannot be allocated
+    except (MingsimError, ValueError, OverflowError, FloatingPointError, MemoryError) as exc:
         print(f"config error: {args.command.name}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -77,7 +77,10 @@ class HarmonicChain:
 
 def scaled_ring(n: int, beta: float, kappa0: float = 1.0, omega0_sq: float = 1.0) -> HarmonicChain:
     """Chain with the documented default coupling schedule kappa0 * n^2 / pi^2."""
-    return HarmonicChain(n=n, beta=beta, omega0_sq=omega0_sq, kappa=kappa0 * n**2 / math.pi**2)
+    kappa = kappa0 * n**2 / math.pi**2
+    if not math.isfinite(kappa):
+        raise ValueError(f"coupling kappa0 * n^2 / pi^2 is not finite for kappa0={kappa0!r}, n={n}")
+    return HarmonicChain(n=n, beta=beta, omega0_sq=omega0_sq, kappa=kappa)
 
 
 def stiffness_matrix(chain: HarmonicChain) -> np.ndarray:
@@ -407,6 +410,10 @@ def recurrence_peak(
     phase_autocorrelation, at most _MODE_BLOCK_VALUES angles at a time; the
     first grid point of the largest |g_n| wins.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    if not math.isfinite(tau_max):
+        raise ValueError(f"tau_max must be finite, got {tau_max!r}")
     if not 0 < skip < tau_max:
         raise ValueError("need 0 < skip < tau_max")
     best_tau = skip

@@ -127,25 +127,33 @@ def test_sidecar_provenance(tmp_path, monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = tmp_path / "sweep.csv"
-    assert run(["born", "sweep", "--n", "5,7", "--seed", "99", "--out", str(out)]) == 0
+    assert run(["born", "sweep", "--n", "5,7", "--out", str(out)]) == 0
     sidecar = json.loads((tmp_path / "sweep.csv.provenance.json").read_text(encoding="utf-8"))
-    assert sidecar["config"]["command"] == "born sweep"
-    assert sidecar["config"]["seed"] == 99
-    assert sidecar["config"]["params"]["n"] == [5, 7]
+    assert sidecar["config"] == {
+        "command": "born sweep",
+        "format_version": "1",
+        "out": str(out),
+        "params": {"a0": [1.0, 0.0], "a1": [0.0, 1.0], "epsilon": 0.0, "n": [5, 7]},
+    }
     assert "wall_clock_utc" in sidecar and "version" in sidecar
     assert set(sidecar["libraries"]) == {"python", "numpy", "scipy"}
     assert sidecar["libraries"]["numpy"] == np.__version__
     assert sidecar["blas_thread_env"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+    # the one subcommand that draws random numbers records its seed as a parameter
+    mc = tmp_path / "mc.csv"
+    assert run(["fkm", "autocorr", "--n", "8", "--mode", "mc", "--samples", "100", "--seed", "99", "--out", str(mc)]) == 0
+    config = json.loads((tmp_path / "mc.csv.provenance.json").read_text(encoding="utf-8"))["config"]
+    assert "seed" not in config and config["params"]["seed"] == 99
 
 
 def test_debug_log_per_command(tmp_path, caplog):
     caplog.set_level(logging.DEBUG, logger="mingsim")
-    assert run(["born", "sweep", "--n", "5,7", "--seed", "99", "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert run(["born", "sweep", "--n", "5,7", "--epsilon", "0.25", "--out", str(tmp_path / "sweep.csv")]) == 0
     records = [r for r in caplog.records if r.name == "mingsim"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     message = records[0].getMessage()
     assert message.startswith("born sweep: params ")
-    assert "'n': [5, 7]" in message and "'seed': 99" in message
+    assert "'n': [5, 7]" in message and "'epsilon': 0.25" in message
     assert re.search(r", elapsed \d+\.\d{3} s$", message)
 
 
@@ -163,17 +171,38 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(lines) == 2 and lines[1].startswith("11,")
 
 
+DETERMINISTIC = (["ming", "verify"], ["observable", "fn"], ["born", "sweep"], ["limit", "compare"], ["fkm", "oufit"])
+
+
+def _out_flag(argv, tmp_path):
+    return ["--out", str(tmp_path / "x.csv")] if argv[0] in ("ming", "born", "limit") else []
+
+
 def test_config_unknown_field_rejected(tmp_path, capsys):
+    # only fkm autocorr has a seed, and a sidecar's command and format_version
+    # are not parameters
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"frobnicate": 1}), encoding="utf-8")
-    assert run(["born", "sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-    assert "frobnicate" in capsys.readouterr().err
+    for argv in DETERMINISTIC:
+        for key in ("frobnicate", "seed", "command", "format_version"):
+            cfg.write_text(json.dumps({key: 1}), encoding="utf-8")
+            assert run(argv + ["--config", str(cfg)] + _out_flag(argv, tmp_path)) == 2
+            assert f"config: unknown field {key!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv", DETERMINISTIC, ids=" ".join)
+def test_seed_flag_only_on_fkm_autocorr(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--seed", "1"] + _out_flag(argv, tmp_path))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_limit_compare_report(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(
-        json.dumps({"a0": [0.6, 0], "a1": [0, 0.8], "n": [5, 7, 11, 13, 101, 1009], "seed": 3}),
+        json.dumps({"a0": [0.6, 0], "a1": [0, 0.8], "n": [5, 7, 11, 13, 101, 1009]}),
         encoding="utf-8",
     )
     rpt = tmp_path / "report.json"
@@ -346,7 +375,7 @@ def test_reproduce_report_is_strict_json(capsys, tmp_path):
         (["limit", "compare", "--epsilon", "2"], None, "epsilon"),
         (["limit", "compare", "--tolerance", "nan"], None, "tolerance"),
         (["born", "sweep", "--n", ""], None, "n"),
-        (["born", "sweep"], {"seed": "x"}, "seed"),
+        (["fkm", "autocorr", "--n", "8"], {"seed": "x"}, "seed"),
         (["born", "sweep"], {"epsilon": "x"}, "epsilon"),
     ],
 )
@@ -370,6 +399,8 @@ def test_invalid_field_exits_2_naming_it(tmp_path, capsys, argv, config, field):
         ["ming", "verify", "--n", "5", "--h", "1e308"],
         # a repeated size would make the limit fits rank-deficient
         ["limit", "compare", "--n", "5,5"],
+        # finite but too large to allocate (7 PiB, beyond the address space)
+        ["fkm", "autocorr", "--n", "8", "--tau-steps", "1000000000000000"],
     ],
 )
 def test_unusable_result_exits_2_and_writes_nothing(tmp_path, capsys, argv):
@@ -381,6 +412,12 @@ def test_unusable_result_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     assert f"config error: {argv[0]} {argv[1]}:" in err
     # the overflow is reported as the subcommand's error, not as a numpy warning
     assert caught == [] and "Warning" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_coupling_overflow_names_kappa0(tmp_path, capsys):
+    assert run(["fkm", "autocorr", "--n", "8", "--kappa0", "1e308", "--out", str(tmp_path / "a.csv")]) == 2
+    assert "kappa0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -449,7 +486,6 @@ _PAIR_BAD = ["0,0", "nan,0", "0,inf", "1e200,0", "1", "1,2,3"]
 _PRIMES = st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 101, 1009]), min_size=1, max_size=4).map(
     lambda ns: ",".join(map(str, ns))
 )
-_SEED = ("seed", _ints(0, 2**31), ["-5"])
 _EPSILON = ("epsilon", _reals(0.0, 0.99), ["1", "1.0"])
 
 ALWAYS_DRAWN = {  # flags whose default is large or missing
@@ -460,25 +496,25 @@ ALWAYS_DRAWN = {  # flags whose default is large or missing
 # bounded so that every valid draw runs in milliseconds
 FUZZ_FLAGS = {
     "ming verify": {"n": ("n", _names("2", "3", "5", "7", "11", "13"), ["1", "4", "17", "1000000007"]),
-                    "h": ("h", _reals(0.01, 100), []), "seed": _SEED},
+                    "h": ("h", _reals(0.01, 100), [])},
     "observable fn": {"n": ("n", _ints(2, 64), ["1"]), "epsilon": _EPSILON,
-                      "state": ("state", _names("state-ok"), ["state-nan", "state-wide", "state-header", "nope"]),
-                      "seed": _SEED},
+                      "state": ("state", _names("state-ok"), ["state-nan", "state-wide", "state-header", "nope"])},
     "born sweep": {"a0": ("a0", _PAIR, _PAIR_BAD), "a1": ("a1", _PAIR, _PAIR_BAD), "epsilon": _EPSILON,
-                   "n": ("n", _PRIMES, ["4,5", ","]), "seed": _SEED},
+                   "n": ("n", _PRIMES, ["4,5", ","])},
     "limit compare": {"a0": ("a0", _names("0.6,0", "0,-0.6"), _PAIR_BAD), "a1": ("a1", _names("0,0.8", "0.8,0"), _PAIR_BAD),
                       "epsilon": _EPSILON,
-                      "n": ("n", _PRIMES, ["9"]), "tolerance": ("tolerance", _reals(0.0, 1.0), []), "seed": _SEED},
+                      "n": ("n", _PRIMES, ["9"]), "tolerance": ("tolerance", _reals(0.0, 1.0), [])},
     "fkm autocorr": {"n": ("n", _ints(1, 64), []), "beta": ("beta", _reals(0.1, 10), []),
                      "kappa0": ("kappa0", _reals(0, 10), ["-1"]), "omega0-sq": ("omega0_sq", _reals(0.1, 10), ["-1"]),
                      "tau-max": ("tau_max", _reals(0.5, 20), []), "tau-steps": ("tau_steps", _ints(2, 100), []),
                      "mode": ("mode", _names("analytic", "mc", "time"), ["bogus"]),
                      "samples": ("samples", _ints(2, 2000), []),
                      "horizon-periods": ("horizon_periods", _reals(0.01, 50), []),
-                     "oversample": ("oversample", _ints(1, 4), []), "seed": _SEED,
+                     "oversample": ("oversample", _ints(1, 4), []),
+                     "seed": ("seed", _ints(0, 2**31), ["-5"]),
                      "svg": (None, _names("curve.svg"), [])},
     "fkm oufit": {"in": ("in_path", _names("curve-ok"), ["curve-nan", "curve-short", "curve-header", "curve-zero", "nope"]),
-                  "window-factor": ("window_factor", _reals(0.01, 50), []), "seed": _SEED},
+                  "window-factor": ("window_factor", _reals(0.01, 50), [])},
     "reproduce": {"only": (None, _names("A1", "a2", "A1,A2"), ["A9", "abc"])},
 }
 FILE_FLAGS = {"state", "in"}  # their drawn value names an input file

@@ -87,13 +87,21 @@ def test_modes_orthonormal_and_reconstruct(n):
     assert np.abs(recon - k).max() < 1e-10
 
 
-def test_dispersion_matches_dense_eigensolver():
-    chain = fkm.HarmonicChain(n=8, beta=1.0, omega0_sq=1.0, kappa=1.7)
-    k = np.arange(8)
-    expected = np.sort(chain.omega0_sq + 4 * chain.kappa * np.sin(np.pi * k / 8) ** 2)
-    assert np.allclose(np.sort(fkm.dft_frequencies(chain) ** 2), expected, atol=1e-12)
+DENSE_RING = fkm.HarmonicChain(n=8, beta=1.0, omega0_sq=1.0, kappa=1.7)
+
+
+def _dispersion_matches_dense_eigensolver(chain):
+    k = np.arange(chain.n)
+    expected = np.sort(chain.omega0_sq + 4 * chain.kappa * np.sin(np.pi * k / chain.n) ** 2)
     dense = np.linalg.eigvalsh(fkm.stiffness_matrix(chain))
-    assert np.allclose(np.sort(fkm.normal_modes(chain).frequencies ** 2), dense, atol=1e-10)
+    return bool(
+        np.allclose(np.sort(fkm.dft_frequencies(chain) ** 2), expected, atol=1e-12)
+        and np.allclose(np.sort(fkm.normal_modes(chain).frequencies ** 2), dense, atol=1e-10)
+    )
+
+
+def test_dispersion_matches_dense_eigensolver():
+    assert _dispersion_matches_dense_eigensolver(DENSE_RING)
 
 
 def test_indefinite_form_rejected():
@@ -472,16 +480,8 @@ def _random_point(n, seed):
     return fkm.PhasePoint(q=rng.normal(size=n), p=rng.normal(size=n))
 
 
-@pytest.mark.parametrize(
-    "chain",
-    [
-        fkm.HarmonicChain(n=17, beta=1.0, omega0_sq=1.0, kappa=1.0),
-        fkm.HarmonicChain(n=32, beta=2.0, omega0_sq=0.5, kappa=3.0),
-        fkm.HarmonicChain(n=12, beta=1.0, omega0_sq=0.0, kappa=1.0),  # omega = 0 column
-    ],
-    ids=["odd", "even", "zero-mode"],
-)
-def test_time_autocorrelation_matches_direct_evaluation(chain):
+def _matches_direct_evaluation(chain):
+    """The phasor series and the lag products against _direct_series."""
     x0 = _random_point(chain.n, chain.n)
     tau = np.linspace(0.0, 5.0, 21)
     oversample = 3
@@ -491,12 +491,27 @@ def test_time_autocorrelation_matches_direct_evaluation(chain):
     total = n_base + (len(tau) - 1) * oversample
     direct = _direct_series(chain, x0, dt, total)
     scale = np.abs(direct).max()
-    assert np.abs(fkm._site0_momentum_series(chain, x0, dt, total) - direct).max() <= 1e-10 * scale
     direct_curve = np.array(
         [direct[:n_base] @ direct[j * oversample : j * oversample + n_base] / n_base for j in range(len(tau))]
     )
     res = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=oversample)
-    assert np.abs(res.curve.values - direct_curve).max() <= 1e-10 * scale**2
+    return bool(
+        np.abs(fkm._site0_momentum_series(chain, x0, dt, total) - direct).max() <= 1e-10 * scale
+        and np.abs(res.curve.values - direct_curve).max() <= 1e-10 * scale**2
+    )
+
+
+ODD_RING = fkm.HarmonicChain(n=17, beta=1.0, omega0_sq=1.0, kappa=1.0)
+EVEN_RING = fkm.HarmonicChain(n=32, beta=2.0, omega0_sq=0.5, kappa=3.0)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [ODD_RING, EVEN_RING, fkm.HarmonicChain(n=12, beta=1.0, omega0_sq=0.0, kappa=1.0)],  # omega = 0 column
+    ids=["odd", "even", "zero-mode"],
+)
+def test_time_autocorrelation_matches_direct_evaluation(chain):
+    assert _matches_direct_evaluation(chain)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 255, 256])
@@ -505,6 +520,46 @@ def test_site0_weight_vanishes_on_every_sin_column(n):
     row = fkm.normal_modes(fkm.HarmonicChain(n=n, beta=1.0)).vectors[0]
     assert np.all(row[2::2] == 0.0)
     assert np.count_nonzero(row) == n // 2 + 1
+
+
+def _time_reversed(monkeypatch):
+    # the trajectory starts from (-q, p)
+    original = fkm._site0_momentum_series
+    monkeypatch.setattr(
+        fkm, "_site0_momentum_series",
+        lambda chain, x0, dt, total: original(chain, fkm.PhasePoint(q=-x0.q, p=x0.p), dt, total),
+    )
+
+
+def _dispersion_4_2_kappa(monkeypatch):
+    def dft_frequencies(chain):
+        k = np.arange(chain.n)
+        return np.sqrt(chain.omega0_sq + 4.2 * chain.kappa * np.sin(np.pi * k / chain.n) ** 2)
+
+    monkeypatch.setattr(fkm, "dft_frequencies", dft_frequencies)
+
+
+@pytest.mark.parametrize(
+    "mutant, caught_by",
+    [(None, set()), (_time_reversed, {"direct-odd", "direct-even"}), (_dispersion_4_2_kappa, {"dense"})],
+    ids=["clean", "time-reversed", "dispersion-4.2-kappa"],
+)
+def test_mode_kernel_mutation_matrix(monkeypatch, mutant, caught_by):
+    # each broken kernel fails the comparisons that target it and no other;
+    # the mode table is cached per chain, so it is rebuilt on both sides
+    fkm.normal_modes.cache_clear()
+    try:
+        if mutant is not None:
+            mutant(monkeypatch)
+        checks = {
+            "direct-odd": lambda: _matches_direct_evaluation(ODD_RING),
+            "direct-even": lambda: _matches_direct_evaluation(EVEN_RING),
+            "dense": lambda: _dispersion_matches_dense_eigensolver(DENSE_RING),
+        }
+        failed = {name for name, check in checks.items() if not check()}
+    finally:
+        fkm.normal_modes.cache_clear()
+    assert failed == caught_by
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +623,11 @@ def test_recurrence_of_small_ring():
     assert tau_star > 1.0
     with pytest.raises(ValueError):
         fkm.recurrence_peak(chain, tau_max=10.0, dt=0.01, skip=20.0)
+    for dt in (-0.01, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            fkm.recurrence_peak(chain, tau_max=10.0, dt=dt, skip=1.0)
+    with pytest.raises(ValueError, match="tau_max"):
+        fkm.recurrence_peak(chain, tau_max=math.inf, dt=0.01, skip=1.0)
 
 
 @pytest.mark.parametrize("n", [8, 9])
