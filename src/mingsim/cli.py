@@ -273,7 +273,7 @@ def cmd_fkm_autocorr(p) -> str:
     else:
         x0 = fkm.sample_gibbs(chain, seed)
         horizon = p["horizon_periods"] * 2 * np.pi / fkm.dft_frequencies(chain).max()
-        curve = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=p["oversample"]).curve
+        curve = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=p["oversample"])
     rows = [(float(t), float(v), curve.kind, n, beta, seed) for t, v in zip(curve.tau, curve.values)]
     text = render_csv(("tau", "value", "kind", "n", "beta", "seed"), rows)  # first: it rejects non-finite values
     if p["svg"] is not None:

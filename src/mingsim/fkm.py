@@ -17,7 +17,9 @@ closed form
 
 which serves as the reference curve for the Monte-Carlo estimator (phase
 average over Gibbs samples) and the single-trajectory time average
-(stroboscopic products along one exactly-evolved orbit).  The default
+(stroboscopic products along one exactly-evolved orbit).  Each estimator
+returns only its AutocorrCurve; comparing it with the closed form is left
+to the caller, which builds the reference once.  The default
 size scaling kappa(n) = kappa0 * n^2 / pi^2 keeps the low end of the mode
 spectrum on a fixed profile while the band edge grows with n; it is the
 schedule used by the convergence-trend checks and is a configuration
@@ -216,10 +218,21 @@ class AutocorrCurve:
 
 
 def phase_autocorrelation(chain: HarmonicChain, tau_grid) -> AutocorrCurve:
-    """Analytic Gibbs phase average: (1/(beta n)) sum_k cos(omega_k tau)."""
+    """Analytic Gibbs phase average: (1/(beta n)) sum_k cos(omega_k tau).
+
+    Since omega_k = omega_{n-k}, the sum takes DFT index 0 once, each pair
+    k = 1..ceil(n/2)-1 once with weight 2, and k = n/2 once for even n.  The
+    sums are numpy reductions, not BLAS products, so the bits do not depend
+    on the BLAS thread count.  At tau = 0 the total is exactly n, so
+    g_n(0) == 1/beta holds exactly.
+    """
     tau = np.asarray(tau_grid, dtype=float)
     w = dft_frequencies(chain)
-    values = np.cos(np.outer(w, tau)).mean(axis=0) / chain.beta
+    n = chain.n
+    total = np.cos(w[0] * tau) + 2.0 * np.cos(np.outer(w[1 : (n + 1) // 2], tau)).sum(axis=0)
+    if n % 2 == 0:
+        total += np.cos(w[n // 2] * tau)
+    values = total / n / chain.beta
     return AutocorrCurve(tau=tau, values=values, kind="phase-analytic")
 
 
@@ -324,12 +337,6 @@ def mc_phase_autocorrelation(
     return AutocorrCurve(tau=tau, values=mean, kind="phase-monte-carlo", stderr=stderr)
 
 
-@dataclass(frozen=True)
-class TimeAutocorrelation:
-    curve: AutocorrCurve
-    sup_gap: float
-
-
 def _site0_momentum_series(chain: HarmonicChain, x0: PhasePoint, dt: float, total: int) -> np.ndarray:
     """p0(j dt) for j = 0..total-1 along the exact orbit from x0."""
     modes = normal_modes(chain)
@@ -353,14 +360,14 @@ def time_autocorrelation(
     horizon: float,
     tau_grid,
     oversample: int,
-) -> TimeAutocorrelation:
+) -> AutocorrCurve:
     """Single-trajectory stroboscopic time average of p0(t) p0(t+tau).
 
     The trajectory is evaluated exactly in mode coordinates on a grid
     `oversample` times finer than the (uniform, zero-based) tau grid, and
-    the estimate at tau_j averages products over the horizon.  Also returns
-    the sup-norm gap to the analytic phase curve on the same grid, the
-    agreement metric between time statistics and the Gibbs average.
+    the estimate at tau_j averages products over the horizon.  Only the
+    curve is returned; its gap to phase_autocorrelation is the caller's to
+    take.
 
     The site-0 momentum is the phasor sum p0(t) = Re sum_k c_k exp(i w_k t)
     with c_k = v_0k (p_k + i w_k q_k), where v_0k is the site-0 weight of
@@ -390,10 +397,7 @@ def time_autocorrelation(
     for j in range(len(tau)):
         off = j * oversample
         values[j] = base @ series[off : off + n_base] / n_base
-    curve = AutocorrCurve(tau=tau, values=values, kind="time-trajectory")
-    phase = phase_autocorrelation(chain, tau)
-    gap = float(np.abs(curve.values - phase.values).max())
-    return TimeAutocorrelation(curve=curve, sup_gap=gap)
+    return AutocorrCurve(tau=tau, values=values, kind="time-trajectory")
 
 
 def recurrence_peak(
@@ -416,11 +420,12 @@ def recurrence_peak(
         raise ValueError(f"tau_max must be finite, got {tau_max!r}")
     if not 0 < skip < tau_max:
         raise ValueError("need 0 < skip < tau_max")
-    best_tau = skip
-    best_val = -np.inf
-    chunk = max(1, _MODE_BLOCK_VALUES // chain.n)
     n_pts = int(tau_max / dt) + 1
     start_idx = int(math.ceil(skip / dt))
+    if start_idx >= n_pts:
+        raise ValueError(f"no grid point j*dt lies in [skip, tau_max] = [{skip!r}, {tau_max!r}] for dt={dt!r}")
+    best_tau, best_val = skip, -np.inf
+    chunk = max(1, _MODE_BLOCK_VALUES // chain.n)
     for lo in range(start_idx, n_pts, chunk):
         hi = min(lo + chunk, n_pts)
         t = np.arange(lo, hi) * dt

@@ -176,13 +176,8 @@ def first_site_family() -> VariableFamily:
 
 @dataclass(frozen=True)
 class MacroscopicReport:
-    sizes: tuple[int, ...]
-    values: np.ndarray  # shape (len(prefixes), len(sizes))
-    spreads: np.ndarray  # max pairwise |difference| per size
+    spreads: np.ndarray  # max pairwise |difference| per total size n0+1..horizon
     final_spread: float
-    tolerance: float
-    trend_slack: float
-    trend_ok: bool
     passed: bool
 
 
@@ -197,12 +192,12 @@ def macroscopic_check(
 
     Each prefix v0 over n0 sites is extended one site at a time, site k
     getting the single-site vector tails(k), and the family is evaluated on
-    the dense product state at every total size up to `horizon`.  The report carries the max pairwise
-    spread of the values across prefixes per size.  PASS means the spread
-    never grows by more than tolerance / 2 in one step (a noise-tolerant
-    nonincreasing trend; the report keeps this trend_slack) and the final
-    spread is at or below `tolerance`, an explicit input rather than a
-    hidden default of the physics.
+    the dense product state at every total size n0+1..horizon.  The
+    report's `spreads` holds the max pairwise spread of the values across
+    prefixes at each of those sizes, in order.  PASS means the spread never
+    grows by more than tolerance / 2 in one step (a noise-tolerant
+    nonincreasing trend) and the final spread is at or below `tolerance`,
+    an explicit input rather than a hidden default of the physics.
     """
     require_dense(horizon)
     if not prefixes:
@@ -215,8 +210,7 @@ def macroscopic_check(
         raise ValueError("prefix length must be a power of two")
     if horizon <= n0:
         raise ValueError(f"horizon {horizon} must exceed prefix size {n0}")
-    trend_slack = tolerance / 2
-    sizes = tuple(range(n0 + 1, horizon + 1))
+    sizes = range(n0 + 1, horizon + 1)
     values = np.zeros((len(prefixes), len(sizes)))
     for pi, prefix in enumerate(prefixes):
         state = np.asarray(prefix, dtype=complex)
@@ -230,16 +224,7 @@ def macroscopic_check(
             state = np.kron(tail, state)
             values[pi, si] = family(size)(state)
     spreads = values.max(axis=0) - values.min(axis=0)
-    steps_ok = bool((np.diff(spreads) <= trend_slack + 1e-15).all())
+    steps_ok = bool((np.diff(spreads) <= tolerance / 2 + 1e-15).all())
     final_spread = float(spreads[-1])
     passed = steps_ok and final_spread <= tolerance
-    return MacroscopicReport(
-        sizes=sizes,
-        values=values,
-        spreads=spreads,
-        final_spread=final_spread,
-        tolerance=tolerance,
-        trend_slack=trend_slack,
-        trend_ok=steps_ok,
-        passed=passed,
-    )
+    return MacroscopicReport(spreads=spreads, final_spread=final_spread, passed=passed)

@@ -19,15 +19,9 @@ def test_fault_injection_isolated_to_a2(corrupted_generator_block):
     assert failed == {"A2"}
 
 
-def test_a8_checks_horizons_inside_the_period(monkeypatch):
+def _two_sites_per_tick(monkeypatch):
     # two sites per tick is coprime to every prime n, so one full period
     # visits the same configurations and only partial horizons differ
-    original = dynamics.evolve_combined
-    monkeypatch.setattr(dynamics, "evolve_combined", lambda state, t: original(state, 2 * t))
-    assert not acceptance.run_criterion("A8").passed
-
-
-def _two_sites_per_tick(monkeypatch):
     original = dynamics.evolve_combined
     monkeypatch.setattr(dynamics, "evolve_combined", lambda state, t: original(state, 2 * t))
 

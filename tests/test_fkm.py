@@ -4,6 +4,7 @@ Stochastic assertions use fixed seeds with thresholds frozen from pilot
 runs; the pilot value is noted next to each.
 """
 
+import copy
 import math
 import os
 import subprocess
@@ -156,6 +157,16 @@ def test_phase_curve_at_zero_is_inverse_beta_exactly(beta):
     assert curve.kind == "phase-analytic"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 256])
+def test_phase_curve_matches_sum_over_every_dft_index(n):
+    # the paired sum against the plain mean over k = 0..n-1
+    chain = fkm.scaled_ring(n, beta=2.5)
+    curve = fkm.phase_autocorrelation(chain, TAU)
+    every_k = np.cos(np.outer(fkm.dft_frequencies(chain), TAU)).mean(axis=0) / chain.beta
+    assert np.abs(curve.values - every_k).max() <= 1e-12
+    assert curve.values[0] == 1.0 / chain.beta
+
+
 def test_uncoupled_phase_curve_is_single_cosine():
     chain = fkm.HarmonicChain(n=5, beta=2.0, omega0_sq=9.0, kappa=0.0)
     curve = fkm.phase_autocorrelation(chain, TAU)
@@ -180,23 +191,37 @@ def test_gibbs_rejects_zero_mode():
         fkm.sample_gibbs(chain, 0)
 
 
+def _gibbs_energies(chain, rng, draws):
+    """H of `draws` Gibbs points from one normal draw of shape (draws, 2n).
+
+    numpy fills the draw row by row, so row i holds the q then p normals of
+    the i-th of `draws` sample_gibbs calls on `rng`; the first rows are
+    checked against such calls.
+    """
+    calls = copy.deepcopy(rng)
+    modes = fkm.normal_modes(chain)
+    n, scale = chain.n, math.sqrt(chain.beta)
+    z = rng.normal(size=(draws, 2 * n))
+    q = (z[:, :n] / (scale * modes.frequencies)) @ modes.vectors.T
+    p = (z[:, n:] / scale) @ modes.vectors.T
+    for i in range(3):
+        x = fkm.sample_gibbs(chain, calls)
+        assert np.abs(x.q - q[i]).max() <= 1e-12 and np.abs(x.p - p[i]).max() <= 1e-12
+    return 0.5 * ((p * p).sum(axis=1) + ((q @ fkm.stiffness_matrix(chain)) * q).sum(axis=1))
+
+
 def test_gibbs_mean_energy_equipartition():
     # E[H] = n/beta; pilot z = -0.45 at this seed
     chain = fkm.scaled_ring(8, beta=1.0)
-    k = fkm.stiffness_matrix(chain)
-    rng = np.random.default_rng(7)
-    vals = np.array([energy(k, fkm.sample_gibbs(chain, rng)) for _ in range(100_000)])
+    vals = _gibbs_energies(chain, np.random.default_rng(7), 100_000)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - 8.0) < 3 * se
 
 
 def test_gibbs_energy_scales_inversely_with_beta():
-    chain_hot = fkm.scaled_ring(8, beta=1.0)
-    chain_cold = fkm.scaled_ring(8, beta=10.0)
-    k_hot, k_cold = fkm.stiffness_matrix(chain_hot), fkm.stiffness_matrix(chain_cold)
     rng = np.random.default_rng(5)
-    e_hot = np.mean([energy(k_hot, fkm.sample_gibbs(chain_hot, rng)) for _ in range(20_000)])
-    e_cold = np.mean([energy(k_cold, fkm.sample_gibbs(chain_cold, rng)) for _ in range(20_000)])
+    e_hot = _gibbs_energies(fkm.scaled_ring(8, beta=1.0), rng, 20_000).mean()
+    e_cold = _gibbs_energies(fkm.scaled_ring(8, beta=10.0), rng, 20_000).mean()
     assert abs(e_hot / e_cold - 10.0) < 0.2
 
 
@@ -436,10 +461,10 @@ def test_time_average_matches_phase_average_for_gibbs_start():
     chain = _small_ring()
     horizon = 1e3 * 2 * math.pi / fkm.dft_frequencies(chain).max()
     x0 = fkm.sample_gibbs(chain, 0)
-    res = fkm.time_autocorrelation(chain, x0, horizon, TAU, oversample=4)
-    assert res.curve.kind == "time-trajectory"
-    assert res.sup_gap < 0.2
-    assert abs(res.curve.values[0] - 1.0) < 0.2
+    curve = fkm.time_autocorrelation(chain, x0, horizon, TAU, oversample=4)
+    assert curve.kind == "time-trajectory"
+    assert np.abs(curve.values - fkm.phase_autocorrelation(chain, TAU).values).max() < 0.2
+    assert abs(curve.values[0] - 1.0) < 0.2
 
 
 def test_single_mode_start_violates_phase_average():
@@ -447,8 +472,8 @@ def test_single_mode_start_violates_phase_average():
     chain = _small_ring()
     horizon = 1e3 * 2 * math.pi / fkm.dft_frequencies(chain).max()
     x_bad = fkm.single_mode_state(chain, 31, energy=64.0)
-    res = fkm.time_autocorrelation(chain, x_bad, horizon, TAU, oversample=4)
-    assert res.sup_gap > 1.0
+    curve = fkm.time_autocorrelation(chain, x_bad, horizon, TAU, oversample=4)
+    assert np.abs(curve.values - fkm.phase_autocorrelation(chain, TAU).values).max() > 1.0
 
 
 def test_time_autocorrelation_grid_validation():
@@ -494,10 +519,10 @@ def _matches_direct_evaluation(chain):
     direct_curve = np.array(
         [direct[:n_base] @ direct[j * oversample : j * oversample + n_base] / n_base for j in range(len(tau))]
     )
-    res = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=oversample)
+    curve = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=oversample)
     return bool(
         np.abs(fkm._site0_momentum_series(chain, x0, dt, total) - direct).max() <= 1e-10 * scale
-        and np.abs(res.curve.values - direct_curve).max() <= 1e-10 * scale**2
+        and np.abs(curve.values - direct_curve).max() <= 1e-10 * scale**2
     )
 
 
@@ -628,6 +653,8 @@ def test_recurrence_of_small_ring():
             fkm.recurrence_peak(chain, tau_max=10.0, dt=dt, skip=1.0)
     with pytest.raises(ValueError, match="tau_max"):
         fkm.recurrence_peak(chain, tau_max=math.inf, dt=0.01, skip=1.0)
+    with pytest.raises(ValueError, match="dt"):  # no grid point in [0.5, 0.9]
+        fkm.recurrence_peak(chain, tau_max=0.9, dt=1.0, skip=0.5)
 
 
 @pytest.mark.parametrize("n", [8, 9])
