@@ -112,7 +112,7 @@ def _a4():
     n0, horizon, pairs, seed = 6, 13, 20, 2024
     rng = np.random.default_rng(seed)
     pointer = observable.pointer_family(lambda n: n**-0.25)
-    local = observable.first_site_family()
+    local = observable.first_site_family
     tails = lambda n: np.array([1.0, 0.0], dtype=complex)
     pointer_spread = 0.0
     local_spread = 0.0

@@ -242,8 +242,9 @@ def born_limit_sweep(
 ) -> list[SweepRow]:
     """Tabulate <f_n> against the Born weight |a1|^2 across lattice sizes.
 
-    path "dense" forces full state evolution (dense bound applies),
-    "compressed" the revisit-count evaluation, "auto" picks per size.
+    path "dense" forces the stepped evaluation (time_average_f, which
+    relabels indices one integer step at a time), "compressed" the
+    revisit-count evaluation, "auto" picks per size.
     Every size starts from the strict cocked configuration in both branches
     and averages over one period, horizon n.  epsilon_schedule is the one
     deviation fraction of the cocked set at every size.

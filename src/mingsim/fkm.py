@@ -412,7 +412,8 @@ def recurrence_peak(
     arbitrarily close to g_n(0); this scans a window and reports where and
     how closely.  Each chunk of the grid is evaluated by
     phase_autocorrelation, at most _MODE_BLOCK_VALUES angles at a time; the
-    first grid point of the largest |g_n| wins.
+    first grid point of the largest |g_n| wins.  The work is
+    O((tau_max - skip) / dt) curve points; no cap is applied.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
@@ -420,6 +421,8 @@ def recurrence_peak(
         raise ValueError(f"tau_max must be finite, got {tau_max!r}")
     if not 0 < skip < tau_max:
         raise ValueError("need 0 < skip < tau_max")
+    if not math.isfinite(tau_max / dt):
+        raise ValueError(f"dt={dt!r} is too small: tau_max / dt is not finite")
     n_pts = int(tau_max / dt) + 1
     start_idx = int(math.ceil(skip / dt))
     if start_idx >= n_pts:

@@ -143,35 +143,23 @@ def pointer_value(state, cocked: CockedSet) -> float:
 # macroscopicity check for indexed variable families
 # ---------------------------------------------------------------------------
 
-# a family maps total size n to a variable on dense amplifier vectors
-VariableFamily = Callable[[int], Callable[[np.ndarray], float]]
+# a family maps (total size n, dense amplifier vector) to a value
+VariableFamily = Callable[[int, np.ndarray], float]
 
 
 def pointer_family(epsilon_schedule: Callable[[int], float]) -> VariableFamily:
     """f_n family with a per-size negligibility fraction epsilon_schedule(n)."""
-
-    def at_size(n: int):
-        pv = PointerVariable(CockedSet(n, epsilon_schedule(n)))
-        return lambda v: pv.value(v, normalize=True)
-
-    return at_size
+    return lambda n, v: PointerVariable(CockedSet(n, epsilon_schedule(n))).value(v, normalize=True)
 
 
-def first_site_family() -> VariableFamily:
+def first_site_family(n: int, v: np.ndarray) -> float:
     """Excitation probability of site 0: a local variable that is not macroscopic."""
-
-    def at_size(n: int):
-        def g(v: np.ndarray) -> float:
-            p = np.abs(np.asarray(v)) ** 2
-            total = p.sum()
-            if total == 0.0:
-                raise NotNormalizedError("state has zero norm")
-            odd = p[1::2].sum()  # indices with d_0 = 1
-            return float(odd / total)
-
-        return g
-
-    return at_size
+    p = np.abs(np.asarray(v)) ** 2
+    total = p.sum()
+    if total == 0.0:
+        raise NotNormalizedError("state has zero norm")
+    odd = p[1::2].sum()  # indices with d_0 = 1
+    return float(odd / total)
 
 
 @dataclass(frozen=True)
@@ -222,7 +210,7 @@ def macroscopic_check(
                 raise NotNormalizedError("tail vectors must have norm one")
             # new site becomes the highest bit of the index
             state = np.kron(tail, state)
-            values[pi, si] = family(size)(state)
+            values[pi, si] = family(size, state)
     spreads = values.max(axis=0) - values.min(axis=0)
     steps_ok = bool((np.diff(spreads) <= tolerance / 2 + 1e-15).all())
     final_spread = float(spreads[-1])

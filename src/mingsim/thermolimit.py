@@ -20,39 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import SweepRow
+from .dynamics import NORM_RTOL, SweepRow
 from .errors import NotNormalizedError
-
-WEIGHT_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TwoPointSystem:
-    """Probability weights on the limit points (P0, P1)."""
-
-    w0: float
-    w1: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.w0) and math.isfinite(self.w1)):
-            raise ValueError(f"weights must be finite, got ({self.w0}, {self.w1})")
-        if self.w0 < -WEIGHT_ATOL or self.w1 < -WEIGHT_ATOL:
-            raise ValueError(f"weights must be nonnegative, got ({self.w0}, {self.w1})")
-        if abs(self.w0 + self.w1 - 1.0) > WEIGHT_ATOL:
-            raise ValueError(f"weights must sum to 1, got {self.w0 + self.w1!r}")
-
-
-def limit_system(a: tuple[complex, complex]) -> TwoPointSystem:
-    """Born weights of the particle amplitudes; amplitudes must be normalized."""
-    a0, a1 = a
-    total = abs(a0) ** 2 + abs(a1) ** 2
-    if not math.isfinite(total):
-        raise NotNormalizedError(f"|a0|^2 + |a1|^2 = {total!r} is not finite")
-    if abs(total - 1.0) > 1e-9:
-        raise NotNormalizedError(
-            f"|a0|^2 + |a1|^2 = {total!r} deviates from 1 beyond 1e-9"
-        )
-    return TwoPointSystem(w0=abs(a0) ** 2 / total, w1=abs(a1) ** 2 / total)
 
 
 @dataclass(frozen=True)
@@ -78,17 +47,26 @@ def compare_limit(
     least-squares log-log decay exponent of the errors (None when they
     vanish identically), and the n -> infinity intercept of a linear fit of
     mean_n against 1/n.  Each size may appear once: a repeated size would
-    leave both fits rank-deficient.
+    leave both fits rank-deficient.  The amplitudes must be normalized:
+    |a0|^2 + |a1|^2 non-finite or off 1 by more than NORM_RTOL raises
+    NotNormalizedError.
     """
     if not sweep:
         raise ValueError("sweep table is empty")
-    system = limit_system(a)
-    target = system.w1
+    a0, a1 = a
+    total = abs(a0) ** 2 + abs(a1) ** 2
+    if not math.isfinite(total):
+        raise NotNormalizedError(f"|a0|^2 + |a1|^2 = {total!r} is not finite")
+    if abs(total - 1.0) > NORM_RTOL:
+        raise NotNormalizedError(
+            f"|a0|^2 + |a1|^2 = {total!r} deviates from 1 beyond 1e-9"
+        )
+    w1 = abs(a1) ** 2 / total
     ns = tuple(r.n for r in sweep)
     if len(set(ns)) != len(ns):
         raise ValueError(f"sweep repeats a size: n = {list(ns)}")
     means = np.array([r.mean for r in sweep])
-    errors = tuple(float(abs(m - target)) for m in means)
+    errors = tuple(float(abs(m - w1)) for m in means)
     nonzero = [e for e in errors if e > 1e-15]
     if len(nonzero) == len(errors) and len(errors) >= 2:
         slope = np.polyfit(np.log(ns), np.log(errors), 1)[0]
@@ -103,7 +81,7 @@ def compare_limit(
     return ConvergenceReport(
         ns=ns,
         errors=errors,
-        limit_value=target,
+        limit_value=w1,
         fitted_exponent=fitted_exponent,
         fitted_intercept=intercept,
         final_error=final_error,

@@ -399,6 +399,8 @@ def test_invalid_field_exits_2_naming_it(tmp_path, capsys, argv, config, field):
         ["ming", "verify", "--n", "5", "--h", "1e308"],
         # a repeated size would make the limit fits rank-deficient
         ["limit", "compare", "--n", "5,5"],
+        # limit compare rejects unnormalized amplitudes; born sweep rescales them
+        ["limit", "compare", "--a0", "1,0", "--a1", "1,0"],
         # finite but too large to allocate (7 PiB, beyond the address space)
         ["fkm", "autocorr", "--n", "8", "--tau-steps", "1000000000000000"],
     ],

@@ -648,7 +648,7 @@ def test_recurrence_of_small_ring():
     assert tau_star > 1.0
     with pytest.raises(ValueError):
         fkm.recurrence_peak(chain, tau_max=10.0, dt=0.01, skip=20.0)
-    for dt in (-0.01, 0.0, math.nan, math.inf):
+    for dt in (-0.01, 0.0, math.nan, math.inf, 5e-324):
         with pytest.raises(ValueError, match="dt"):
             fkm.recurrence_peak(chain, tau_max=10.0, dt=dt, skip=1.0)
     with pytest.raises(ValueError, match="tau_max"):

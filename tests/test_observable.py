@@ -141,7 +141,7 @@ def test_macroscopic_pointer_passes_local_fails():
     fam = pointer_family(lambda n: n ** -0.25)
     rep = macroscopic_check(fam, [a, b], tails, 13, 0.05)
     assert rep.passed
-    loc = macroscopic_check(first_site_family(), [a, b], tails, 13, 0.05)
+    loc = macroscopic_check(first_site_family, [a, b], tails, 13, 0.05)
     assert not loc.passed
     assert loc.final_spread > 0.05
 

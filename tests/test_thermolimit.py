@@ -1,4 +1,4 @@
-"""Two-point limit system and convergence comparison."""
+"""Two-point limit value and convergence comparison."""
 
 import math
 
@@ -6,34 +6,24 @@ import pytest
 
 from mingsim.dynamics import born_limit_sweep
 from mingsim.errors import NotNormalizedError
-from mingsim.thermolimit import (
-    ConvergenceReport,
-    TwoPointSystem,
-    compare_limit,
-    limit_system,
-)
+from mingsim.thermolimit import ConvergenceReport, compare_limit
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
 
+def _limit_value(a):
+    return compare_limit(a, born_limit_sweep((1.0, 0.0), [5])).limit_value
+
+
 def test_limit_weights():
-    sys = limit_system((INV_SQRT2, INV_SQRT2))
-    assert sys.w0 == pytest.approx(0.5, abs=1e-15)
-    assert sys.w1 == pytest.approx(0.5, abs=1e-15)
-    sys = limit_system((1.0, 0.0))
-    assert (sys.w0, sys.w1) == (1.0, 0.0)
+    assert _limit_value((INV_SQRT2, INV_SQRT2)) == pytest.approx(0.5, abs=1e-15)
+    assert _limit_value((1.0, 0.0)) == 0.0
+    assert _limit_value((0.0, 1.0)) == 1.0
 
 
 def test_limit_system_norm_gate():
-    with pytest.raises(NotNormalizedError):
-        limit_system((1.0, 1.0))
-
-
-def test_two_point_invariants():
-    with pytest.raises(ValueError):
-        TwoPointSystem(0.7, 0.7)
-    with pytest.raises(ValueError):
-        TwoPointSystem(-0.1, 1.1)
+    with pytest.raises(NotNormalizedError, match="deviates from 1 beyond 1e-9"):
+        _limit_value((1.0, 1.0))
 
 
 def test_compare_limit_exact_decay():
@@ -68,10 +58,4 @@ def test_compare_limit_rejects_repeated_size():
 @pytest.mark.parametrize("a", [(math.nan, 0.0), (math.inf, 0.0), (0.6, complex(0.0, math.nan))])
 def test_limit_system_rejects_non_finite_amplitudes(a):
     with pytest.raises(NotNormalizedError, match="not finite"):
-        limit_system(a)
-
-
-@pytest.mark.parametrize("w", [(math.nan, math.nan), (math.nan, 1.0), (1.0, math.inf)])
-def test_two_point_rejects_non_finite_weights(w):
-    with pytest.raises(ValueError, match="finite"):
-        TwoPointSystem(*w)
+        _limit_value(a)
