@@ -20,7 +20,8 @@ All JSON is strict: a non-finite value raises instead of reaching disk.
 Exit codes: 0 success, 2 invalid config or flags (including an input too
 large to allocate), 3 numeric acceptance failure (failed reproduce
 criterion, degenerate fit), 4 I/O failure.
-The only environment input is MINGSIM_LOG_LEVEL for the log verbosity;
+The only environment input is MINGSIM_LOG_LEVEL for the log verbosity,
+one of logging's level names (an unknown name exits 2);
 the BLAS thread variables are only recorded, because threaded BLAS may
 move the last digit of a Monte-Carlo or trajectory value.
 """
@@ -480,7 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MINGSIM_LOG_LEVEL", "WARNING"))
+    level = os.environ.get("MINGSIM_LOG_LEVEL", "WARNING")
+    if not isinstance(logging.getLevelName(level), int):  # not one of logging's level names
+        print(f"config error: MINGSIM_LOG_LEVEL: unknown level {level!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level)
     args = build_parser().parse_args(argv)
     try:
         # an overflowing input raises here instead of warning on stderr

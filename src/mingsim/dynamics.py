@@ -15,10 +15,11 @@ Born weight |a1|^2 of the moving branch:
 
     <f_n> = |a1|^2 (1 - 1/n)        (strict cocked start, horizon n)
 
-which is what `born_limit_sweep` tabulates across lattice sizes.  The
-orbit-compressed path evaluates the same average by counting cocked
-revisits with O(n) array work independent of the horizon, and so takes
-milliseconds at n ~ 10^5, far beyond the dense bound.
+which is what `born_limit_sweep` tabulates across lattice sizes.  At
+every size it counts cocked revisits (`orbit_compressed_average`), O(n)
+array work independent of the horizon, so it takes milliseconds at
+n ~ 10^5.  `time_average_f` steps the state one integer tick at a time
+and stays as the reference for the count.
 """
 
 from __future__ import annotations
@@ -30,26 +31,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bitlattice import (
-    DENSE_MAX_SITES,
-    decompose_orbits,
-    require_dense,
-    require_prime,
-    shift_index,
-)
+from .bitlattice import decompose_orbits, require_dense, require_prime, shift_index
 from .errors import NotNormalizedError, UnsupportedInitialStateError
 from .ming import assemble_propagator
-from .observable import CockedSet, PointerVariable, strict_cocked_index
+from .observable import CockedSet, PointerVariable, sq_modulus, strict_cocked_index
 
 NORM_RTOL = 1e-9
-
-
-def _as_sparse(amp) -> dict[int, complex]:
-    if isinstance(amp, Mapping):
-        return {int(i): complex(c) for i, c in amp.items() if c != 0}
-    v = np.asarray(amp, dtype=complex).ravel()
-    nz = np.nonzero(v)[0]
-    return {int(i): complex(v[i]) for i in nz}
 
 
 def _norm(amp: Mapping[int, complex]) -> float:
@@ -94,28 +81,16 @@ class CombinedState:
         )
 
 
-def combined_state(n: int, a0: complex, a1: complex, amp0, amp1) -> CombinedState:
-    """Normalize-friendly constructor: each branch vector is a mapping
-    index -> amplitude or a dense vector of length 2**n; zero entries are
-    dropped, branch vectors are scaled to norm one and (a0, a1) likewise."""
-    s0 = _as_sparse(amp0)
-    s1 = _as_sparse(amp1)
-    for label, s in (("amp0", s0), ("amp1", s1)):
-        nrm = _norm(s)
-        if nrm == 0.0:
-            raise NotNormalizedError(f"{label} has zero norm")
-        for i in s:
-            s[i] /= nrm
-    w = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
+def cocked_start(n: int, a0: complex, a1: complex) -> CombinedState:
+    """Both branches on the strict cocked configuration, particle in (a0, a1)
+    scaled to unit norm."""
+    w = math.sqrt(sq_modulus(a0) + sq_modulus(a1))
+    if not math.isfinite(w):
+        raise NotNormalizedError(f"particle amplitude norm {w!r} is not finite")
     if w == 0.0:
         raise NotNormalizedError("particle amplitudes are both zero")
-    return CombinedState(n=n, a0=a0 / w, a1=a1 / w, amp0=s0, amp1=s1)
-
-
-def cocked_start(n: int, a0: complex, a1: complex) -> CombinedState:
-    """Both branches on the strict cocked configuration, particle in (a0, a1)."""
     i = strict_cocked_index(n)
-    return combined_state(n, a0, a1, {i: 1.0}, {i: 1.0})
+    return CombinedState(n=n, a0=a0 / w, a1=a1 / w, amp0={i: 1 + 0j}, amp1={i: 1 + 0j})
 
 
 def evolve_combined(state: CombinedState, t: float) -> CombinedState:
@@ -135,7 +110,8 @@ def evolve_combined(state: CombinedState, t: float) -> CombinedState:
         dense = np.zeros(1 << state.n, dtype=complex)
         for i, c in state.amp1.items():
             dense[i] = c
-        moved = _as_sparse(prop.apply_dense(dense))
+        v = prop.apply_dense(dense)
+        moved = {int(i): complex(v[i]) for i in np.flatnonzero(v)}
     return CombinedState(
         n=state.n, a0=state.a0, a1=state.a1, amp0=dict(state.amp0), amp1=moved
     )
@@ -238,30 +214,26 @@ def born_limit_sweep(
     a: tuple[complex, complex],
     n_list: Iterable[int],
     epsilon_schedule: float = 0.0,
-    path: str = "auto",
+    path: str = "compressed",
 ) -> list[SweepRow]:
     """Tabulate <f_n> against the Born weight |a1|^2 across lattice sizes.
 
-    path "dense" forces the stepped evaluation (time_average_f, which
-    relabels indices one integer step at a time), "compressed" the
-    revisit-count evaluation, "auto" picks per size.
     Every size starts from the strict cocked configuration in both branches
-    and averages over one period, horizon n.  epsilon_schedule is the one
-    deviation fraction of the cocked set at every size.
+    and averages over one period, horizon n, by counting cocked revisits
+    (orbit_compressed_average).  epsilon_schedule is the one deviation
+    fraction of the cocked set at every size.  path takes only "compressed":
+    it stays because the benchmark's amplifier workload passes it, and goes
+    once that workload calls orbit_compressed_average directly (ROADMAP
+    item 1).
     """
-    if path not in ("auto", "dense", "compressed"):
+    if path != "compressed":
         raise ValueError(f"unknown path {path!r}")
     a0, a1 = a
     rows = []
     for n in n_list:
         require_prime(n)
         state = cocked_start(n, a0, a1)
-        cocked = CockedSet(n, float(epsilon_schedule))
-        use_dense = path == "dense" or (path == "auto" and n <= DENSE_MAX_SITES)
-        if use_dense:
-            res = time_average_f(state, cocked, n)
-        else:
-            res = orbit_compressed_average(state, cocked, n)
+        res = orbit_compressed_average(state, CockedSet(n, float(epsilon_schedule)), n)
         w1 = abs(state.a1) ** 2
         rows.append(
             SweepRow(n=n, mean=res.mean, born_weight=w1, abs_error=abs(res.mean - w1))

@@ -459,12 +459,14 @@ def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0) -> OuFit:
     The window is found self-consistently: fit, shrink the window to
     window_factor / gamma_hat, refit, until stable or after _OU_MAX_ITER
     fits.  The residual is the 2-norm misfit divided by the 2-norm of the
-    data on the final window.
+    data on the final window.  tau must increase strictly (ValueError).
     """
     tau = curve.tau
     vals = curve.values
     if len(tau) < 3:
         raise DegenerateFitError("need at least three curve points")
+    if np.any(np.diff(tau) <= 0.0):
+        raise ValueError("tau must increase strictly")
     if not np.any(vals != 0.0):
         raise DegenerateFitError("curve is identically zero")
     if vals[0] <= 0.0:

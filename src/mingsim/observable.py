@@ -89,6 +89,15 @@ def _mask(n: int, left_size: int, budget: int) -> np.ndarray:
     return out
 
 
+def sq_modulus(c: complex) -> float:
+    """|c|^2, or inf where the float power overflows: Python raises
+    OverflowError there, ahead of any not-finite check."""
+    try:
+        return abs(c) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _norm_sq_and_cocked_weight(state, cocked: CockedSet) -> tuple[float, float]:
     """Total |v|^2 and the part supported on the cocked set.
 
@@ -101,8 +110,8 @@ def _norm_sq_and_cocked_weight(state, cocked: CockedSet) -> tuple[float, float]:
         for i in state:
             if i < 0 or i >> cocked.n:
                 raise ValueError(f"basis index {i} out of range for n={cocked.n}")
-        total = sum(abs(c) ** 2 for c in state.values())
-        inside = sum(abs(c) ** 2 for i, c in state.items() if cocked.contains(i))
+        total = sum(sq_modulus(c) for c in state.values())
+        inside = sum(sq_modulus(c) for i, c in state.items() if cocked.contains(i))
         return total, inside
     v = np.asarray(state)
     if v.ndim != 1 or v.shape[0] != (1 << cocked.n):

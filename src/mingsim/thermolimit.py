@@ -22,6 +22,7 @@ import numpy as np
 
 from .dynamics import NORM_RTOL, SweepRow
 from .errors import NotNormalizedError
+from .observable import sq_modulus
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def compare_limit(
     if not sweep:
         raise ValueError("sweep table is empty")
     a0, a1 = a
-    total = abs(a0) ** 2 + abs(a1) ** 2
+    total = sq_modulus(a0) + sq_modulus(a1)
     if not math.isfinite(total):
         raise NotNormalizedError(f"|a0|^2 + |a1|^2 = {total!r} is not finite")
     if abs(total - 1.0) > NORM_RTOL:

@@ -97,9 +97,12 @@ def test_born_sweep_rejects_composite(tmp_path, capsys):
     assert "n must be prime" in capsys.readouterr().err
 
 
-def test_born_sweep_rejects_non_finite_amplitude(tmp_path, capsys):
+# 1e200 is finite, but |a0|^2 overflows
+@pytest.mark.parametrize("a0", ["nan,0", "1e200,0"])
+@pytest.mark.parametrize("command", ["born sweep", "limit compare"])
+def test_born_sweep_rejects_non_finite_amplitude(tmp_path, capsys, command, a0):
     out = tmp_path / "x.csv"
-    assert run(["born", "sweep", "--a0", "nan,0", "--a1", "0,1", "--n", "5,7", "--out", str(out)]) == 2
+    assert run(command.split() + ["--a0", a0, "--a1", "0,1", "--n", "5,7", "--out", str(out)]) == 2
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
 
@@ -144,6 +147,14 @@ def test_sidecar_provenance(tmp_path, monkeypatch):
     assert run(["fkm", "autocorr", "--n", "8", "--mode", "mc", "--samples", "100", "--seed", "99", "--out", str(mc)]) == 0
     config = json.loads((tmp_path / "mc.csv.provenance.json").read_text(encoding="utf-8"))["config"]
     assert "seed" not in config and config["params"]["seed"] == 99
+
+
+def test_unknown_log_level_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MINGSIM_LOG_LEVEL", "bogus")
+    assert run(["ming", "verify", "--n", "5", "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "MINGSIM_LOG_LEVEL" in captured.err and "'bogus'" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_debug_log_per_command(tmp_path, caplog):
@@ -440,12 +451,22 @@ def test_oufit_rejects_bad_window_factor(tmp_path, capsys, factor):
     assert "window_factor:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("taus", ["0,1,0.5,2", "0,0,0"], ids=["misordered", "repeated"])
+def test_oufit_rejects_tau_that_does_not_increase(tmp_path, capsys, taus):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("tau,value\n" + "".join(f"{t},{math.exp(-float(t))!r}\n" for t in taus.split(",")), encoding="utf-8")
+    assert run(["fkm", "oufit", "--in", str(curve)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tau must increase strictly" in captured.err
+
+
 def test_observable_fn_rejects_non_finite_state(tmp_path, capsys):
     state = tmp_path / "state.csv"
-    state.write_text("index,re,im\n3,nan,0\n", encoding="utf-8")
-    assert run(["observable", "fn", "--n", "5", "--epsilon", "0", "--state", str(state)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "not finite" in captured.err
+    for amplitude in ("nan", "1e200"):  # 1e200 is finite, but its |.|^2 overflows
+        state.write_text(f"index,re,im\n3,{amplitude},0\n", encoding="utf-8")
+        assert run(["observable", "fn", "--n", "5", "--epsilon", "0", "--state", str(state)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not finite" in captured.err
 
 
 def test_sidecar_elapsed_covers_compute(tmp_path, monkeypatch):
@@ -515,7 +536,7 @@ FUZZ_FLAGS = {
                      "oversample": ("oversample", _ints(1, 4), []),
                      "seed": ("seed", _ints(0, 2**31), ["-5"]),
                      "svg": (None, _names("curve.svg"), [])},
-    "fkm oufit": {"in": ("in_path", _names("curve-ok"), ["curve-nan", "curve-short", "curve-header", "curve-zero", "nope"]),
+    "fkm oufit": {"in": ("in_path", _names("curve-ok"), ["curve-nan", "curve-short", "curve-header", "curve-zero", "curve-misordered", "nope"]),
                   "window-factor": ("window_factor", _reals(0.01, 50), [])},
     "reproduce": {"only": (None, _names("A1", "a2", "A1,A2"), ["A9", "abc"])},
 }
@@ -536,6 +557,7 @@ def fuzz_inputs(tmp_path_factory):
         "curve-short": "tau,value\n0,1\n1\n2,0.2\n",
         "curve-header": "tau,value\n",
         "curve-zero": "tau,value\n" + "".join(f"{t!r},0.0\n" for t in tau.tolist()),
+        "curve-misordered": "tau,value\n0,1\n1,0.4\n0.5,0.6\n2,0.1\n",
     }
     for name, body in files.items():
         (base / name).write_text(body, encoding="utf-8")

@@ -12,7 +12,6 @@ from mingsim.dynamics import (
     SweepRow,
     born_limit_sweep,
     cocked_start,
-    combined_state,
     evolve_combined,
     orbit_compressed_average,
     time_average_f,
@@ -62,8 +61,8 @@ def test_norm_is_conserved():
 def test_combined_state_rejects_bad_norm():
     with pytest.raises(NotNormalizedError):
         CombinedState(n=5, a0=1.0, a1=1.0, amp0={3: 1.0}, amp1={3: 1.0})
-    with pytest.raises(NotNormalizedError):
-        combined_state(5, 0.0, 0.0, {3: 1.0}, {3: 1.0})
+    with pytest.raises(NotNormalizedError, match="both zero"):
+        cocked_start(5, 0.0, 0.0)
 
 
 def test_cocked_start_rejects_non_finite_amplitudes():
@@ -71,6 +70,9 @@ def test_cocked_start_rejects_non_finite_amplitudes():
         cocked_start(5, math.nan, 0.0)
     with pytest.raises(NotNormalizedError, match="not finite"):
         cocked_start(5, math.inf, 1.0)
+    # |a0|^2 overflows: the scale is inf, which must not leave a0 / inf = 0
+    with pytest.raises(NotNormalizedError, match="not finite"):
+        cocked_start(5, 1e200, 0.0)
 
 
 def test_time_average_example_half_half():
@@ -185,13 +187,13 @@ def test_compressed_matches_stepped_reference(case):
     n, index, eps, horizon = case
     cocked = CockedSet(n, eps)
     for i1 in (index, 0, (1 << n) - 1):
-        state = combined_state(n, 0.6, 0.8, {index: 1.0}, {i1: 1.0})
+        state = CombinedState(n=n, a0=0.6, a1=0.8, amp0={index: 1.0}, amp1={i1: 1.0})
         fast = orbit_compressed_average(state, cocked, horizon)
         assert fast.mean == _stepped_mean(state, cocked, horizon)
 
 
 def test_compressed_needs_basis_branches():
-    s = combined_state(5, INV_SQRT2, INV_SQRT2, {3: 1.0}, {3: INV_SQRT2, 6: INV_SQRT2})
+    s = CombinedState(n=5, a0=INV_SQRT2, a1=INV_SQRT2, amp0={3: 1.0}, amp1={3: INV_SQRT2, 6: INV_SQRT2})
     with pytest.raises(UnsupportedInitialStateError):
         orbit_compressed_average(s, CockedSet(5, 0.0))
 
@@ -217,10 +219,16 @@ def test_born_sweep_error_table():
 
 
 def test_born_sweep_paths_agree():
-    rows_d = born_limit_sweep((0.6, 0.8), [5, 7], path="dense")
-    rows_c = born_limit_sweep((0.6, 0.8), [5, 7], path="compressed")
-    for rd, rc in zip(rows_d, rows_c):
-        assert rd.mean == pytest.approx(rc.mean, abs=1e-12)
+    # the sweep counts revisits; the stepped average is its reference
+    for row in born_limit_sweep((0.6, 0.8), [5, 7]):
+        stepped = time_average_f(cocked_start(row.n, 0.6, 0.8), CockedSet(row.n, 0.0), row.n)
+        assert row.mean == pytest.approx(stepped.mean, abs=1e-12)
+
+
+@pytest.mark.parametrize("path", ["dense", "auto"])
+def test_born_sweep_rejects_retired_path(path):
+    with pytest.raises(ValueError, match="unknown path"):
+        born_limit_sweep((0.6, 0.8), [5], path=path)
 
 
 def test_born_sweep_rejects_nonprime():

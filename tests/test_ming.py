@@ -1,5 +1,7 @@
 """Generator blocks: construction, exponential identity, propagator."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -114,7 +116,8 @@ def test_propagator_integer_matches_digit_shift():
 def test_propagator_sparse_matches_dense():
     # evolve_combined relabels integer t exactly; the dense propagator agrees to rounding
     amps = {1: 0.5 + 0.1j, 9: -0.25j, 127: 1.0, 0: 0.125}
-    state = dynamics.combined_state(7, 0.6, 0.8, {0: 1.0}, amps)
+    norm = math.sqrt(sum(abs(c) ** 2 for c in amps.values()))
+    state = dynamics.CombinedState(n=7, a0=0.6, a1=0.8, amp0={0: 1.0}, amp1={i: c / norm for i, c in amps.items()})
     moved = dynamics.evolve_combined(state, 3).amp1
     dense = np.zeros(2**7, dtype=complex)
     for i, a in state.amp1.items():

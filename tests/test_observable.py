@@ -154,7 +154,7 @@ def test_macroscopic_rejects_bad_tails():
         macroscopic_check(fam, [p], lambda k: np.array([1.0, 1.0]), 6, 0.05)
 
 
-@pytest.mark.parametrize("re", [float("nan"), float("inf")])
+@pytest.mark.parametrize("re", [float("nan"), float("inf"), 1e200])  # 1e200: |.|^2 overflows
 def test_pointer_rejects_non_finite_norm(re):
     c = CockedSet(5, 0.0)
     for normalize in (False, True):

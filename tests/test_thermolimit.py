@@ -55,7 +55,8 @@ def test_compare_limit_rejects_repeated_size():
         compare_limit((0.6, 0.8), rows)
 
 
-@pytest.mark.parametrize("a", [(math.nan, 0.0), (math.inf, 0.0), (0.6, complex(0.0, math.nan))])
+# 1e200 is finite, but its |.|^2 overflows
+@pytest.mark.parametrize("a", [(math.nan, 0.0), (math.inf, 0.0), (0.6, complex(0.0, math.nan)), (1e200, 0.0)])
 def test_limit_system_rejects_non_finite_amplitudes(a):
     with pytest.raises(NotNormalizedError, match="not finite"):
         _limit_value(a)
