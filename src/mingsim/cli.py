@@ -3,8 +3,10 @@
 Every subcommand is one entry of the parameter table COMMANDS: a handler
 and its fields, each field declared once as (name, parser, default, check,
 help).  The table drives the front end.  build_parser makes one flag per
-field.  The dispatcher merges a --config JSON object over the defaults and
-explicit flags over that, parses every given value and runs its check.
+field; it runs once per process, on the first main() call, and every
+later call reuses its parser.  The dispatcher merges a --config JSON
+object over the defaults and explicit flags over that, parses every given
+value and runs its check.
 A value that fails to parse or check is a ConfigInvalidError naming the
 field.  The resolved fields are recorded in the sidecar's config object
 (command, format version, output path and parameters), in canonical JSON.
@@ -21,7 +23,7 @@ Exit codes: 0 success, 2 invalid config or flags (including an input too
 large to allocate), 3 numeric acceptance failure (failed reproduce
 criterion, degenerate fit), 4 I/O failure.
 The only environment input is MINGSIM_LOG_LEVEL for the log verbosity,
-one of logging's level names (an unknown name exits 2);
+one of logging's level names (an unknown name exits 2), read by every call;
 the BLAS thread variables are only recorded, because threaded BLAS may
 move the last digit of a Monte-Carlo or trajectory value.
 """
@@ -32,6 +34,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import io
 import json
 import logging
@@ -458,6 +461,7 @@ def emit(text: str, out: str | None, command: str, params: dict, start: float) -
         write_sidecar(out, command, params, elapsed=time.perf_counter() - start)
 
 
+@functools.cache  # built on the first call, then reused by every main()
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mingsim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"mingsim {__version__}")
@@ -485,7 +489,8 @@ def main(argv=None) -> int:
     if not isinstance(logging.getLevelName(level), int):  # not one of logging's level names
         print(f"config error: MINGSIM_LOG_LEVEL: unknown level {level!r}", file=sys.stderr)
         return EXIT_CONFIG
-    logging.basicConfig(level=level)
+    logging.basicConfig(level=level)  # does nothing once the root logger has a handler,
+    log.setLevel(level)  # so the level is set here, on every call
     args = build_parser().parse_args(argv)
     try:
         # an overflowing input raises here instead of warning on stderr

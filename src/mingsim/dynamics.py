@@ -25,6 +25,7 @@ and stays as the reference for the count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -83,8 +84,21 @@ class CombinedState:
 
 def cocked_start(n: int, a0: complex, a1: complex) -> CombinedState:
     """Both branches on the strict cocked configuration, particle in (a0, a1)
-    scaled to unit norm."""
-    w = math.sqrt(sq_modulus(a0) + sq_modulus(a1))
+    scaled to unit norm.
+
+    Any finite nonzero pair is accepted.  Where |a0|^2 + |a1|^2 leaves the
+    normal float range (moduli beyond about 1e+-154), the pair is first
+    divided by its largest real or imaginary part, so (1e-170, 1e-170) and
+    (1e155, 1e155) start where (1, 1) does.
+    """
+    total = sq_modulus(a0) + sq_modulus(a1)
+    if not sys.float_info.min <= total < math.inf:
+        parts = (a0.real, a0.imag, a1.real, a1.imag)
+        scale = max(map(abs, parts))
+        if scale > 0.0 and all(map(math.isfinite, parts)):
+            a0, a1 = a0 / scale, a1 / scale
+            total = sq_modulus(a0) + sq_modulus(a1)
+    w = math.sqrt(total)
     if not math.isfinite(w):
         raise NotNormalizedError(f"particle amplitude norm {w!r} is not finite")
     if w == 0.0:

@@ -256,6 +256,8 @@ def mc_phase_autocorrelation(
     one (m, n) q draw.  A block is a multiple of 8 rows holding about
     _MC_BLOCK_VALUES doubles (a lone last row joins the block before it),
     so memory is O(_MC_BLOCK_VALUES + _MC_CHUNK * len(tau)) whatever n is.
+    The chunk's b holds p0(tau), then the products p0(0) p0(tau), then their
+    squares, all in place, so a chunk holds one m x len(tau) array.
     The tau products skip the columns whose site-0 weight is exactly 0.0,
     the sin half of every cos/sin pair: they add nothing but work.
 
@@ -328,9 +330,10 @@ def mc_phase_autocorrelation(
                 q_site = np.take(draws, keep, axis=1)
                 q_site *= q_weight
                 b[lo:hi] -= q_site @ sin_k
-            prod = a[:, None] * b
-            sum1 += prod.sum(axis=0)
-            sum2 += (prod**2).sum(axis=0)
+            b *= a[:, None]  # the products, then their squares, in place
+            sum1 += b.sum(axis=0)
+            b *= b
+            sum2 += b.sum(axis=0)
     mean = sum1 / samples
     var = (sum2 - samples * mean**2) / (samples - 1)
     stderr = np.sqrt(np.clip(var, 0.0, None) / samples)

@@ -1,5 +1,6 @@
 """Command-line contract: formats, determinism, config handling, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -97,13 +98,39 @@ def test_born_sweep_rejects_composite(tmp_path, capsys):
     assert "n must be prime" in capsys.readouterr().err
 
 
-# 1e200 is finite, but |a0|^2 overflows
-@pytest.mark.parametrize("a0", ["nan,0", "1e200,0"])
-@pytest.mark.parametrize("command", ["born sweep", "limit compare"])
+# limit compare needs |a0|^2 + |a1|^2 within 1e-9 of 1, and at 1e200 that
+# sum overflows; born sweep rescales the same pair (see below)
+@pytest.mark.parametrize(
+    "command, a0", [("born sweep", "nan,0"), ("limit compare", "nan,0"), ("limit compare", "1e200,0")]
+)
 def test_born_sweep_rejects_non_finite_amplitude(tmp_path, capsys, command, a0):
     out = tmp_path / "x.csv"
     assert run(command.split() + ["--a0", a0, "--a1", "0,1", "--n", "5,7", "--out", str(out)]) == 2
     assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# |a|^2 underflows to 0 at 1e-170 and overflows at 1e155 and 1e200; the pair
+# is rescaled by its largest part first, so the means are those of (1, 0)
+# and (1, 0), or of (1, 0) and (0, 0)
+@pytest.mark.parametrize(
+    "a0, a1, reference",
+    [("1e-170,0", "1e-170,0", ("1,0", "1,0")), ("1e155,0", "1e155,0", ("1,0", "1,0")), ("1e200,0", "0,1", ("1,0", "0,0"))],
+    ids=["1e-170", "1e155", "1e200"],
+)
+def test_born_sweep_rescales_far_range_amplitudes(tmp_path, a0, a1, reference):
+    def sweep(a0, a1, name):
+        out = tmp_path / name
+        assert run(["born", "sweep", "--a0", a0, "--a1", a1, "--n", "5,7,11", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert sweep(a0, a1, "far.csv") == sweep(*reference, "near.csv")
+
+
+def test_born_sweep_rejects_zero_pair(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["born", "sweep", "--a0", "0,0", "--a1", "0,0", "--out", str(out)]) == 2
+    assert "both zero" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -157,8 +184,8 @@ def test_unknown_log_level_exits_2_and_writes_nothing(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
-def test_debug_log_per_command(tmp_path, caplog):
-    caplog.set_level(logging.DEBUG, logger="mingsim")
+def test_debug_log_per_command(tmp_path, caplog, monkeypatch):
+    monkeypatch.setenv("MINGSIM_LOG_LEVEL", "DEBUG")
     assert run(["born", "sweep", "--n", "5,7", "--epsilon", "0.25", "--out", str(tmp_path / "sweep.csv")]) == 0
     records = [r for r in caplog.records if r.name == "mingsim"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
@@ -166,6 +193,79 @@ def test_debug_log_per_command(tmp_path, caplog):
     assert message.startswith("born sweep: params ")
     assert "'n': [5, 7]" in message and "'epsilon': 0.25" in message
     assert re.search(r", elapsed \d+\.\d{3} s$", message)
+
+
+def test_log_level_read_by_every_call(tmp_path, caplog, monkeypatch):
+    # no caplog.set_level: MINGSIM_LOG_LEVEL alone sets the mingsim logger
+    argv = ["ming", "verify", "--n", "5", "--out", str(tmp_path / "x.csv")]
+    for level, records in (("WARNING", 0), ("DEBUG", 1), ("WARNING", 0), ("DEBUG", 1)):
+        monkeypatch.setenv("MINGSIM_LOG_LEVEL", level)
+        caplog.clear()
+        assert run(argv) == 0
+        logged = [r for r in caplog.records if r.name == "mingsim"]
+        assert len(logged) == records, level
+        assert all(r.levelno == logging.DEBUG and r.getMessage().startswith("ming verify: params ") for r in logged)
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    """No cached parser before the test, and none built under its patches after."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    out = tmp_path / "x.csv"
+    assert run(["ming", "verify", "--n", "5", "--out", str(out)]) == 0
+    first = len(built)
+    assert first > 1  # the top-level parser and one per group and subcommand
+    assert run(["born", "sweep", "--n", "5", "--out", str(out)]) == 0
+    assert run(["fkm", "autocorr", "--n", "4", "--tau-steps", "3", "--out", str(out)]) == 0
+    with pytest.raises(SystemExit):
+        run(["born", "sweep", "--bogus"])
+    capsys.readouterr()
+    assert len(built) == first
+
+
+def test_cached_parser_keeps_no_values_between_calls(tmp_path, capsys, fresh_parser):
+    def params(out):
+        return json.loads(Path(f"{out}.provenance.json").read_text(encoding="utf-8"))["config"]["params"]
+
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert run(["born", "sweep", "--epsilon", "0.2", "--n", "5,7", "--out", str(first)]) == 0
+    assert run(["born", "sweep", "--out", str(second)]) == 0
+    assert params(first)["epsilon"] == 0.2 and params(first)["n"] == [5, 7]
+    assert params(second)["epsilon"] == 0.0 and params(second)["n"] == [5, 7, 11, 13]
+
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"a0": [0.6, 0], "a1": [0, 0.8], "n": [5], "epsilon": 0.3}), encoding="utf-8")
+    assert run(["born", "sweep", "--config", str(cfg), "--out", str(first)]) == 0
+    assert run(["born", "sweep", "--out", str(second)]) == 0
+    assert params(first) == {"a0": [0.6, 0.0], "a1": [0.0, 0.8], "n": [5], "epsilon": 0.3}
+    assert params(second) == {"a0": [1.0, 0.0], "a1": [0.0, 1.0], "n": [5, 7, 11, 13], "epsilon": 0.0}
+
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("mingsim ")
+    with pytest.raises(SystemExit) as exc:
+        run(["born", "sweep", "--n"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+    assert run(["born", "sweep", "--n", "4", "--out", str(second)]) == 2
+    assert "n must be prime" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,19 @@ def test_cocked_start_rejects_non_finite_amplitudes():
         cocked_start(5, math.nan, 0.0)
     with pytest.raises(NotNormalizedError, match="not finite"):
         cocked_start(5, math.inf, 1.0)
-    # |a0|^2 overflows: the scale is inf, which must not leave a0 / inf = 0
     with pytest.raises(NotNormalizedError, match="not finite"):
-        cocked_start(5, 1e200, 0.0)
+        cocked_start(5, complex(1e200, math.nan), 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-320, 1e-170, 1e155, 1e200, 1e308])
+def test_cocked_start_rescales_far_range_amplitudes(scale):
+    # |a|^2 leaves the normal float range here; the pair must not reach
+    # a0 / inf = 0 or a division by a zero norm
+    reference = cocked_start(5, 0.5, 0.5j)
+    s = cocked_start(5, 0.5 * scale, 0.5j * scale)
+    assert (s.a0, s.a1) == (reference.a0, reference.a1)
+    s = cocked_start(5, complex(scale, scale), 0.0)
+    assert s.a0 == complex(INV_SQRT2, INV_SQRT2) and s.a1 == 0.0
 
 
 def test_time_average_example_half_half():

@@ -430,14 +430,15 @@ def test_mc_matches_one_shot_draws_at_large_n(n):
 
 def test_mc_peak_memory_independent_of_ring_width():
     # Bound from the block layout, in doubles: the draw block, its gathered
-    # site-0 columns and slack (3 x _MC_BLOCK_VALUES); the chunk's b, the
-    # products and their squares (3 x m x |tau|, plus one of slack); the
-    # cos/sin tables with their gathered copies and temporaries (5 x n x |tau|).
+    # site-0 columns and slack (3 x _MC_BLOCK_VALUES); the chunk's b, which
+    # takes the products and their squares in place (m x |tau|, plus one of
+    # slack); the cos/sin tables with their gathered copies and temporaries
+    # (5 x n x |tau|).
     # One (m, n) draw is 41 MB here; the one-shot chunk holds three at once.
     n, m = 1024, 5000
     chain = fkm.scaled_ring(n, beta=1.0)
     fkm.normal_modes(chain)  # the cached mode table is not part of the estimator
-    bound = 8 * (3 * fkm._MC_BLOCK_VALUES + 4 * m * TAU.size + 5 * n * TAU.size)
+    bound = 8 * (3 * fkm._MC_BLOCK_VALUES + 2 * m * TAU.size + 5 * n * TAU.size)
     tracemalloc.start()
     try:
         fkm.mc_phase_autocorrelation(chain, TAU, samples=m, seed=3)
