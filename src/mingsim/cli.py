@@ -261,6 +261,7 @@ def cmd_born_sweep(p) -> str:
 
 def cmd_limit_compare(p) -> str:
     a = (p["a0"], p["a1"])
+    thermolimit.limit_value(a)  # the amplitude gate, before the sweep pays for every size
     sweep = dynamics.born_limit_sweep(a, p["n"], epsilon_schedule=p["epsilon"])
     report = thermolimit.compare_limit(a, sweep, tolerance=p["tolerance"])
     return canonical_json(dataclasses.asdict(report))

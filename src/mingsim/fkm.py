@@ -35,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DegenerateFitError, IndefiniteFormError, ZeroModeError
 
@@ -261,7 +260,10 @@ def mc_phase_autocorrelation(
     The tau products skip the columns whose site-0 weight is exactly 0.0,
     the sin half of every cos/sin pair: they add nothing but work.
 
-    Only the rng.normal calls run on a worker thread, one per block, in
+    The draws are rng.standard_normal, which gives the bits of
+    rng.normal(size=...) but for the sign of a zero (normal returns
+    0.0 + 1.0 * x, so -0.0 comes back as +0.0) and skips its scaling pass.
+    Only the draw calls run on a worker thread, one per block, in
     stream order and at most one block ahead of the calling thread, which
     meanwhile works on the block before.  All arithmetic stays on the
     calling thread, because np.errstate is per thread: the caller's error
@@ -301,10 +303,13 @@ def mc_phase_autocorrelation(
     sum1 = np.zeros(tau.shape)
     sum2 = np.zeros(tau.shape)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        # one rng.normal call per block in stream order (each chunk's p
+        # one draw call per block in stream order (each chunk's p
         # blocks, then its q blocks), submitted as the block before is taken
         draws_ahead = (
-            pool.submit(rng.normal, size=(hi - lo, n)) for _, spans in chunks for _half in "pq" for lo, hi in spans
+            pool.submit(rng.standard_normal, size=(hi - lo, n))
+            for _, spans in chunks
+            for _half in "pq"
+            for lo, hi in spans
         )
         ahead = next(draws_ahead)
         for m, spans in chunks:
@@ -463,7 +468,12 @@ def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0) -> OuFit:
     window_factor / gamma_hat, refit, until stable or after _OU_MAX_ITER
     fits.  The residual is the 2-norm misfit divided by the 2-norm of the
     data on the final window.  tau must increase strictly (ValueError).
+    scipy.optimize is imported by the first call, not by importing this
+    module, so the first call in a process (`mingsim fkm oufit`, or A7 of
+    `mingsim reproduce`) also pays that import.
     """
+    import scipy.optimize  # half a second to import (with scipy.linalg); nothing else in mingsim needs it
+
     tau = curve.tau
     vals = curve.values
     if len(tau) < 3:

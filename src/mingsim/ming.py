@@ -25,10 +25,10 @@ zero block and is left untouched at every t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bitlattice import OrbitDecomposition
 
@@ -57,10 +57,21 @@ class MingBlock:
 
 
 def build_block(n: int, h: float) -> MingBlock:
-    """Construct the orbit block of dimension n (n = 1 gives the zero block)."""
+    """Construct the orbit block of dimension n (n = 1 gives the zero block).
+
+    h must be finite and > 0, and so must 2 pi / h, which scales the block in
+    verify_exponential; an h so large that an entry overflows is rejected
+    too.  Each is a ValueError naming h.
+    """
     if n < 1:
         raise ValueError(f"block dimension must be positive, got {n}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and > 0, got {h!r}")
+    if not math.isfinite(2 * math.pi / h):
+        raise ValueError(f"h={h!r} is too small: 2 pi / h is not finite")
     c = _first_column(n, h)
+    if not np.isfinite(c).all():
+        raise ValueError(f"h={h!r} is too large: the block entries overflow")
     j = np.arange(n)
     entries = c[(j[:, None] - j[None, :]) % n]
     return MingBlock(n=n, h=h, entries=entries)
@@ -78,7 +89,12 @@ def verify_exponential(block: MingBlock) -> float:
 
     Uses a general dense matrix exponential, independent of the Fourier
     construction of the block, so the identity is checked and not assumed.
+    scipy.linalg is imported by the first call, not by importing this
+    module, so the first call in a process (`mingsim ming verify`, or A2
+    of `mingsim reproduce`) also pays that import.
     """
+    import scipy.linalg  # a quarter second to import; nothing else in mingsim needs it
+
     u = scipy.linalg.expm((2 * np.pi / block.h) * block.entries)
     return float(np.abs(u - cycle_permutation(block.n)).max())
 

@@ -37,6 +37,24 @@ class ConvergenceReport:
     passed: bool
 
 
+def limit_value(a: tuple[complex, complex]) -> float:
+    """The limit value w1 = |a1|^2 / (|a0|^2 + |a1|^2) of normalized amplitudes.
+
+    This is the one amplitude gate: |a0|^2 + |a1|^2 non-finite or off 1 by
+    more than NORM_RTOL raises NotNormalizedError.  It needs no sweep, so a
+    caller can run it before paying for one.
+    """
+    a0, a1 = a
+    total = sq_modulus(a0) + sq_modulus(a1)
+    if not math.isfinite(total):
+        raise NotNormalizedError(f"|a0|^2 + |a1|^2 = {total!r} is not finite")
+    if abs(total - 1.0) > NORM_RTOL:
+        raise NotNormalizedError(
+            f"|a0|^2 + |a1|^2 = {total!r} deviates from 1 beyond 1e-9"
+        )
+    return abs(a1) ** 2 / total
+
+
 def compare_limit(
     a: tuple[complex, complex],
     sweep: Sequence[SweepRow],
@@ -48,21 +66,11 @@ def compare_limit(
     least-squares log-log decay exponent of the errors (None when they
     vanish identically), and the n -> infinity intercept of a linear fit of
     mean_n against 1/n.  Each size may appear once: a repeated size would
-    leave both fits rank-deficient.  The amplitudes must be normalized:
-    |a0|^2 + |a1|^2 non-finite or off 1 by more than NORM_RTOL raises
-    NotNormalizedError.
+    leave both fits rank-deficient.  The amplitudes pass limit_value's gate.
     """
     if not sweep:
         raise ValueError("sweep table is empty")
-    a0, a1 = a
-    total = sq_modulus(a0) + sq_modulus(a1)
-    if not math.isfinite(total):
-        raise NotNormalizedError(f"|a0|^2 + |a1|^2 = {total!r} is not finite")
-    if abs(total - 1.0) > NORM_RTOL:
-        raise NotNormalizedError(
-            f"|a0|^2 + |a1|^2 = {total!r} deviates from 1 beyond 1e-9"
-        )
-    w1 = abs(a1) ** 2 / total
+    w1 = limit_value(a)
     ns = tuple(r.n for r in sweep)
     if len(set(ns)) != len(ns):
         raise ValueError(f"sweep repeats a size: n = {list(ns)}")

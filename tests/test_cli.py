@@ -6,8 +6,12 @@ import io
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 import time
 import warnings
 from pathlib import Path
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mingsim import cli
+from mingsim import cli, dynamics
 
 
 def run(argv):
@@ -39,6 +43,16 @@ def test_ming_verify_table(tmp_path):
     # (2^5 - 2)/5 = 6 orbit rows plus the fixed block row
     assert len(lines) == 1 + 1 + 6
     assert all(float(line.split(",")[2]) < 1e-9 for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "h, reason",
+    [("5e-324", "is too small: 2 pi / h is not finite"), ("1e308", "is too large: the block entries overflow")],
+)
+def test_ming_verify_extreme_h_names_h(tmp_path, capsys, h, reason):
+    assert run(["ming", "verify", "--n", "5", "--h", h, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: ming verify: h={float(h)!r} {reason}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ming_verify_rejects_composite():
@@ -310,6 +324,24 @@ def test_seed_flag_only_on_fkm_autocorr(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "a0, a1, message",
+    [
+        ("1e200,0", "0,1", "|a0|^2 + |a1|^2 = inf is not finite"),
+        ("1,0", "1,0", "|a0|^2 + |a1|^2 = 2.0 deviates from 1 beyond 1e-9"),
+        ("0,0", "0,0", "|a0|^2 + |a1|^2 = 0.0 deviates from 1 beyond 1e-9"),
+    ],
+)
+def test_limit_compare_gates_amplitudes_before_the_sweep(tmp_path, capsys, monkeypatch, a0, a1, message):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the amplitude gate")
+
+    monkeypatch.setattr(dynamics, "born_limit_sweep", sweep)
+    assert run(["limit", "compare", f"--a0={a0}", f"--a1={a1}", "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"config error: limit compare: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_limit_compare_report(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(
@@ -567,6 +599,37 @@ def test_observable_fn_rejects_non_finite_state(tmp_path, capsys):
         assert run(["observable", "fn", "--n", "5", "--epsilon", "0", "--state", str(state)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "not finite" in captured.err
+
+
+def test_cold_start_imports_scipy_submodules_at_first_use(tmp_path, capsys):
+    # A fresh interpreter imports no scipy submodule with mingsim; ou_fit and
+    # verify_exponential import theirs on first use, under main's np.errstate
+    # and with warnings as errors.  In-process tests cannot see this, because
+    # tests/test_ming.py imports scipy.linalg when it is collected.
+    curve = tmp_path / "curve.csv"
+    tau = np.linspace(0.0, 20.0, 200)
+    curve.write_text("tau,value\n" + "".join(f"{float(t)!r},{math.exp(-0.4 * t)!r}\n" for t in tau), encoding="utf-8")
+    oufit = ["fkm", "oufit", "--in", str(curve)]
+    verify = ["ming", "verify", "--n", "7", "--h", "0.7", "--out"]
+    (tmp_path / "cold").mkdir()
+    (tmp_path / "warm").mkdir()
+    script = textwrap.dedent(f"""
+        import sys
+        import mingsim, mingsim.acceptance, mingsim.cli
+        loaded = {{"scipy.linalg", "scipy.optimize"}} & set(sys.modules)
+        if loaded:
+            sys.exit(f"loaded at import: {{sorted(loaded)}}")
+        sys.exit(mingsim.cli.main({oufit!r}) or mingsim.cli.main({verify + [str(tmp_path / "cold" / "v.csv")]!r}))
+    """)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    argv = [sys.executable, "-W", "error", "-c", script]
+    cold = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert (cold.returncode, cold.stderr) == (0, "")
+    assert run(oufit) == 0
+    assert run(verify + [str(tmp_path / "warm" / "v.csv")]) == 0
+    assert cold.stdout == capsys.readouterr().out
+    assert (tmp_path / "cold" / "v.csv").read_bytes() == (tmp_path / "warm" / "v.csv").read_bytes()
 
 
 def test_sidecar_elapsed_covers_compute(tmp_path, monkeypatch):

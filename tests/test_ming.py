@@ -1,6 +1,7 @@
 """Generator blocks: construction, exponential identity, propagator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,23 @@ def test_full_period_is_identity():
     v = rng.normal(size=2**7) + 1j * rng.normal(size=2**7)
     w = assemble_propagator(dec, 7).apply_dense(v)
     assert np.abs(w - v).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "h, reason",
+    [
+        (math.nan, "must be finite and > 0"),
+        (math.inf, "must be finite and > 0"),
+        (0.0, "must be finite and > 0"),
+        (-1.0, "must be finite and > 0"),
+        (5e-324, "is too small: 2 pi / h is not finite"),
+        (1e-310, "is too small: 2 pi / h is not finite"),
+        (1e308, "is too large: the block entries overflow"),
+    ],
+)
+def test_build_block_rejects_unusable_h(h, reason):
+    with pytest.raises(ValueError, match=r"^h\b.*" + re.escape(reason)):
+        build_block(5, h)
 
 
 def test_entries_are_readonly():
