@@ -8,8 +8,11 @@ later call reuses its parser.  The dispatcher merges a --config JSON
 object over the defaults and explicit flags over that, parses every given
 value and runs its check.
 A value that fails to parse or check is a ConfigInvalidError naming the
-field.  The resolved fields are recorded in the sidecar's config object
-(command, format version, output path and parameters), in canonical JSON.
+field.  Every input file (--config, --state, --in) is read by read_input,
+and one that cannot be read or is not UTF-8 is a ConfigInvalidError
+naming its field too.  The resolved fields are recorded in the sidecar's
+config object (command, format version, output path and parameters), in
+canonical JSON.
 Handlers only compute and return the artifact text.
 
 Artifacts are written atomically (temp file + rename), values are
@@ -218,13 +221,18 @@ def cmd_ming_verify(p) -> str:
     return render_csv(("orbit_id", "dimension", "residual"), rows)
 
 
+def read_input(field: str, path: str) -> str:
+    """Text of the input file that field names; a file that cannot be read
+    or is not UTF-8 is a ConfigInvalidError naming the field."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalidError(f"{field}: cannot read {path}: {exc}") from exc
+
+
 def read_state_csv(path: str) -> dict[int, complex]:
     state: dict[int, complex] = {}
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigInvalidError(f"state: cannot read {path}: {exc}") from exc
-    for lineno, row in enumerate(csv.reader(io.StringIO(raw)), start=1):
+    for lineno, row in enumerate(csv.reader(io.StringIO(read_input("state", path))), start=1):
         if not row or not row[0].strip():
             continue
         try:
@@ -313,11 +321,7 @@ def render_svg(curve) -> str:
 
 
 def read_curve_csv(path: str) -> fkm.AutocorrCurve:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigInvalidError(f"in_path: cannot read {path}: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(raw))
+    reader = csv.DictReader(io.StringIO(read_input("in_path", path)))
     if reader.fieldnames is None or "tau" not in reader.fieldnames or "value" not in reader.fieldnames:
         raise ConfigInvalidError("in_path: curve CSV needs tau and value columns")
     taus, vals, kinds = [], [], set()
@@ -411,10 +415,9 @@ def resolve(command: Command, args) -> dict:
     """
     given = {}
     if getattr(args, "config", None) is not None:
+        text = read_input("config", args.config)
         try:
-            given = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigInvalidError(f"config: cannot read {args.config}: {exc}") from exc
+            given = json.loads(text)
         except ValueError as exc:
             raise ConfigInvalidError(f"config: {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(given, dict):

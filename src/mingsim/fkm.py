@@ -74,6 +74,8 @@ class HarmonicChain:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.beta > 0:
             raise ValueError(f"inverse temperature must be positive, got {self.beta}")
+        if not math.isfinite(1.0 / self.beta):
+            raise ValueError(f"beta={self.beta!r} is too small: 1 / beta is not finite")
 
 
 def scaled_ring(n: int, beta: float, kappa0: float = 1.0, omega0_sq: float = 1.0) -> HarmonicChain:
@@ -515,8 +517,6 @@ def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0) -> OuFit:
         if new_window == n_window:
             break
         n_window = new_window
-    t_fit = tau[:n_window]
-    v_fit = vals[:n_window]
     resid = float(
         np.linalg.norm(model(t_fit, c_hat, gamma) - v_fit) / np.linalg.norm(v_fit)
     )

@@ -14,14 +14,14 @@ space the sum runs over both particle branches tensored with cocked basis
 states, so f_n of a separable state ignores the particle factor.  f_n is
 insensitive to overall scale (states are normalized first) and, in the
 family sense checked by `macroscopic_check`, to any fixed finite prefix
-of the device.
+of the device.  `CockedSet.mask` builds its dense table afresh on each
+call, from one table per half of the register; nothing is cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -63,30 +63,19 @@ class CockedSet:
         return left_dev <= self.budget and right_dev <= self.budget
 
     def mask(self) -> np.ndarray:
-        """Boolean membership table over all 2**n indices (dense bound)."""
+        """Boolean membership table over all 2**n indices (dense bound): entry
+        h * 2**left_size + l is cocked iff both halves h and l are within budget."""
         require_dense(self.n)
-        return _mask(self.n, self.left_size, self.budget)
+        ls = self.left_size
+        ones = lambda bits: ((np.arange(1 << bits)[:, None] >> np.arange(bits)) & 1).sum(axis=1)
+        left_ok = ls - ones(ls) <= self.budget
+        right_ok = ones(self.n - ls) <= self.budget
+        return np.outer(right_ok, left_ok).ravel()
 
 
 def strict_cocked_index(n: int) -> int:
     """Index of |11..100..0> with n // 2 ones (the eps = 0 cocked configuration)."""
     return (1 << (n // 2)) - 1
-
-
-@lru_cache(maxsize=64)
-def _mask(n: int, left_size: int, budget: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.int64)
-    left_ones = np.zeros(idx.shape, dtype=np.int64)
-    right_ones = np.zeros(idx.shape, dtype=np.int64)
-    for k in range(n):
-        bit = (idx >> k) & 1
-        if k < left_size:
-            left_ones += bit
-        else:
-            right_ones += bit
-    out = ((left_size - left_ones) <= budget) & (right_ones <= budget)
-    out.setflags(write=False)
-    return out
 
 
 def sq_modulus(c: complex) -> float:
@@ -122,6 +111,14 @@ def _norm_sq_and_cocked_weight(state, cocked: CockedSet) -> tuple[float, float]:
     return float(p.sum()), float(p[cocked.mask()].sum())
 
 
+def _require_usable_norm(total: float) -> None:
+    """Reject a state whose squared norm total is zero or not finite."""
+    if total == 0.0:
+        raise NotNormalizedError("state has zero norm")
+    if not math.isfinite(total):
+        raise NotNormalizedError(f"state norm {math.sqrt(total)!r} is not finite")
+
+
 class PointerVariable:
     """f_n evaluator bound to one cocked set."""
 
@@ -130,10 +127,7 @@ class PointerVariable:
 
     def value(self, state, normalize: bool = False) -> float:
         total, inside = _norm_sq_and_cocked_weight(state, self.cocked)
-        if total == 0.0:
-            raise NotNormalizedError("state has zero norm")
-        if not math.isfinite(total):
-            raise NotNormalizedError(f"state norm {math.sqrt(total)!r} is not finite")
+        _require_usable_norm(total)
         if not normalize and abs(math.sqrt(total) - 1.0) > NORM_ATOL:
             raise NotNormalizedError(
                 f"state norm {math.sqrt(total):.6g} deviates from 1; "
@@ -165,8 +159,7 @@ def first_site_family(n: int, v: np.ndarray) -> float:
     """Excitation probability of site 0: a local variable that is not macroscopic."""
     p = np.abs(np.asarray(v)) ** 2
     total = p.sum()
-    if total == 0.0:
-        raise NotNormalizedError("state has zero norm")
+    _require_usable_norm(total)
     odd = p[1::2].sum()  # indices with d_0 = 1
     return float(odd / total)
 
@@ -211,11 +204,13 @@ def macroscopic_check(
     values = np.zeros((len(prefixes), len(sizes)))
     for pi, prefix in enumerate(prefixes):
         state = np.asarray(prefix, dtype=complex)
+        if not np.isfinite(state).all():
+            raise ValueError(f"prefix {pi} holds a non-finite amplitude")
         for si, size in enumerate(sizes):
             tail = np.asarray(tails(size - 1), dtype=complex)
             if tail.shape != (2,):
                 raise ValueError("tail vectors must be single-site (length 2)")
-            if abs(np.linalg.norm(tail) - 1.0) > 1e-9:
+            if not abs(np.linalg.norm(tail) - 1.0) <= 1e-9:  # written so that NaN fails too
                 raise NotNormalizedError("tail vectors must have norm one")
             # new site becomes the highest bit of the index
             state = np.kron(tail, state)

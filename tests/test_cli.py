@@ -87,7 +87,21 @@ def test_observable_fn_input_validation(tmp_path, capsys):
     state.write_text("index,re,im\n3,0.5,0\n", encoding="utf-8")  # not normalized
     assert run(["observable", "fn", "--n", "5", "--epsilon", "0", "--state", str(state)]) == 2
     assert run(["observable", "fn", "--n", "5", "--epsilon", "0", "--state", str(tmp_path / "nope.csv")]) == 2
-    capsys.readouterr()
+    assert "config error: observable fn: state: cannot read" in capsys.readouterr().err
+    state.write_bytes(b"index,re,im\n3,\xff1,0\n")  # not UTF-8
+    assert run(["observable", "fn", "--n", "5", "--epsilon", "0", "--state", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "state: cannot read" in captured.err and "can't decode byte 0xff" in captured.err
+
+
+def test_undecodable_curve_and_config_name_their_field(tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"tau,value\n0,1\xff\n")
+    assert run(["fkm", "oufit", "--in", str(binary)]) == 2
+    assert f"config error: fkm oufit: in_path: cannot read {binary}: 'utf-8' codec" in capsys.readouterr().err
+    assert run(["born", "sweep", "--config", str(binary), "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"config error: born sweep: config: cannot read {binary}: 'utf-8' codec" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [binary]
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +580,19 @@ def test_coupling_overflow_names_kappa0(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_tiny_beta_names_beta(tmp_path, capsys):
+    # 1 / beta overflows, and the message names beta
+    assert run(["fkm", "autocorr", "--n", "8", "--beta", "5e-324", "--out", str(tmp_path / "a.csv")]) == 2
+    assert "beta=5e-324 is too small" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    for mode in ("analytic", "time"):  # 1e-300 is still usable there
+        assert run(["fkm", "autocorr", "--n", "8", "--beta", "1e-300", "--mode", mode, "--out", str(tmp_path / f"{mode}.csv")]) == 0
+
+
 def test_mc_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    argv = ["fkm", "autocorr", "--mode", "mc", "--n", "8", "--beta", "5e-324", "--samples", "100", "--out", str(out)]
+    # 1 / beta is finite, but the Monte-Carlo's squared products overflow
+    argv = ["fkm", "autocorr", "--mode", "mc", "--n", "8", "--beta", "1e-200", "--samples", "100", "--out", str(out)]
     assert run(argv) == 2
     assert capsys.readouterr().err.strip() == "config error: fkm autocorr: overflow encountered in multiply"
     assert list(tmp_path.iterdir()) == []
@@ -684,7 +708,7 @@ FUZZ_FLAGS = {
     "ming verify": {"n": ("n", _names("2", "3", "5", "7", "11", "13"), ["1", "4", "17", "1000000007"]),
                     "h": ("h", _reals(0.01, 100), [])},
     "observable fn": {"n": ("n", _ints(2, 64), ["1"]), "epsilon": _EPSILON,
-                      "state": ("state", _names("state-ok"), ["state-nan", "state-wide", "state-header", "nope"])},
+                      "state": ("state", _names("state-ok"), ["state-nan", "state-wide", "state-header", "state-binary", "nope"])},
     "born sweep": {"a0": ("a0", _PAIR, _PAIR_BAD), "a1": ("a1", _PAIR, _PAIR_BAD), "epsilon": _EPSILON,
                    "n": ("n", _PRIMES, ["4,5", ","])},
     "limit compare": {"a0": ("a0", _names("0.6,0", "0,-0.6"), _PAIR_BAD), "a1": ("a1", _names("0,0.8", "0.8,0"), _PAIR_BAD),
@@ -699,7 +723,7 @@ FUZZ_FLAGS = {
                      "oversample": ("oversample", _ints(1, 4), []),
                      "seed": ("seed", _ints(0, 2**31), ["-5"]),
                      "svg": (None, _names("curve.svg"), [])},
-    "fkm oufit": {"in": ("in_path", _names("curve-ok"), ["curve-nan", "curve-short", "curve-header", "curve-zero", "curve-misordered", "nope"]),
+    "fkm oufit": {"in": ("in_path", _names("curve-ok"), ["curve-nan", "curve-short", "curve-header", "curve-zero", "curve-misordered", "curve-binary", "nope"]),
                   "window-factor": ("window_factor", _reals(0.01, 50), [])},
     "reproduce": {"only": (None, _names("A1", "a2", "A1,A2"), ["A9", "abc"])},
 }
@@ -724,6 +748,8 @@ def fuzz_inputs(tmp_path_factory):
     }
     for name, body in files.items():
         (base / name).write_text(body, encoding="utf-8")
+    for name, body in {"state-binary": b"index,re,im\n3,\xff1,0\n", "curve-binary": b"tau,value\n0,1\xff\n"}.items():
+        (base / name).write_bytes(body)  # not UTF-8
     return base
 
 

@@ -43,6 +43,8 @@ def test_chain_validation():
         fkm.HarmonicChain(n=8, beta=0.0)
     with pytest.raises(ValueError):
         fkm.HarmonicChain(n=8, beta=-2.0)
+    with pytest.raises(ValueError, match=r"beta=5e-324 is too small: 1 / beta is not finite"):
+        fkm.HarmonicChain(n=8, beta=5e-324)
     for field in ("beta", "omega0_sq", "kappa"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -346,7 +348,7 @@ def test_mc_worker_thread_joined_on_return_and_on_error():
     fkm.mc_phase_autocorrelation(fkm.scaled_ring(64, beta=1.0), TAU, samples=2_000, seed=1)
     assert threading.active_count() == threads
     # the overflow happens on the calling thread, under the caller's errstate
-    chain = fkm.HarmonicChain(n=8, beta=5e-324, kappa=0.3)
+    chain = fkm.HarmonicChain(n=8, beta=1e-200, kappa=0.3)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
         fkm.mc_phase_autocorrelation(chain, TAU, samples=100, seed=0)
     assert threading.active_count() == threads

@@ -62,10 +62,14 @@ def test_membership_large_n_strict():
 
 
 def test_mask_agrees_with_contains():
-    c = CockedSet(7, 0.2)
-    mask = c.mask()
-    for i in range(2**7):
-        assert mask[i] == c.contains(i)
+    # every dense n; the budget floor(eps * n) runs from 0 to past n / 2,
+    # where every index is cocked
+    for n in range(2, 14):
+        for eps in (0.0, 0.1, 0.2, 0.25, 0.4, 0.55, 0.99):
+            c = CockedSet(n, eps)
+            mask = c.mask()
+            assert mask.shape == (2**n,) and mask.dtype == bool
+            assert mask.tolist() == [c.contains(i) for i in range(2**n)], (n, eps)
 
 
 def test_pointer_on_basis_states():
@@ -152,6 +156,18 @@ def test_macroscopic_rejects_bad_tails():
     fam = pointer_family(lambda n: 0.0)
     with pytest.raises(NotNormalizedError):
         macroscopic_check(fam, [p], lambda k: np.array([1.0, 1.0]), 6, 0.05)
+    # a NaN tail fails the norm gate, whatever the family
+    for family in (fam, first_site_family):
+        with pytest.raises(NotNormalizedError, match="norm one"):
+            macroscopic_check(family, [p], lambda k: np.array([np.nan, 0.0]), 6, 0.05)
+    # a non-finite prefix is rejected before np.kron spreads it as NaN
+    for bad in (np.inf, np.nan):
+        q = p.copy()
+        q[0] = bad
+        with pytest.raises(ValueError, match="prefix 1 holds a non-finite amplitude"):
+            macroscopic_check(first_site_family, [p, q], lambda k: np.array([1.0, 0.0]), 6, 0.05)
+    with pytest.raises(NotNormalizedError, match="not finite"):
+        first_site_family(3, np.array([np.inf, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("re", [float("nan"), float("inf"), 1e200])  # 1e200: |.|^2 overflows
