@@ -50,6 +50,11 @@ _MC_CHUNK = 20000
 # one block ahead, up to two blocks of draws are alive at once.
 _MC_BLOCK_VALUES = 1 << 18
 
+# Lag products per sub-block of a draw block (~512 KB of doubles, sized for
+# L2).  Each sub-block's q products, products and squares are made and summed
+# in one buffer while it stays in cache: a memory bound only, like the above.
+_MC_SUB_VALUES = 1 << 16
+
 # Angles computed at once by normal_modes and per recurrence_peak chunk
 # (~8 MB of doubles).
 _MODE_BLOCK_VALUES = 1 << 20
@@ -218,6 +223,14 @@ class AutocorrCurve:
             self.stderr.setflags(write=False)
 
 
+def _require_finite_angles(omega: np.ndarray, tau: np.ndarray) -> None:
+    """Reject a tau grid whose largest angle omega_max * max|tau| is not finite."""
+    # Python floats: an overflow here gives inf, not an error under np.errstate
+    tau_max = float(np.abs(tau).max(initial=0.0))
+    if not math.isfinite(float(omega.max()) * tau_max):
+        raise ValueError(f"tau up to {tau_max!r} is too large: omega_max * max|tau| is not finite")
+
+
 def phase_autocorrelation(chain: HarmonicChain, tau_grid) -> AutocorrCurve:
     """Analytic Gibbs phase average: (1/(beta n)) sum_k cos(omega_k tau).
 
@@ -225,16 +238,29 @@ def phase_autocorrelation(chain: HarmonicChain, tau_grid) -> AutocorrCurve:
     k = 1..ceil(n/2)-1 once with weight 2, and k = n/2 once for even n.  The
     sums are numpy reductions, not BLAS products, so the bits do not depend
     on the BLAS thread count.  At tau = 0 the total is exactly n, so
-    g_n(0) == 1/beta holds exactly.
+    g_n(0) == 1/beta holds exactly.  A tau grid whose largest angle
+    omega_max * max|tau| is not finite is a ValueError.
     """
     tau = np.asarray(tau_grid, dtype=float)
     w = dft_frequencies(chain)
+    _require_finite_angles(w, tau)
     n = chain.n
     total = np.cos(w[0] * tau) + 2.0 * np.cos(np.outer(w[1 : (n + 1) // 2], tau)).sum(axis=0)
     if n % 2 == 0:
         total += np.cos(w[n // 2] * tau)
     values = total / n / chain.beta
     return AutocorrCurve(tau=tau, values=values, kind="phase-analytic")
+
+
+def _row_blocks(m: int, width: int, values: int) -> list[tuple[int, int]]:
+    """[lo, hi) row blocks of an (m, width) array.
+
+    Each block is a multiple of 8 rows holding about `values` numbers; a
+    one-row remainder joins the block before it.
+    """
+    rows = max(8, values // max(width, 1) // 8 * 8)
+    edges = [*range(0, max(m - 1, 1), rows), m]
+    return list(zip(edges, edges[1:]))
 
 
 def mc_phase_autocorrelation(
@@ -255,10 +281,17 @@ def mc_phase_autocorrelation(
     row blocks, then its q normals in the same blocks; numpy fills an (m, n)
     draw row by row, so this is the stream of one (m, n) p draw followed by
     one (m, n) q draw.  A block is a multiple of 8 rows holding about
-    _MC_BLOCK_VALUES doubles (a lone last row joins the block before it),
-    so memory is O(_MC_BLOCK_VALUES + _MC_CHUNK * len(tau)) whatever n is.
-    The chunk's b holds p0(tau), then the products p0(0) p0(tau), then their
-    squares, all in place, so a chunk holds one m x len(tau) array.
+    _MC_BLOCK_VALUES doubles (a lone last row joins the block before it).
+    The p blocks' tau products go straight into the chunk's one m x len(tau)
+    array b.  Each q block is cut the same way into sub-blocks of about
+    _MC_SUB_VALUES lag values, and one buffer of that size, allocated per
+    call, takes a sub-block's q products, then its squares: the sub-block's
+    rows of b become p0(tau), then the products p0(0) p0(tau), and both are
+    summed while they are still in cache.  numpy sums a 2-d array's rows in
+    order, starting from 0.0, so adding the chunk's running sums into a
+    sub-block's first row continues them bit for bit; a one-column b, which
+    numpy sums pairwise, is summed whole at the end of its chunk instead.
+    Memory is O(_MC_BLOCK_VALUES + _MC_CHUNK * len(tau)) whatever n is.
     The tau products skip the columns whose site-0 weight is exactly 0.0,
     the sin half of every cos/sin pair: they add nothing but work.
 
@@ -274,14 +307,16 @@ def mc_phase_autocorrelation(
 
     The reduction is the one-shot formula's, and with single-threaded BLAS
     so are the bits while n fits in one BLAS K block (384 columns on the
-    OpenBLAS this was measured with).  Block edges fall on multiples of 8
-    rows, where gemv's row groups start, and no block is one row, which
-    numpy would send to gemv instead of gemm.  A one-sample chunk is a gemv
-    whose sums group the zero columns with the rest, so it keeps them.
-    Past one K block the shorter inner sum is split differently and the
-    last digit may move.  Threaded BLAS deals a gemv's rows out to threads
-    by count, so there even the one-shot formula's bits vary with the
-    thread count.
+    OpenBLAS this was measured with).  Block and sub-block edges fall on
+    multiples of 8 rows, where gemv's row groups start, and no block is one
+    row, which numpy would send to gemv instead of gemm.  A one-sample chunk
+    is a gemv whose sums group the zero columns with the rest, so it keeps
+    them.  Past one K block the shorter inner sum is split differently and
+    the last digit may move.  On that OpenBLAS the same holds for the lags
+    past the last multiple of 8 when len(tau) is above 192 and not a
+    multiple of 8: there gemm's tail columns depend on how many rows one
+    call takes.  Threaded BLAS deals a gemv's rows out to threads by count,
+    so there even the one-shot formula's bits vary with the thread count.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -290,18 +325,20 @@ def mc_phase_autocorrelation(
     n = chain.n
     w_site = modes.vectors[0, :]
     omega = modes.frequencies
+    _require_finite_angles(omega, tau)
     support = np.flatnonzero(w_site != 0.0)
     cos_t = np.cos(np.outer(omega, tau))
     sin_t = np.sin(np.outer(omega, tau))
     sqrt_beta = math.sqrt(chain.beta)
     q_scale = sqrt_beta * omega
-    rows = max(8, _MC_BLOCK_VALUES // n // 8 * 8)
-    chunks = []
-    for done in range(0, samples, _MC_CHUNK):
-        m = min(_MC_CHUNK, samples - done)
-        # blocks of `rows`; a one-row remainder joins the block before it
-        edges = [*range(0, max(m - 1, 1), rows), m]
-        chunks.append((m, list(zip(edges, edges[1:]))))
+    sizes = [min(_MC_CHUNK, samples - done) for done in range(0, samples, _MC_CHUNK)]
+    chunks = [(m, _row_blocks(m, n, _MC_BLOCK_VALUES)) for m in sizes]
+    # the sub-blocks of each draw block length; there are at most three lengths
+    sub_blocks = {
+        hi - lo: _row_blocks(hi - lo, tau.size, _MC_SUB_VALUES) for _, spans in chunks for lo, hi in spans
+    }
+    buf = np.empty((max(e - s for subs in sub_blocks.values() for s, e in subs), tau.size))
+    by_rows = tau.size > 1  # see the docstring
     sum1 = np.zeros(tau.shape)
     sum2 = np.zeros(tau.shape)
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -329,18 +366,31 @@ def mc_phase_autocorrelation(
                 a[lo:hi] = draws @ w_site
                 p_site = np.take(draws, keep, axis=1)
                 p_site *= p_weight
-                b[lo:hi] = p_site @ cos_k
+                np.matmul(p_site, cos_k, out=b[lo:hi])
+            acc1, acc2 = np.zeros(tau.size), np.zeros(tau.size)  # the chunk's running sums
             for lo, hi in spans:
                 draws = ahead.result()
                 ahead = next(draws_ahead, None)
                 draws /= q_scale
                 q_site = np.take(draws, keep, axis=1)
                 q_site *= q_weight
-                b[lo:hi] -= q_site @ sin_k
-            b *= a[:, None]  # the products, then their squares, in place
-            sum1 += b.sum(axis=0)
-            b *= b
-            sum2 += b.sum(axis=0)
+                for s, e in sub_blocks[hi - lo]:
+                    sub = buf[: e - s]
+                    np.matmul(q_site[s:e], sin_k, out=sub)
+                    prod = b[lo + s : lo + e]
+                    prod -= sub
+                    prod *= a[lo + s : lo + e, None]  # the products
+                    if by_rows:
+                        np.multiply(prod, prod, out=sub)  # and their squares
+                        prod[0] += acc1
+                        sub[0] += acc2
+                        acc1, acc2 = prod.sum(axis=0), sub.sum(axis=0)
+            if not by_rows:
+                acc1 = b.sum(axis=0)
+                b *= b
+                acc2 = b.sum(axis=0)
+            sum1 += acc1
+            sum2 += acc2
     mean = sum1 / samples
     var = (sum2 - samples * mean**2) / (samples - 1)
     stderr = np.sqrt(np.clip(var, 0.0, None) / samples)

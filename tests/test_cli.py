@@ -598,6 +598,16 @@ def test_mc_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode", ["analytic", "mc"])
+def test_overflowing_tau_max_names_tau(tmp_path, capsys, mode):
+    # finite, but omega_max * tau_max overflows (omega_max is about 5.2 at n = 8)
+    argv = ["fkm", "autocorr", "--mode", mode, "--n", "8", "--tau-max", "1e308", "--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: fkm autocorr: tau up to 1e+308 is too large"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("factor", ["0", "nan"])
 def test_oufit_rejects_bad_window_factor(tmp_path, capsys, factor):
     curve = tmp_path / "curve.csv"

@@ -5,6 +5,7 @@ runs; the pilot value is noted next to each.
 """
 
 import copy
+import functools
 import math
 import os
 import subprocess
@@ -343,6 +344,17 @@ def test_mc_rejects_zero_mode():
         fkm.mc_phase_autocorrelation(chain, TAU, samples=100, seed=0)
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [fkm.phase_autocorrelation, functools.partial(fkm.mc_phase_autocorrelation, samples=100, seed=0)],
+    ids=["analytic", "mc"],
+)
+def test_overflowing_tau_names_tau(estimate):
+    # omega_max is about 5.2 at n = 8, so omega * tau overflows at tau = 1e308
+    with np.errstate(over="raise"), pytest.raises(ValueError, match=r"tau up to 1e\+308 is too large"):
+        estimate(fkm.scaled_ring(8, beta=1.0), [0.0, 1e308])
+
+
 def test_mc_worker_thread_joined_on_return_and_on_error():
     threads = threading.active_count()
     fkm.mc_phase_autocorrelation(fkm.scaled_ring(64, beta=1.0), TAU, samples=2_000, seed=1)
@@ -393,7 +405,11 @@ def _run_on_one_blas_thread(script):
 # At n = 256 a block is 1024 rows: 1025 samples fold a lone row into it, 1026
 # leave a two-row second block, 20001 a one-sample second chunk.  At n = 200
 # the block is rounded down to 1304 rows.  n = 9 is odd: no alternating mode.
+# A sub-block of TAU's products is 320 rows: at n = 8 and 9, 321 samples fold
+# a lone row into it, and 2000, the CLI's size, take seven.
+_SUB_ROWS = fkm._MC_SUB_VALUES // TAU.size // 8 * 8
 _BIT_CASES = [(n, s) for n in (8, 9, 200, 256) for s in (2, 1025, 1026, 20001)]
+_BIT_CASES += [(n, s) for n in (8, 9) for s in (_SUB_ROWS + 1, 2000)]
 
 
 def test_mc_bit_identical_to_one_shot_draws():
@@ -432,22 +448,23 @@ def test_mc_matches_one_shot_draws_at_large_n(n):
 
 def test_mc_peak_memory_independent_of_ring_width():
     # Bound from the block layout, in doubles: the draw block, its gathered
-    # site-0 columns and slack (3 x _MC_BLOCK_VALUES); the chunk's b, which
-    # takes the products and their squares in place (m x |tau|, plus one of
-    # slack); the cos/sin tables with their gathered copies and temporaries
-    # (5 x n x |tau|).
-    # One (m, n) draw is 41 MB here; the one-shot chunk holds three at once.
-    n, m = 1024, 5000
-    chain = fkm.scaled_ring(n, beta=1.0)
-    fkm.normal_modes(chain)  # the cached mode table is not part of the estimator
-    bound = 8 * (3 * fkm._MC_BLOCK_VALUES + 2 * m * TAU.size + 5 * n * TAU.size)
-    tracemalloc.start()
-    try:
-        fkm.mc_phase_autocorrelation(chain, TAU, samples=m, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
+    # site-0 columns, the sub-block buffer and slack (3 x _MC_BLOCK_VALUES);
+    # the chunk's one m x |tau| array b, the only one of that size; the cos/sin
+    # tables with their gathered copies and temporaries (5 x n x |tau|).
+    # At n = 1024 one (m, n) draw is 41 MB; the one-shot chunk holds three at
+    # once.  At n = 8 a whole chunk is one draw block, and a chunk-sized
+    # temporary next to b would break the bound.
+    for n, m in [(1024, 5000), (8, 20000)]:
+        chain = fkm.scaled_ring(n, beta=1.0)
+        fkm.normal_modes(chain)  # the cached mode table is not part of the estimator
+        bound = 8 * (3 * fkm._MC_BLOCK_VALUES + m * TAU.size + 5 * n * TAU.size)
+        tracemalloc.start()
+        try:
+            fkm.mc_phase_autocorrelation(chain, TAU, samples=m, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"n={n}: peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
 
 
 # ---------------------------------------------------------------------------
