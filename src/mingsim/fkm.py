@@ -51,8 +51,9 @@ _MC_CHUNK = 20000
 _MC_BLOCK_VALUES = 1 << 18
 
 # Lag products per sub-block of a draw block (~512 KB of doubles, sized for
-# L2).  Each sub-block's q products, products and squares are made and summed
-# in one buffer while it stays in cache: a memory bound only, like the above.
+# L2).  One buffer takes a sub-block's q products and turns them in place
+# into p0(tau), the products and their squares, both sums taken while it
+# stays in cache: a memory bound only, like the above.
 _MC_SUB_VALUES = 1 << 16
 
 # Angles computed at once by normal_modes and per recurrence_peak chunk
@@ -224,7 +225,9 @@ class AutocorrCurve:
 
 
 def _require_finite_angles(omega: np.ndarray, tau: np.ndarray) -> None:
-    """Reject a tau grid whose largest angle omega_max * max|tau| is not finite."""
+    """Reject a tau grid with a non-finite value or a non-finite omega_max * max|tau|."""
+    if not np.isfinite(tau).all():
+        raise ValueError("tau holds a non-finite value")
     # Python floats: an overflow here gives inf, not an error under np.errstate
     tau_max = float(np.abs(tau).max(initial=0.0))
     if not math.isfinite(float(omega.max()) * tau_max):
@@ -238,8 +241,9 @@ def phase_autocorrelation(chain: HarmonicChain, tau_grid) -> AutocorrCurve:
     k = 1..ceil(n/2)-1 once with weight 2, and k = n/2 once for even n.  The
     sums are numpy reductions, not BLAS products, so the bits do not depend
     on the BLAS thread count.  At tau = 0 the total is exactly n, so
-    g_n(0) == 1/beta holds exactly.  A tau grid whose largest angle
-    omega_max * max|tau| is not finite is a ValueError.
+    g_n(0) == 1/beta holds exactly.  A tau grid holding a non-finite value,
+    or whose largest angle omega_max * max|tau| is not finite, is a
+    ValueError.
     """
     tau = np.asarray(tau_grid, dtype=float)
     w = dft_frequencies(chain)
@@ -284,13 +288,16 @@ def mc_phase_autocorrelation(
     _MC_BLOCK_VALUES doubles (a lone last row joins the block before it).
     The p blocks' tau products go straight into the chunk's one m x len(tau)
     array b.  Each q block is cut the same way into sub-blocks of about
-    _MC_SUB_VALUES lag values, and one buffer of that size, allocated per
-    call, takes a sub-block's q products, then its squares: the sub-block's
-    rows of b become p0(tau), then the products p0(0) p0(tau), and both are
-    summed while they are still in cache.  numpy sums a 2-d array's rows in
-    order, starting from 0.0, so adding the chunk's running sums into a
-    sub-block's first row continues them bit for bit; a one-column b, which
-    numpy sums pairwise, is summed whole at the end of its chunk instead.
+    _MC_SUB_VALUES lag values.  One buffer of that size plus one row,
+    allocated per call, takes a sub-block's q products after its first row,
+    then p0(tau) from the sub-block's rows of b, then the products
+    p0(0) p0(tau), then their squares, and each sum is taken while the
+    sub-block is still in cache.  numpy sums a 2-d array's rows in order, so
+    with the chunk's running sum in the first row the sum continues it bit
+    for bit, and an overflow is raised by the sum, as it is for one sum over
+    the chunk.  A one-column grid is the exception: numpy sums one column
+    pairwise, here over each sub-block rather than over the chunk, so its
+    last digit may differ from the one-shot formula's.
     Memory is O(_MC_BLOCK_VALUES + _MC_CHUNK * len(tau)) whatever n is.
     The tau products skip the columns whose site-0 weight is exactly 0.0,
     the sin half of every cos/sin pair: they add nothing but work.
@@ -337,8 +344,8 @@ def mc_phase_autocorrelation(
     sub_blocks = {
         hi - lo: _row_blocks(hi - lo, tau.size, _MC_SUB_VALUES) for _, spans in chunks for lo, hi in spans
     }
-    buf = np.empty((max(e - s for subs in sub_blocks.values() for s, e in subs), tau.size))
-    by_rows = tau.size > 1  # see the docstring
+    # row 0 carries the chunk's running sum into each sub-block's sum
+    buf = np.empty((1 + max(e - s for subs in sub_blocks.values() for s, e in subs), tau.size))
     sum1 = np.zeros(tau.shape)
     sum2 = np.zeros(tau.shape)
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -375,20 +382,16 @@ def mc_phase_autocorrelation(
                 q_site = np.take(draws, keep, axis=1)
                 q_site *= q_weight
                 for s, e in sub_blocks[hi - lo]:
-                    sub = buf[: e - s]
-                    np.matmul(q_site[s:e], sin_k, out=sub)
-                    prod = b[lo + s : lo + e]
-                    prod -= sub
-                    prod *= a[lo + s : lo + e, None]  # the products
-                    if by_rows:
-                        np.multiply(prod, prod, out=sub)  # and their squares
-                        prod[0] += acc1
-                        sub[0] += acc2
-                        acc1, acc2 = prod.sum(axis=0), sub.sum(axis=0)
-            if not by_rows:
-                acc1 = b.sum(axis=0)
-                b *= b
-                acc2 = b.sum(axis=0)
+                    sub = buf[: 1 + e - s]
+                    rows = sub[1:]
+                    np.matmul(q_site[s:e], sin_k, out=rows)
+                    np.subtract(b[lo + s : lo + e], rows, out=rows)
+                    rows *= a[lo + s : lo + e, None]  # the products
+                    sub[0] = acc1
+                    acc1 = sub.sum(axis=0)
+                    rows *= rows  # and their squares
+                    sub[0] = acc2
+                    acc2 = sub.sum(axis=0)
             sum1 += acc1
             sum2 += acc2
     mean = sum1 / samples

@@ -598,6 +598,17 @@ def test_mc_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_mc_sum_overflow_names_the_sum(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    # no squared product overflows here, but the sum of the tau = 0 squares
+    # does, at the first row of a sub-block: the running sum is carried in
+    # that sum, so the error is the sum's, as for one sum over the chunk
+    argv = ["fkm", "autocorr", "--mode", "mc", "--n", "8", "--beta", "4.686e-153", "--samples", "2000", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.strip() == "config error: fkm autocorr: overflow encountered in reduce"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("mode", ["analytic", "mc"])
 def test_overflowing_tau_max_names_tau(tmp_path, capsys, mode):
     # finite, but omega_max * tau_max overflows (omega_max is about 5.2 at n = 8)

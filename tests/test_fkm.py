@@ -349,10 +349,19 @@ def test_mc_rejects_zero_mode():
     [fkm.phase_autocorrelation, functools.partial(fkm.mc_phase_autocorrelation, samples=100, seed=0)],
     ids=["analytic", "mc"],
 )
-def test_overflowing_tau_names_tau(estimate):
-    # omega_max is about 5.2 at n = 8, so omega * tau overflows at tau = 1e308
-    with np.errstate(over="raise"), pytest.raises(ValueError, match=r"tau up to 1e\+308 is too large"):
-        estimate(fkm.scaled_ring(8, beta=1.0), [0.0, 1e308])
+@pytest.mark.parametrize(
+    ("last", "message"),
+    [
+        # omega_max is about 5.2 at n = 8, so omega * tau overflows at tau = 1e308
+        (1e308, r"tau up to 1e\+308 is too large"),
+        (math.nan, "tau holds a non-finite value"),
+        (-math.inf, "tau holds a non-finite value"),
+    ],
+    ids=["overflow", "nan", "inf"],
+)
+def test_overflowing_tau_names_tau(estimate, last, message):
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(ValueError, match=message):
+        estimate(fkm.scaled_ring(8, beta=1.0), [0.0, last])
 
 
 def test_mc_worker_thread_joined_on_return_and_on_error():
