@@ -286,9 +286,9 @@ def mc_phase_autocorrelation(
     draw row by row, so this is the stream of one (m, n) p draw followed by
     one (m, n) q draw.  A block is a multiple of 8 rows holding about
     _MC_BLOCK_VALUES doubles (a lone last row joins the block before it).
-    The p blocks' tau products go straight into the chunk's one m x len(tau)
-    array b.  Each q block is cut the same way into sub-blocks of about
-    _MC_SUB_VALUES lag values.  One buffer of that size plus one row,
+    The p blocks' tau products go straight into the chunk's rows of b, the
+    call's one min(samples, _MC_CHUNK) x len(tau) array.  Each q block is
+    cut the same way into sub-blocks of about _MC_SUB_VALUES lag values.  One buffer of that size plus one row,
     allocated per call, takes a sub-block's q products after its first row,
     then p0(tau) from the sub-block's rows of b, then the products
     p0(0) p0(tau), then their squares, and each sum is taken while the
@@ -307,10 +307,13 @@ def mc_phase_autocorrelation(
     0.0 + 1.0 * x, so -0.0 comes back as +0.0) and skips its scaling pass.
     Only the draw calls run on a worker thread, one per block, in
     stream order and at most one block ahead of the calling thread, which
-    meanwhile works on the block before.  All arithmetic stays on the
-    calling thread, because np.errstate is per thread: the caller's error
-    state governs every division, product and sum.  The worker's pool is
-    joined before this returns, on error too.
+    meanwhile works on the block before.  It fills the call's two block
+    buffers in turn (standard_normal(out=...) draws the bits of size=...)
+    and allocates no arrays, so memory, and the process's peak resident
+    size, do not depend on how the two threads interleave.  All arithmetic
+    stays on the calling thread, because np.errstate is per thread: the
+    caller's error state governs every division, product and sum.  The
+    worker's pool is joined before this returns, on error too.
 
     The reduction is the one-shot formula's, and with single-threaded BLAS
     so are the bits while n fits in one BLAS K block (384 columns on the
@@ -346,27 +349,29 @@ def mc_phase_autocorrelation(
     }
     # row 0 carries the chunk's running sum into each sub-block's sum
     buf = np.empty((1 + max(e - s for subs in sub_blocks.values() for s, e in subs), tau.size))
+    # one a and one b for all chunks, so a chunk's pair is not made while
+    # the last one's is alive
+    a_all = np.empty(sizes[0])
+    b_all = np.empty((sizes[0], tau.size))
+    draw_bufs = [np.empty((max(hi - lo for _, spans in chunks for lo, hi in spans), n)) for _ in range(2)]
     sum1 = np.zeros(tau.shape)
     sum2 = np.zeros(tau.shape)
     with ThreadPoolExecutor(max_workers=1) as pool:
         # one draw call per block in stream order (each chunk's p
-        # blocks, then its q blocks), submitted as the block before is taken
+        # blocks, then its q blocks), submitted as the block before is
+        # taken, into the buffer the calling thread is done with
+        spans_in_order = (span for _, spans in chunks for _half in "pq" for span in spans)
         draws_ahead = (
-            pool.submit(rng.standard_normal, size=(hi - lo, n))
-            for _, spans in chunks
-            for _half in "pq"
-            for lo, hi in spans
+            pool.submit(rng.standard_normal, out=draw_bufs[k % 2][: hi - lo])
+            for k, (lo, hi) in enumerate(spans_in_order)
         )
         ahead = next(draws_ahead)
         for m, spans in chunks:
             keep = support if m > 1 else np.arange(n)  # see the docstring
             p_weight, q_weight = w_site[keep], (w_site * omega)[keep]
             cos_k, sin_k = cos_t[keep], sin_t[keep]
-            a = np.empty(m)
-            b = np.empty((m, tau.size))
+            a, b = a_all[:m], b_all[:m]
             for lo, hi in spans:
-                # rebinding `draws` frees the block before the next is
-                # submitted, so at most two blocks of draws are alive
                 draws = ahead.result()
                 ahead = next(draws_ahead, None)
                 draws /= sqrt_beta

@@ -458,15 +458,17 @@ def test_mc_matches_one_shot_draws_at_large_n(n):
 def test_mc_peak_memory_independent_of_ring_width():
     # Bound from the block layout, in doubles: the draw block, its gathered
     # site-0 columns, the sub-block buffer and slack (3 x _MC_BLOCK_VALUES);
-    # the chunk's one m x |tau| array b, the only one of that size; the cos/sin
-    # tables with their gathered copies and temporaries (5 x n x |tau|).
+    # the call's one chunk x |tau| array b, the only one of that size; the
+    # cos/sin tables with their gathered copies and temporaries (5 x n x |tau|).
     # At n = 1024 one (m, n) draw is 41 MB; the one-shot chunk holds three at
     # once.  At n = 8 a whole chunk is one draw block, and a chunk-sized
-    # temporary next to b would break the bound.
-    for n, m in [(1024, 5000), (8, 20000)]:
+    # temporary next to b would break the bound, as would a second chunk's b
+    # made while the first one's is alive.
+    for n, m in [(1024, 5000), (8, 20000), (8, 2 * fkm._MC_CHUNK)]:
         chain = fkm.scaled_ring(n, beta=1.0)
         fkm.normal_modes(chain)  # the cached mode table is not part of the estimator
-        bound = 8 * (3 * fkm._MC_BLOCK_VALUES + m * TAU.size + 5 * n * TAU.size)
+        rows = min(m, fkm._MC_CHUNK)
+        bound = 8 * (3 * fkm._MC_BLOCK_VALUES + rows * TAU.size + 5 * n * TAU.size)
         tracemalloc.start()
         try:
             fkm.mc_phase_autocorrelation(chain, TAU, samples=m, seed=3)
