@@ -41,7 +41,7 @@ NORM_RTOL = 1e-9
 
 
 def _norm(amp: Mapping[int, complex]) -> float:
-    return math.sqrt(math.fsum(abs(c) ** 2 for c in amp.values()))
+    return math.sqrt(math.fsum(sq_modulus(c) for c in amp.values()))
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ class CombinedState:
 
     def norm(self) -> float:
         return math.sqrt(
-            abs(self.a0) ** 2 * _norm(self.amp0) ** 2
-            + abs(self.a1) ** 2 * _norm(self.amp1) ** 2
+            sq_modulus(self.a0) * sq_modulus(_norm(self.amp0))
+            + sq_modulus(self.a1) * sq_modulus(_norm(self.amp1))
         )
 
 

@@ -527,13 +527,16 @@ def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0) -> OuFit:
     The window is found self-consistently: fit, shrink the window to
     window_factor / gamma_hat, refit, until stable or after _OU_MAX_ITER
     fits.  The residual is the 2-norm misfit divided by the 2-norm of the
-    data on the final window.  tau must increase strictly (ValueError).
+    data on the final window.  tau must increase strictly, and
+    window_factor must be finite and > 0 (each a ValueError).
     scipy.optimize is imported by the first call, not by importing this
     module, so the first call in a process (`mingsim fkm oufit`, or A7 of
     `mingsim reproduce`) also pays that import.
     """
     import scipy.optimize  # half a second to import (with scipy.linalg); nothing else in mingsim needs it
 
+    if not (math.isfinite(window_factor) and window_factor > 0):
+        raise ValueError(f"window_factor must be finite and > 0, got {window_factor!r}")
     tau = curve.tau
     vals = curve.values
     if len(tau) < 3:

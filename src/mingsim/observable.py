@@ -187,8 +187,11 @@ def macroscopic_check(
     prefixes at each of those sizes, in order.  PASS means the spread never
     grows by more than tolerance / 2 in one step (a noise-tolerant
     nonincreasing trend) and the final spread is at or below `tolerance`,
-    an explicit input rather than a hidden default of the physics.
+    an explicit input rather than a hidden default of the physics; it must
+    be finite and >= 0 (ValueError).
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     require_dense(horizon)
     if not prefixes:
         raise ValueError("need at least one prefix")

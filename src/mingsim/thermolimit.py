@@ -66,8 +66,11 @@ def compare_limit(
     least-squares log-log decay exponent of the errors (None when they
     vanish identically), and the n -> infinity intercept of a linear fit of
     mean_n against 1/n.  Each size may appear once: a repeated size would
-    leave both fits rank-deficient.  The amplitudes pass limit_value's gate.
+    leave both fits rank-deficient.  The amplitudes pass limit_value's gate,
+    and tolerance must be finite and >= 0 (ValueError).
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if not sweep:
         raise ValueError("sweep table is empty")
     w1 = limit_value(a)

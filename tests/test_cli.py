@@ -647,10 +647,12 @@ def test_observable_fn_rejects_non_finite_state(tmp_path, capsys):
 
 
 def test_cold_start_imports_scipy_submodules_at_first_use(tmp_path, capsys):
-    # A fresh interpreter imports no scipy submodule with mingsim; ou_fit and
-    # verify_exponential import theirs on first use, under main's np.errstate
-    # and with warnings as errors.  In-process tests cannot see this, because
-    # tests/test_ming.py imports scipy.linalg when it is collected.
+    # A fresh interpreter imports no scipy submodule with mingsim, and
+    # `ming verify` imports none either: verify_exponential runs on numpy
+    # alone.  ou_fit imports scipy.optimize on first use, under main's
+    # np.errstate and with warnings as errors.  In-process tests cannot see
+    # this, because tests/test_ming.py imports scipy.linalg when it is
+    # collected.
     curve = tmp_path / "curve.csv"
     tau = np.linspace(0.0, 20.0, 200)
     curve.write_text("tau,value\n" + "".join(f"{float(t)!r},{math.exp(-0.4 * t)!r}\n" for t in tau), encoding="utf-8")
@@ -661,18 +663,22 @@ def test_cold_start_imports_scipy_submodules_at_first_use(tmp_path, capsys):
     script = textwrap.dedent(f"""
         import sys
         import mingsim, mingsim.acceptance, mingsim.cli
-        loaded = {{"scipy.linalg", "scipy.optimize"}} & set(sys.modules)
-        if loaded:
-            sys.exit(f"loaded at import: {{sorted(loaded)}}")
-        sys.exit(mingsim.cli.main({oufit!r}) or mingsim.cli.main({verify + [str(tmp_path / "cold" / "v.csv")]!r}))
+        submodules = {{"scipy.linalg", "scipy.optimize"}}
+        if submodules & set(sys.modules):
+            sys.exit(f"loaded at import: {{sorted(submodules & set(sys.modules))}}")
+        if mingsim.cli.main({verify + [str(tmp_path / "cold" / "v.csv")]!r}):
+            sys.exit("ming verify failed")
+        if submodules & set(sys.modules):
+            sys.exit(f"loaded by ming verify: {{sorted(submodules & set(sys.modules))}}")
+        sys.exit(mingsim.cli.main({oufit!r}))
     """)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
     argv = [sys.executable, "-W", "error", "-c", script]
     cold = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert (cold.returncode, cold.stderr) == (0, "")
-    assert run(oufit) == 0
     assert run(verify + [str(tmp_path / "warm" / "v.csv")]) == 0
+    assert run(oufit) == 0
     assert cold.stdout == capsys.readouterr().out
     assert (tmp_path / "cold" / "v.csv").read_bytes() == (tmp_path / "warm" / "v.csv").read_bytes()
 

@@ -61,6 +61,9 @@ def test_norm_is_conserved():
 def test_combined_state_rejects_bad_norm():
     with pytest.raises(NotNormalizedError):
         CombinedState(n=5, a0=1.0, a1=1.0, amp0={3: 1.0}, amp1={3: 1.0})
+    # 1e200 is finite, but its |.|^2 overflows
+    with pytest.raises(NotNormalizedError, match="combined norm inf is not finite"):
+        CombinedState(n=5, a0=1e200, a1=0, amp0={3: 1}, amp1={3: 1})
     with pytest.raises(NotNormalizedError, match="both zero"):
         cocked_start(5, 0.0, 0.0)
 

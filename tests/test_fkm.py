@@ -647,6 +647,10 @@ def test_ou_fit_degenerate_inputs():
     short = fkm.AutocorrCurve(tau=TAU[:2], values=np.exp(-TAU[:2]), kind="phase-analytic")
     with pytest.raises(DegenerateFitError):
         fkm.ou_fit(short)
+    decay = fkm.AutocorrCurve(tau=TAU, values=np.exp(-TAU), kind="phase-analytic")
+    for factor in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^window_factor must be finite and > 0"):
+            fkm.ou_fit(decay, window_factor=factor)
 
 
 def test_ou_residual_recomputed_from_fit():

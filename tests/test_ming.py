@@ -84,15 +84,24 @@ def test_fourier_eigenvalues(n):
         assert np.abs(a @ v - (-1j * h * j / n) * v).max() < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 11])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 11, 13, 101, 401])
 def test_exponential_identity(n):
-    block = build_block(n, 0.618)
-    assert verify_exponential(block) <= 1e-9
+    for h in (0.618, 1e-300, 1e300):
+        assert verify_exponential(build_block(n, h)) <= 1e-9
 
 
 def test_exponential_identity_h_independent():
     for h in (0.1, 1.0, 17.0):
         assert verify_exponential(build_block(5, h)) <= 1e-9
+
+
+def test_exponential_sees_upper_triangle_defect():
+    # the eigensolver reads one triangle only; a defect in the other one
+    # must still show, through the Hermitian check of (2 pi i / h) A
+    block = build_block(5, 0.618)
+    entries = block.entries.copy()
+    entries[1, 3] += 1e-6
+    assert verify_exponential(MingBlock(n=5, h=0.618, entries=entries)) > 1e-9
 
 
 def test_offdiagonal_magnitudes_near_diagonal():

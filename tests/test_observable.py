@@ -168,6 +168,10 @@ def test_macroscopic_rejects_bad_tails():
             macroscopic_check(first_site_family, [p, q], lambda k: np.array([1.0, 0.0]), 6, 0.05)
     with pytest.raises(NotNormalizedError, match="not finite"):
         first_site_family(3, np.array([np.inf, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    # so is a tolerance that no spread can be compared with
+    for tolerance in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^tolerance must be finite and >= 0"):
+            macroscopic_check(first_site_family, [p], lambda k: np.array([1.0, 0.0]), 6, tolerance)
 
 
 @pytest.mark.parametrize("re", [float("nan"), float("inf"), 1e200])  # 1e200: |.|^2 overflows

@@ -55,6 +55,13 @@ def test_compare_limit_rejects_repeated_size():
         compare_limit((0.6, 0.8), rows)
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+def test_compare_limit_rejects_unusable_tolerance(tolerance):
+    rows = born_limit_sweep((0.6, 0.8), [5, 7])
+    with pytest.raises(ValueError, match=r"^tolerance must be finite and >= 0"):
+        compare_limit((0.6, 0.8), rows, tolerance=tolerance)
+
+
 # 1e200 is finite, but its |.|^2 overflows
 @pytest.mark.parametrize("a", [(math.nan, 0.0), (math.inf, 0.0), (0.6, complex(0.0, math.nan)), (1e200, 0.0)])
 def test_limit_system_rejects_non_finite_amplitudes(a):
