@@ -60,6 +60,11 @@ _MC_SUB_VALUES = 1 << 16
 # (~8 MB of doubles).
 _MODE_BLOCK_VALUES = 1 << 20
 
+# Mode pairs per row block of time_autocorrelation's K x K kernel (~512 KB
+# per array of doubles, sized for L2).  The blocks set the order of the
+# sums, so they fix the last bits of the curve; otherwise a memory bound.
+_PAIR_BLOCK_VALUES = 1 << 16
+
 _OU_MAX_ITER = 8  # window refits in ou_fit
 
 
@@ -405,21 +410,43 @@ def mc_phase_autocorrelation(
     return AutocorrCurve(tau=tau, values=mean, kind="phase-monte-carlo", stderr=stderr)
 
 
-def _site0_momentum_series(chain: HarmonicChain, x0: PhasePoint, dt: float, total: int) -> np.ndarray:
-    """p0(j dt) for j = 0..total-1 along the exact orbit from x0."""
+def _site0_phasors(chain: HarmonicChain, x0: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
+    """(omega_k, c_k) with p0(t) = Re sum_k c_k exp(i omega_k t) along the exact orbit from x0.
+
+    c_k = v_0k (p_k + i omega_k q_k), where v_0k is the site-0 weight of
+    mode k.  Columns with v_0k == 0.0 exactly (the sin half of every pair)
+    contribute nothing and are dropped, which leaves the n // 2 + 1 support
+    modes.
+    """
     modes = normal_modes(chain)
     q, p = modes.vectors.T @ x0.q, modes.vectors.T @ x0.p
     w_site = modes.vectors[0, :]
     keep = w_site != 0.0
     omega = modes.frequencies[keep]
-    coef = w_site[keep] * (p[keep] + 1j * omega * q[keep])
-    chunk = min(1 << 10, total)
-    rotation = np.exp(1j * np.outer(np.arange(chunk) * dt, omega))
-    series = np.empty(total)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        series[start:stop] = (rotation[: stop - start] @ (coef * np.exp(1j * omega * (start * dt)))).real
-    return series
+    return omega, w_site[keep] * (p[keep] + 1j * omega * q[keep])
+
+
+def _exact_product(n: float, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p + e == n * h exactly, barring underflow (Dekker's product).
+
+    n and h are each split into two halves of at most 26 significant bits,
+    whose pairwise products are exact.  n is split with Python arithmetic,
+    so no n can overflow the splitting constant; n * h itself must be
+    finite.
+    """
+    mantissa, exponent = math.frexp(n)
+    n_hi = math.ldexp(round(math.ldexp(mantissa, 26)), exponent - 26)
+    n_lo = n - n_hi
+    t = 134217729.0 * h  # 2^27 + 1
+    h_hi = t - (t - h)
+    h_lo = h - h_hi
+    p = n * h
+    return p, ((n_hi * h_hi - p) + n_hi * h_lo + n_lo * h_hi) + n_lo * h_lo
+
+
+def _dirichlet_ratio(num: np.ndarray, den: np.ndarray, n: float) -> np.ndarray:
+    """num / den, and n where den == 0 (sin(n x) / sin(x) at x = 0)."""
+    return np.divide(num, den, out=np.full(den.shape, n), where=den != 0.0)
 
 
 def time_autocorrelation(
@@ -429,22 +456,59 @@ def time_autocorrelation(
     tau_grid,
     oversample: int,
 ) -> AutocorrCurve:
-    """Single-trajectory stroboscopic time average of p0(t) p0(t+tau).
+    """Single-trajectory stroboscopic time average of p0(t) p0(t+tau), in closed form.
 
-    The trajectory is evaluated exactly in mode coordinates on a grid
-    `oversample` times finer than the (uniform, zero-based) tau grid, and
-    the estimate at tau_j averages products over the horizon.  Only the
-    curve is returned; its gap to phase_autocorrelation is the caller's to
-    take.
+    The orbit is sampled at t dt, on a grid `oversample` times finer than
+    the (uniform, zero-based) tau grid, so tau_j = o_j dt with
+    o_j = j * oversample.  The estimate averages the products over the
+    N = ceil(horizon / dt) points of the horizon,
 
-    The site-0 momentum is the phasor sum p0(t) = Re sum_k c_k exp(i w_k t)
-    with c_k = v_0k (p_k + i w_k q_k), where v_0k is the site-0 weight of
-    mode k.  Columns with v_0k == 0.0 exactly (the sin half of every pair)
-    contribute nothing and are dropped.  The series is built chunk by chunk
-    as one complex mat-vec of a fixed block exp(i w_k j dt) with the
-    coefficients rotated to the chunk start, exp(i w_k t0) c_k; each chunk's
-    rotation is computed directly from t0, so rounding does not accumulate
-    along the trajectory.
+        values_j = (1/N) sum_{t<N} p0(t dt) p0((t + o_j) dt),
+
+    for the site-0 momentum p0(t) = Re sum_k c_k exp(i w_k t) of
+    _site0_phasors.  Only the curve is returned; its gap to
+    phase_autocorrelation is the caller's to take.
+
+    The sum over t has a closed form.  With theta_k = w_k dt and the
+    Dirichlet sum D_N(theta) = sum_{t<N} exp(i theta t)
+    = exp(i (N-1) theta/2) sin(N theta/2) / sin(theta/2), which is N where
+    the sine vanishes,
+
+        values_j = (1/2N) Re sum_l c_l exp(i theta_l o_j)
+                   sum_k [c_k D_N(theta_k + theta_l) + conj(c_k) D_N(theta_l - theta_k)].
+
+    Each theta_k is first reduced to [-pi, pi], which leaves every term as
+    it is.  Forming w_k dt and reducing it each round, at about
+    eps |w_k dt| per step, so over N steps the phases may drift by about
+    N eps |w_k dt|, as the trajectory's own phases would.  The phase
+    exp(i (N-1) theta/2) factors into per-mode phases,
+    b_k = c_k exp(i (N-1) theta_k / 2), and leaves the ratios
+    r(x) = sin(N x) / sin(x) at x = (theta_k +- theta_l) / 2: two real
+    symmetric K x K matrices over the K = n // 2 + 1 support modes, with
+    values_j = (1/2N) Re sum_l b_l exp(i theta_l o_j) u_l and
+    u_l = sum_k (R+ + R-)_kl Re b_k + i (R+ - R-)_kl Im b_k.
+
+    * R- is evaluated directly: theta_k - theta_l is exact for close modes,
+      so near-degenerate pairs keep full precision.  Its angle is first
+      shifted by a multiple of pi into [-pi/2, pi/2] (r(x - pi) =
+      (-1)^(N+1) r(x)), so an angle at pi, where both sines vanish, gives
+      +-N like one at 0.
+    * R+ comes from per-mode sines and cosines of theta_k / 2 and of
+      N theta_k / 2 by the angle-addition formulas; N theta_k / 2 is formed
+      exactly (_exact_product), so these per-mode values, and the phases
+      b_k built from them, are good to rounding for the reduced theta_k,
+      whatever N is.  Its denominator loses relative precision only when
+      two aliased modes (w dt beyond pi) sum to near a multiple of 2 pi.
+
+    The pairs are taken once each, in row blocks of the upper triangle of
+    about _PAIR_BLOCK_VALUES entries, and the lag sum uses
+    exp(i theta o_j) = exp(i theta o_{a r}) exp(i theta o_b) for
+    j = a r + b with r about sqrt(len(tau)).  All sums are numpy reductions,
+    not BLAS products, so their bits do not depend on the BLAS thread
+    count; the mode projection in _site0_phasors is the one BLAS call.  The
+    cost is O(K^2 + K len(tau)) whatever the horizon, after the O(n^2)
+    projection.  A horizon for which horizon / dt or N omega_max dt is not
+    finite is a ValueError.
     """
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or len(tau) < 2:
@@ -456,15 +520,50 @@ def time_autocorrelation(
         raise ValueError(f"horizon {horizon:.6g} must be finite and exceed the largest tau {tau[-1]:.6g}")
     if oversample < 1:
         raise ValueError("oversample must be at least 1")
-    dt = step / oversample
-    n_lags = (len(tau) - 1) * oversample
-    n_base = int(math.ceil(horizon / dt))
-    series = _site0_momentum_series(chain, x0, dt, n_base + n_lags)
-    base = series[:n_base]
-    values = np.empty(len(tau))
-    for j in range(len(tau)):
-        off = j * oversample
-        values[j] = base @ series[off : off + n_base] / n_base
+    # Python floats: an overflow in these checks gives inf, not an error under np.errstate
+    dt = float(step) / oversample
+    if not math.isfinite(float(horizon) / dt):
+        raise ValueError(f"horizon {float(horizon)!r} is too long: horizon / dt is not finite for dt={dt!r}")
+    n_base = math.ceil(float(horizon) / dt)
+    omega, coef = _site0_phasors(chain, x0)
+    if not math.isfinite(n_base * float(omega.max()) * dt):
+        raise ValueError(f"horizon {float(horizon)!r} is too long: N * omega_max * dt is not finite")
+    n_pts = float(n_base)
+    theta = omega * dt
+    theta -= 2.0 * np.pi * np.rint(theta / (2.0 * np.pi))  # to [-pi, pi]
+    half = theta / 2.0
+    sin_h, cos_h = np.sin(half), np.cos(half)
+    p, e = _exact_product(n_pts, half)
+    sin_nh = np.sin(p) * np.cos(e) + np.cos(p) * np.sin(e)
+    cos_nh = np.cos(p) * np.cos(e) - np.sin(p) * np.sin(e)
+    b = coef * (cos_nh + 1j * sin_nh) * (cos_h - 1j * sin_h)  # c_k exp(i (N-1) theta_k / 2)
+    b_re, b_im = b.real.copy(), b.imag.copy()  # contiguous, for einsum's fast loops
+    k_modes = len(omega)
+    u_re, u_im = np.zeros(k_modes), np.zeros(k_modes)
+    for lo, hi in _row_blocks(k_modes, k_modes, _PAIR_BLOCK_VALUES):
+        # rows lo:hi against columns lo:, so each pair is taken once
+        plus = _dirichlet_ratio(
+            sin_nh[lo:hi, None] * cos_nh[lo:] + cos_nh[lo:hi, None] * sin_nh[lo:],
+            sin_h[lo:hi, None] * cos_h[lo:] + cos_h[lo:hi, None] * sin_h[lo:],
+            n_pts,
+        )
+        x = half[lo:hi, None] - half[lo:]
+        turns = np.rint(x / np.pi)
+        x -= turns * np.pi  # exact, as |x| <= pi
+        minus = _dirichlet_ratio(np.sin(n_pts * x), np.sin(x), n_pts)
+        if n_base % 2 == 0:  # r(x + pi) = -r(x)
+            minus *= 1.0 - 2.0 * np.abs(turns)
+        both, diff = plus + minus, plus - minus
+        u_re[lo:] += np.einsum("kl,k->l", both, b_re[lo:hi])
+        u_im[lo:] += np.einsum("kl,k->l", diff, b_im[lo:hi])
+        u_re[lo:hi] += np.einsum("kl,l->k", both[:, hi - lo :], b_re[hi:])
+        u_im[lo:hi] += np.einsum("kl,l->k", diff[:, hi - lo :], b_im[hi:])
+    lags = len(tau)
+    r = math.isqrt(lags - 1) + 1
+    fine = np.exp(1j * np.outer(theta, np.arange(r) * oversample))
+    coarse = np.exp(1j * np.outer(theta, np.arange(0, lags, r) * oversample))
+    sums = np.einsum("ka,kb->ab", coarse * (b * (u_re + 1j * u_im))[:, None], fine)
+    values = sums.real.ravel()[:lags] / (2.0 * n_pts)
     return AutocorrCurve(tau=tau, values=values, kind="time-trajectory")
 
 

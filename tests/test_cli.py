@@ -397,6 +397,22 @@ def test_autocorr_time_mode_kind(tmp_path):
     assert ",time-trajectory," in out.read_text(encoding="utf-8").splitlines()[1]
 
 
+def test_autocorr_time_mode_cost_is_independent_of_horizon(tmp_path, capsys):
+    # 1e9 periods are 4.8e10 trajectory points at n = 8, summed in closed form
+    out = tmp_path / "curve.csv"
+    base = ["fkm", "autocorr", "--n", "8", "--mode", "time", "--out", str(out)]
+    start = time.perf_counter()
+    assert run(base + ["--horizon-periods", "1e9"]) == 0
+    assert time.perf_counter() - start < 10.0
+    values = [float(line.split(",")[1]) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(values) == 200 and all(math.isfinite(v) for v in values)
+    out.unlink()
+    capsys.readouterr()
+    assert run(base + ["--horizon-periods", "1e307"]) == 2  # horizon / dt is not finite
+    assert "horizon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_autocorr_svg(tmp_path):
     out = tmp_path / "curve.csv"
     svg = tmp_path / "curve.svg"

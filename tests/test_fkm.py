@@ -257,23 +257,27 @@ def test_single_mode_state_carries_requested_energy():
 
 
 # ---------------------------------------------------------------------------
-# evolution (the exact flow lives in the trajectory kernel)
+# evolution (the exact flow lives in the site-0 phasors)
 # ---------------------------------------------------------------------------
+
+
+def _site0_momentum(chain, x, t):
+    """p0 at the times t from the phasors: Re sum_k c_k exp(i omega_k t)."""
+    omega, coef = fkm._site0_phasors(chain, x)
+    return (np.exp(1j * np.outer(np.atleast_1d(t), omega)) @ coef).real
 
 
 def test_evolve_identity_at_zero():
     chain = fkm.scaled_ring(8, beta=1.0)
     x = fkm.sample_gibbs(chain, 1)
-    series = fkm._site0_momentum_series(chain, x, 0.1, 3)
-    assert series[0] == pytest.approx(x.p[0], rel=1e-12)
+    assert _site0_momentum(chain, x, 0.0)[0] == pytest.approx(x.p[0], rel=1e-12)
 
 
 def test_quarter_period_rotation():
     # single oscillator at omega = 2: (q, p) -> (p/omega, -omega q)
     chain = fkm.HarmonicChain(n=1, beta=1.0, omega0_sq=4.0)
     x = fkm.PhasePoint(q=np.array([0.3]), p=np.array([-1.1]))
-    series = fkm._site0_momentum_series(chain, x, math.pi / 4, 2)
-    assert series[1] == pytest.approx(-2.0 * 0.3, abs=1e-12)
+    assert _site0_momentum(chain, x, math.pi / 4)[0] == pytest.approx(-2.0 * 0.3, abs=1e-12)
 
 
 def test_zero_mode_streams_freely():
@@ -281,8 +285,7 @@ def test_zero_mode_streams_freely():
     chain = fkm.HarmonicChain(n=4, beta=1.0, omega0_sq=0.0, kappa=1.0)
     ones = np.ones(4)
     x = fkm.PhasePoint(q=0.2 * ones, p=0.5 * ones)
-    series = fkm._site0_momentum_series(chain, x, 0.75, 5)
-    assert np.allclose(series, 0.5, rtol=0.0, atol=1e-12)
+    assert np.allclose(_site0_momentum(chain, x, 0.75 * np.arange(5)), 0.5, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +524,22 @@ def test_time_autocorrelation_grid_validation():
 
 
 def _direct_series(chain, x0, dt, total):
-    # the cos/sin evaluation over every mode column, independent of the phasor kernel
+    """p0(j dt) for j < total by cos/sin over every mode column: the brute-force orbit.
+
+    Independent of the phasor kernel; evaluated a block of times at a time,
+    so a wide ring needs no total x n array.
+    """
     modes = fkm.normal_modes(chain)
     q = modes.vectors.T @ x0.q
     p = modes.vectors.T @ x0.p
     w_site = modes.vectors[0, :]
     omega = modes.frequencies
-    phases = np.outer(np.arange(total) * dt, omega)
-    return np.cos(phases) @ (w_site * p) - np.sin(phases) @ (w_site * omega * q)
+    rows = max(1, (1 << 20) // chain.n)
+    series = np.empty(total)
+    for lo in range(0, total, rows):
+        phases = np.outer(np.arange(lo, min(lo + rows, total)) * dt, omega)
+        series[lo : lo + rows] = np.cos(phases) @ (w_site * p) - np.sin(phases) @ (w_site * omega * q)
+    return series
 
 
 def _random_point(n, seed):
@@ -536,25 +547,21 @@ def _random_point(n, seed):
     return fkm.PhasePoint(q=rng.normal(size=n), p=rng.normal(size=n))
 
 
-def _matches_direct_evaluation(chain):
-    """The phasor series and the lag products against _direct_series."""
+DIRECT_TAU = np.linspace(0.0, 5.0, 21)
+
+
+def _matches_direct_evaluation(chain, tau=DIRECT_TAU, oversample=3, horizon=300.0):
+    """The closed-form time average against lag products of _direct_series."""
     x0 = _random_point(chain.n, chain.n)
-    tau = np.linspace(0.0, 5.0, 21)
-    oversample = 3
     dt = (tau[1] - tau[0]) / oversample
-    horizon = 300.0  # several series chunks, the last one partial
     n_base = int(math.ceil(horizon / dt))
-    total = n_base + (len(tau) - 1) * oversample
-    direct = _direct_series(chain, x0, dt, total)
+    direct = _direct_series(chain, x0, dt, n_base + (len(tau) - 1) * oversample)
     scale = np.abs(direct).max()
     direct_curve = np.array(
         [direct[:n_base] @ direct[j * oversample : j * oversample + n_base] / n_base for j in range(len(tau))]
     )
     curve = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=oversample)
-    return bool(
-        np.abs(fkm._site0_momentum_series(chain, x0, dt, total) - direct).max() <= 1e-10 * scale
-        and np.abs(curve.values - direct_curve).max() <= 1e-10 * scale**2
-    )
+    return bool(np.abs(curve.values - direct_curve).max() <= 1e-10 * scale**2)
 
 
 ODD_RING = fkm.HarmonicChain(n=17, beta=1.0, omega0_sq=1.0, kappa=1.0)
@@ -562,28 +569,51 @@ EVEN_RING = fkm.HarmonicChain(n=32, beta=2.0, omega0_sq=0.5, kappa=3.0)
 
 
 @pytest.mark.parametrize(
-    "chain",
-    [ODD_RING, EVEN_RING, fkm.HarmonicChain(n=12, beta=1.0, omega0_sq=0.0, kappa=1.0)],  # omega = 0 column
-    ids=["odd", "even", "zero-mode"],
+    "chain, grid",
+    [
+        pytest.param(ODD_RING, {}, id="odd"),
+        pytest.param(EVEN_RING, {}, id="even"),
+        pytest.param(fkm.HarmonicChain(n=12, beta=1.0, omega0_sq=0.0, kappa=1.0), {}, id="zero-mode"),
+        # every difference sine is 0: all frequencies coincide
+        pytest.param(fkm.HarmonicChain(n=10, beta=1.0, omega0_sq=1.0, kappa=0.0), {}, id="kappa-0"),
+        # omega_max dt ~ 104 rad, so the angles wrap; N = 16 is even
+        pytest.param(
+            fkm.scaled_ring(8, beta=1.0), {"tau": np.array([0.0, 20.0]), "oversample": 1, "horizon": 310.0}, id="aliased"
+        ),
+        # omega dt = pi: the sum angle sits where both of its sines vanish
+        pytest.param(
+            fkm.HarmonicChain(n=1, beta=1.0, omega0_sq=math.pi**2),
+            {"tau": np.array([0.0, 1.0]), "oversample": 1},
+            id="half-turn",
+        ),
+        # omega dt = pi and 3 pi: the difference angle sits where both of its sines vanish
+        pytest.param(
+            fkm.HarmonicChain(n=2, beta=1.0, omega0_sq=math.pi**2, kappa=2.0 * math.pi**2),
+            {"tau": np.array([0.0, 1.0]), "oversample": 1},
+            id="aliased-pair",
+        ),
+        # band-edge modes about 1e-7 dt apart; several blocks of mode pairs.
+        # A short horizon keeps the brute-force orbit at 740 x 4096 angles
+        pytest.param(fkm.HarmonicChain(n=4096, beta=1.0, kappa=1.0), {"horizon": 60.0}, id="band-edge-4096"),
+    ],
 )
-def test_time_autocorrelation_matches_direct_evaluation(chain):
-    assert _matches_direct_evaluation(chain)
+def test_time_autocorrelation_matches_direct_evaluation(chain, grid):
+    assert _matches_direct_evaluation(chain, **grid)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 255, 256])
 def test_site0_weight_vanishes_on_every_sin_column(n):
-    # the trajectory kernel drops exactly these columns
+    # the site-0 phasors drop exactly these columns
     row = fkm.normal_modes(fkm.HarmonicChain(n=n, beta=1.0)).vectors[0]
     assert np.all(row[2::2] == 0.0)
     assert np.count_nonzero(row) == n // 2 + 1
 
 
 def _time_reversed(monkeypatch):
-    # the trajectory starts from (-q, p)
-    original = fkm._site0_momentum_series
+    # the orbit starts from (-q, p)
+    original = fkm._site0_phasors
     monkeypatch.setattr(
-        fkm, "_site0_momentum_series",
-        lambda chain, x0, dt, total: original(chain, fkm.PhasePoint(q=-x0.q, p=x0.p), dt, total),
+        fkm, "_site0_phasors", lambda chain, x0: original(chain, fkm.PhasePoint(q=-x0.q, p=x0.p))
     )
 
 
@@ -699,8 +729,17 @@ def test_recurrence_peak_reads_the_analytic_curve(n):
     assert abs(value - abs(fkm.phase_autocorrelation(chain, [tau_star]).values[0])) <= 1e-15
 
 
-@pytest.mark.parametrize("horizon", [math.inf, math.nan, 20.0])
-def test_time_autocorrelation_rejects_bad_horizon(horizon):
+@pytest.mark.parametrize(
+    "horizon, tau, oversample",
+    [
+        pytest.param(math.inf, TAU, 4, id="inf"),
+        pytest.param(math.nan, TAU, 4, id="nan"),
+        pytest.param(20.0, TAU, 4, id="20.0"),
+        pytest.param(1e308, TAU, 4, id="too-many-steps"),  # horizon / dt is not finite
+        pytest.param(1e308, np.array([0.0, 20.0]), 1, id="too-wide-angle"),  # N omega_max dt is not finite
+    ],
+)
+def test_time_autocorrelation_rejects_bad_horizon(horizon, tau, oversample):
     chain = fkm.scaled_ring(8, beta=1.0)
     with pytest.raises(ValueError, match="horizon"):
-        fkm.time_autocorrelation(chain, fkm.sample_gibbs(chain, 1), horizon, TAU, oversample=4)
+        fkm.time_autocorrelation(chain, fkm.sample_gibbs(chain, 1), horizon, tau, oversample=oversample)
