@@ -45,25 +45,13 @@ _FREQ_SQ_TOL = 1e-12
 # p and q, and with it the output bytes; it is not a memory knob.
 _MC_CHUNK = 20000
 
-# Normal draws per row block (~2 MB of doubles).  The row blocks cut the
-# chunk's stream without reordering it: a memory bound only.  With the draw
-# one block ahead, up to two blocks of draws are alive at once.
-_MC_BLOCK_VALUES = 1 << 18
-
-# Lag products per sub-block of a draw block (~512 KB of doubles, sized for
-# L2).  One buffer takes a sub-block's q products and turns them in place
-# into p0(tau), the products and their squares, both sums taken while it
-# stays in cache: a memory bound only, like the above.
-_MC_SUB_VALUES = 1 << 16
-
-# Angles computed at once by normal_modes and per recurrence_peak chunk
-# (~8 MB of doubles).
-_MODE_BLOCK_VALUES = 1 << 20
-
-# Mode pairs per row block of time_autocorrelation's K x K kernel (~512 KB
-# per array of doubles, sized for L2).  The blocks set the order of the
-# sums, so they fix the last bits of the curve; otherwise a memory bound.
-_PAIR_BLOCK_VALUES = 1 << 16
+# Values per block of every blocked loop here, each cut by _row_blocks.  The
+# memory bound (~2 MB of doubles) caps a loop's temporaries whatever n and
+# the tau grid are; the cache bound (~512 KB, sized for L2) keeps a working
+# set in cache: the Monte-Carlo's lag products and time_autocorrelation's
+# K x K pair blocks, whose edges fix the last bits of its sums.
+_BLOCK_VALUES = 1 << 18
+_CACHE_VALUES = 1 << 16
 
 _OU_MAX_ITER = 8  # window refits in ou_fit
 
@@ -136,8 +124,8 @@ class NormalModes:
 def normal_modes(chain: HarmonicChain) -> NormalModes:
     """Mode table of the ring, cached; safe because its arrays are read-only.
 
-    The cos/sin pairs are filled into one preallocated array, a block of
-    pairs at a time (at most _MODE_BLOCK_VALUES angles per block).  Each
+    The cos/sin pairs are computed in place in one preallocated array, a
+    block of rows at a time (_row_blocks under _BLOCK_VALUES angles).  Each
     entry is the same expression, sqrt(2/n) * cos(2 pi k j / n) (or sin),
     evaluated elementwise, so the block size moves no bit of the table.
     """
@@ -146,13 +134,12 @@ def normal_modes(chain: HarmonicChain) -> NormalModes:
     j = np.arange(n)
     vectors = np.empty((n, n))
     vectors[:, 0] = 1.0 / math.sqrt(n)
-    half = (n + 1) // 2  # pairs k = 1 .. half - 1, in columns 2k - 1 and 2k
-    step = max(1, _MODE_BLOCK_VALUES // n)
-    for lo in range(1, half, step):
-        hi = min(lo + step, half)
-        theta = 2.0 * np.pi * np.arange(lo, hi) * j[:, None] / n
-        vectors[:, 2 * lo - 1 : 2 * hi - 1 : 2] = np.sqrt(2.0 / n) * np.cos(theta)
-        vectors[:, 2 * lo : 2 * hi : 2] = np.sqrt(2.0 / n) * np.sin(theta)
+    k = np.arange(1, (n + 1) // 2)  # the pairs, in columns 2k - 1 and 2k
+    for lo, hi in _row_blocks(n, k.size, _BLOCK_VALUES):
+        theta = 2.0 * np.pi * k * j[lo:hi, None] / n
+        for f, c in ((np.cos, 1), (np.sin, 2)):
+            out = f(theta, out=vectors[lo:hi, c : c + 2 * k.size : 2])
+            out *= math.sqrt(2.0 / n)
     if n % 2 == 0:
         vectors[:, n - 1] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n)
     # column c is DFT index (c + 1) // 2: 0, then each pair, then n/2
@@ -244,21 +231,30 @@ def phase_autocorrelation(chain: HarmonicChain, tau_grid) -> AutocorrCurve:
 
     Since omega_k = omega_{n-k}, the sum takes DFT index 0 once, each pair
     k = 1..ceil(n/2)-1 once with weight 2, and k = n/2 once for even n.  The
-    sums are numpy reductions, not BLAS products, so the bits do not depend
-    on the BLAS thread count.  At tau = 0 the total is exactly n, so
-    g_n(0) == 1/beta holds exactly.  A tau grid holding a non-finite value,
-    or whose largest angle omega_max * max|tau| is not finite, is a
-    ValueError.
+    pair sums run over blocks of tau (_row_blocks under _BLOCK_VALUES
+    angles), so memory is O(len(tau)) plus one block.  They are numpy
+    reductions, not BLAS products, and numpy sums a (pairs, B) block's rows
+    in order for every B >= 2 (no block is one lag unless the grid is), so
+    the bits depend on neither the BLAS thread count nor the blocks.  At
+    tau = 0 the total is exactly n, so g_n(0) == 1/beta holds exactly.  A tau
+    grid that is not 1-d, holds a non-finite value, or whose largest angle
+    omega_max * max|tau| is not finite, is a ValueError.
     """
     tau = np.asarray(tau_grid, dtype=float)
+    if tau.ndim != 1:
+        raise ValueError(f"tau grid must be 1-d, got shape {tau.shape}")
     w = dft_frequencies(chain)
     _require_finite_angles(w, tau)
     n = chain.n
-    total = np.cos(w[0] * tau) + 2.0 * np.cos(np.outer(w[1 : (n + 1) // 2], tau)).sum(axis=0)
+    pairs = w[1 : (n + 1) // 2]
+    total = np.cos(w[0] * tau)
+    for lo, hi in _row_blocks(tau.size, pairs.size, _BLOCK_VALUES):
+        angles = np.outer(pairs, tau[lo:hi])
+        total[lo:hi] += 2.0 * np.cos(angles, out=angles).sum(axis=0)
+        del angles  # before the next block's angles are made
     if n % 2 == 0:
         total += np.cos(w[n // 2] * tau)
-    values = total / n / chain.beta
-    return AutocorrCurve(tau=tau, values=values, kind="phase-analytic")
+    return AutocorrCurve(tau=tau, values=total / n / chain.beta, kind="phase-analytic")
 
 
 def _row_blocks(m: int, width: int, values: int) -> list[tuple[int, int]]:
@@ -287,25 +283,24 @@ def mc_phase_autocorrelation(
     variance.
 
     Samples come in chunks of _MC_CHUNK.  Each chunk draws its p normals in
-    row blocks, then its q normals in the same blocks; numpy fills an (m, n)
-    draw row by row, so this is the stream of one (m, n) p draw followed by
-    one (m, n) q draw.  A block is a multiple of 8 rows holding about
-    _MC_BLOCK_VALUES doubles (a lone last row joins the block before it).
-    The p blocks' tau products go straight into the chunk's rows of b, the
-    call's one min(samples, _MC_CHUNK) x len(tau) array.  Each q block is
-    cut the same way into sub-blocks of about _MC_SUB_VALUES lag values.  One buffer of that size plus one row,
-    allocated per call, takes a sub-block's q products after its first row,
-    then p0(tau) from the sub-block's rows of b, then the products
-    p0(0) p0(tau), then their squares, and each sum is taken while the
-    sub-block is still in cache.  numpy sums a 2-d array's rows in order, so
-    with the chunk's running sum in the first row the sum continues it bit
-    for bit, and an overflow is raised by the sum, as it is for one sum over
-    the chunk.  A one-column grid is the exception: numpy sums one column
-    pairwise, here over each sub-block rather than over the chunk, so its
-    last digit may differ from the one-shot formula's.
-    Memory is O(_MC_BLOCK_VALUES + _MC_CHUNK * len(tau)) whatever n is.
-    The tau products skip the columns whose site-0 weight is exactly 0.0,
-    the sin half of every cos/sin pair: they add nothing but work.
+    row blocks (_row_blocks under _BLOCK_VALUES draws), then its q normals
+    in the same blocks; numpy fills an (m, n) draw row by row, so this is
+    the stream of one (m, n) p draw followed by one (m, n) q draw.  The p
+    blocks' tau products go straight into the chunk's rows of b, the call's
+    one min(samples, _MC_CHUNK) x len(tau) array.  Each q block is cut the
+    same way into sub-blocks under _CACHE_VALUES lag values.  One buffer of
+    that size plus one row, allocated per call, takes a sub-block's q
+    products after its first row, then p0(tau) from the sub-block's rows of
+    b, then the products p0(0) p0(tau), then their squares, and each sum is
+    taken while the sub-block is still in cache.  numpy sums a 2-d array's
+    rows in order, so with the chunk's running sum in the first row the sum
+    continues it bit for bit, and an overflow is raised by the sum, as it
+    is for one sum over the chunk.  A one-column grid is the exception:
+    numpy sums one column pairwise, here over each sub-block rather than
+    over the chunk, so its last digit may differ from the one-shot
+    formula's.  Memory is O(_BLOCK_VALUES + _MC_CHUNK * len(tau)) whatever
+    n is.  The tau products skip the columns whose site-0 weight is exactly
+    0.0, the sin half of every cos/sin pair: they add nothing but work.
 
     The draws are rng.standard_normal, which gives the bits of
     rng.normal(size=...) but for the sign of a zero (normal returns
@@ -317,8 +312,10 @@ def mc_phase_autocorrelation(
     and allocates no arrays, so memory, and the process's peak resident
     size, do not depend on how the two threads interleave.  All arithmetic
     stays on the calling thread, because np.errstate is per thread: the
-    caller's error state governs every division, product and sum.  The
-    worker's pool is joined before this returns, on error too.
+    caller's error state governs every division, product and sum, and a
+    FloatingPointError it raises is raised again naming the products and
+    beta, numpy's text kept.  The worker's pool is joined before this
+    returns, on error too.
 
     The reduction is the one-shot formula's, and with single-threaded BLAS
     so are the bits while n fits in one BLAS K block (384 columns on the
@@ -347,10 +344,10 @@ def mc_phase_autocorrelation(
     sqrt_beta = math.sqrt(chain.beta)
     q_scale = sqrt_beta * omega
     sizes = [min(_MC_CHUNK, samples - done) for done in range(0, samples, _MC_CHUNK)]
-    chunks = [(m, _row_blocks(m, n, _MC_BLOCK_VALUES)) for m in sizes]
+    chunks = [(m, _row_blocks(m, n, _BLOCK_VALUES)) for m in sizes]
     # the sub-blocks of each draw block length; there are at most three lengths
     sub_blocks = {
-        hi - lo: _row_blocks(hi - lo, tau.size, _MC_SUB_VALUES) for _, spans in chunks for lo, hi in spans
+        hi - lo: _row_blocks(hi - lo, tau.size, _CACHE_VALUES) for _, spans in chunks for lo, hi in spans
     }
     # row 0 carries the chunk's running sum into each sub-block's sum
     buf = np.empty((1 + max(e - s for subs in sub_blocks.values() for s, e in subs), tau.size))
@@ -359,51 +356,53 @@ def mc_phase_autocorrelation(
     a_all = np.empty(sizes[0])
     b_all = np.empty((sizes[0], tau.size))
     draw_bufs = [np.empty((max(hi - lo for _, spans in chunks for lo, hi in spans), n)) for _ in range(2)]
-    sum1 = np.zeros(tau.shape)
-    sum2 = np.zeros(tau.shape)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # one draw call per block in stream order (each chunk's p
-        # blocks, then its q blocks), submitted as the block before is
-        # taken, into the buffer the calling thread is done with
-        spans_in_order = (span for _, spans in chunks for _half in "pq" for span in spans)
-        draws_ahead = (
-            pool.submit(rng.standard_normal, out=draw_bufs[k % 2][: hi - lo])
-            for k, (lo, hi) in enumerate(spans_in_order)
-        )
-        ahead = next(draws_ahead)
-        for m, spans in chunks:
-            keep = support if m > 1 else np.arange(n)  # see the docstring
-            p_weight, q_weight = w_site[keep], (w_site * omega)[keep]
-            cos_k, sin_k = cos_t[keep], sin_t[keep]
-            a, b = a_all[:m], b_all[:m]
-            for lo, hi in spans:
-                draws = ahead.result()
-                ahead = next(draws_ahead, None)
-                draws /= sqrt_beta
-                a[lo:hi] = draws @ w_site
-                p_site = np.take(draws, keep, axis=1)
-                p_site *= p_weight
-                np.matmul(p_site, cos_k, out=b[lo:hi])
-            acc1, acc2 = np.zeros(tau.size), np.zeros(tau.size)  # the chunk's running sums
-            for lo, hi in spans:
-                draws = ahead.result()
-                ahead = next(draws_ahead, None)
-                draws /= q_scale
-                q_site = np.take(draws, keep, axis=1)
-                q_site *= q_weight
-                for s, e in sub_blocks[hi - lo]:
-                    sub = buf[: 1 + e - s]
-                    rows = sub[1:]
-                    np.matmul(q_site[s:e], sin_k, out=rows)
-                    np.subtract(b[lo + s : lo + e], rows, out=rows)
-                    rows *= a[lo + s : lo + e, None]  # the products
-                    sub[0] = acc1
-                    acc1 = sub.sum(axis=0)
-                    rows *= rows  # and their squares
-                    sub[0] = acc2
-                    acc2 = sub.sum(axis=0)
-            sum1 += acc1
-            sum2 += acc2
+    sum1, sum2 = np.zeros(tau.shape), np.zeros(tau.shape)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            # one draw call per block in stream order (each chunk's p
+            # blocks, then its q blocks), submitted as the block before is
+            # taken, into the buffer the calling thread is done with
+            spans_in_order = (span for _, spans in chunks for _half in "pq" for span in spans)
+            draws_ahead = (
+                pool.submit(rng.standard_normal, out=draw_bufs[k % 2][: hi - lo])
+                for k, (lo, hi) in enumerate(spans_in_order)
+            )
+            ahead = next(draws_ahead)
+            for m, spans in chunks:
+                keep = support if m > 1 else np.arange(n)  # see the docstring
+                p_weight, q_weight = w_site[keep], (w_site * omega)[keep]
+                cos_k, sin_k = cos_t[keep], sin_t[keep]
+                a, b = a_all[:m], b_all[:m]
+                for lo, hi in spans:
+                    draws = ahead.result()
+                    ahead = next(draws_ahead, None)
+                    draws /= sqrt_beta
+                    a[lo:hi] = draws @ w_site
+                    p_site = np.take(draws, keep, axis=1)
+                    p_site *= p_weight
+                    np.matmul(p_site, cos_k, out=b[lo:hi])
+                acc1, acc2 = np.zeros(tau.size), np.zeros(tau.size)  # the chunk's running sums
+                for lo, hi in spans:
+                    draws = ahead.result()
+                    ahead = next(draws_ahead, None)
+                    draws /= q_scale
+                    q_site = np.take(draws, keep, axis=1)
+                    q_site *= q_weight
+                    for s, e in sub_blocks[hi - lo]:
+                        sub = buf[: 1 + e - s]
+                        rows = sub[1:]
+                        np.matmul(q_site[s:e], sin_k, out=rows)
+                        np.subtract(b[lo + s : lo + e], rows, out=rows)
+                        rows *= a[lo + s : lo + e, None]  # the products
+                        sub[0] = acc1
+                        acc1 = sub.sum(axis=0)
+                        rows *= rows  # and their squares
+                        sub[0] = acc2
+                        acc2 = sub.sum(axis=0)
+                sum1 += acc1
+                sum2 += acc2
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"Monte-Carlo products p0(0) p0(tau) at beta={chain.beta!r}: {exc}") from exc
     mean = sum1 / samples
     var = (sum2 - samples * mean**2) / (samples - 1)
     stderr = np.sqrt(np.clip(var, 0.0, None) / samples)
@@ -501,7 +500,7 @@ def time_autocorrelation(
       two aliased modes (w dt beyond pi) sum to near a multiple of 2 pi.
 
     The pairs are taken once each, in row blocks of the upper triangle of
-    about _PAIR_BLOCK_VALUES entries, and the lag sum uses
+    about _CACHE_VALUES entries, and the lag sum uses
     exp(i theta o_j) = exp(i theta o_{a r}) exp(i theta o_b) for
     j = a r + b with r about sqrt(len(tau)).  All sums are numpy reductions,
     not BLAS products, so their bits do not depend on the BLAS thread
@@ -540,7 +539,7 @@ def time_autocorrelation(
     b_re, b_im = b.real.copy(), b.imag.copy()  # contiguous, for einsum's fast loops
     k_modes = len(omega)
     u_re, u_im = np.zeros(k_modes), np.zeros(k_modes)
-    for lo, hi in _row_blocks(k_modes, k_modes, _PAIR_BLOCK_VALUES):
+    for lo, hi in _row_blocks(k_modes, k_modes, _CACHE_VALUES):
         # rows lo:hi against columns lo:, so each pair is taken once
         plus = _dirichlet_ratio(
             sin_nh[lo:hi, None] * cos_nh[lo:] + cos_nh[lo:hi, None] * sin_nh[lo:],
@@ -577,9 +576,9 @@ def recurrence_peak(
 
     The analytic curve is a finite cosine sum, so it keeps returning
     arbitrarily close to g_n(0); this scans a window and reports where and
-    how closely.  Each chunk of the grid is evaluated by
-    phase_autocorrelation, at most _MODE_BLOCK_VALUES angles at a time; the
-    first grid point of the largest |g_n| wins.  The work is
+    how closely.  The grid is evaluated by phase_autocorrelation in chunks
+    (_row_blocks under _BLOCK_VALUES points), which bound the grid's memory;
+    the first grid point of the largest |g_n| wins.  The work is
     O((tau_max - skip) / dt) curve points; no cap is applied.
     """
     if not (math.isfinite(dt) and dt > 0):
@@ -595,15 +594,12 @@ def recurrence_peak(
     if start_idx >= n_pts:
         raise ValueError(f"no grid point j*dt lies in [skip, tau_max] = [{skip!r}, {tau_max!r}] for dt={dt!r}")
     best_tau, best_val = skip, -np.inf
-    chunk = max(1, _MODE_BLOCK_VALUES // chain.n)
-    for lo in range(start_idx, n_pts, chunk):
-        hi = min(lo + chunk, n_pts)
-        t = np.arange(lo, hi) * dt
+    for lo, hi in _row_blocks(n_pts - start_idx, 1, _BLOCK_VALUES):
+        t = np.arange(start_idx + lo, start_idx + hi) * dt
         vals = np.abs(phase_autocorrelation(chain, t).values)
         j = int(np.argmax(vals))
         if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_tau = float(t[j])
+            best_tau, best_val = float(t[j]), float(vals[j])
     return best_tau, best_val
 
 
@@ -626,18 +622,17 @@ def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0) -> OuFit:
     The window is found self-consistently: fit, shrink the window to
     window_factor / gamma_hat, refit, until stable or after _OU_MAX_ITER
     fits.  The residual is the 2-norm misfit divided by the 2-norm of the
-    data on the final window.  tau must increase strictly, and
-    window_factor must be finite and > 0 (each a ValueError).
-    scipy.optimize is imported by the first call, not by importing this
-    module, so the first call in a process (`mingsim fkm oufit`, or A7 of
-    `mingsim reproduce`) also pays that import.
+    data on the final window.  The fit runs on values / 2^k, 2^k <= values[0]
+    < 2^(k+1), which is exact and keeps it in range at any scale.  tau must
+    increase strictly, and window_factor must be finite and > 0 (each a
+    ValueError).  scipy.optimize is imported by the first call, so the first
+    call in a process (`fkm oufit`, A7 of `reproduce`) also pays that import.
     """
     import scipy.optimize  # half a second to import (with scipy.linalg); nothing else in mingsim needs it
 
     if not (math.isfinite(window_factor) and window_factor > 0):
         raise ValueError(f"window_factor must be finite and > 0, got {window_factor!r}")
-    tau = curve.tau
-    vals = curve.values
+    tau, vals = curve.tau, curve.values
     if len(tau) < 3:
         raise DegenerateFitError("need at least three curve points")
     if np.any(np.diff(tau) <= 0.0):
@@ -646,6 +641,8 @@ def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0) -> OuFit:
         raise DegenerateFitError("curve is identically zero")
     if vals[0] <= 0.0:
         raise DegenerateFitError("curve must be positive at tau = 0")
+    k = math.frexp(vals[0])[1] - 1  # 0 for 1 <= values[0] < 2
+    vals = np.ldexp(vals, -k)
 
     # crossing of values[0]/e sets the first rate guess
     below = np.nonzero(vals < vals[0] / math.e)[0]
@@ -656,10 +653,8 @@ def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0) -> OuFit:
     n_window = len(tau)
     for _ in range(_OU_MAX_ITER):
         cut = window_factor / gamma
-        new_window = int(np.searchsorted(tau, cut, side="right"))
-        new_window = max(new_window, 3)
-        t_fit = tau[:new_window]
-        v_fit = vals[:new_window]
+        new_window = max(int(np.searchsorted(tau, cut, side="right")), 3)
+        t_fit, v_fit = tau[:new_window], vals[:new_window]
         try:
             with warnings.catch_warnings():
                 # the covariance is unused, its conditioning is irrelevant here
@@ -670,14 +665,10 @@ def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0) -> OuFit:
         except RuntimeError as exc:
             raise DegenerateFitError(f"exponential fit failed to converge: {exc}") from exc
         if gamma_hat <= 0 or c_hat <= 0:
-            raise DegenerateFitError(
-                f"fit left the decay family (c={c_hat:.3g}, gamma={gamma_hat:.3g})"
-            )
+            raise DegenerateFitError(f"fit left the decay family (c={math.ldexp(c_hat, k):.3g}, gamma={gamma_hat:.3g})")
         gamma = float(gamma_hat)
         if new_window == n_window:
             break
         n_window = new_window
-    resid = float(
-        np.linalg.norm(model(t_fit, c_hat, gamma) - v_fit) / np.linalg.norm(v_fit)
-    )
-    return OuFit(gamma=gamma, amplitude=float(c_hat), residual=resid, window=float(t_fit[-1]))
+    resid = float(np.linalg.norm(model(t_fit, c_hat, gamma) - v_fit) / np.linalg.norm(v_fit))
+    return OuFit(gamma=gamma, amplitude=math.ldexp(c_hat, k), residual=resid, window=float(t_fit[-1]))

@@ -470,6 +470,20 @@ def test_oufit_roundtrip(tmp_path, capsys):
     assert fit["residual"] < 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_oufit_at_extreme_scales(tmp_path, capsys, scale):
+    # the fit overflowed in matmul (1e-300) and in square (1e300) before it
+    # ran on the curve over a power of two
+    out = tmp_path / "curve.csv"
+    tau = np.linspace(0.0, 3.0, 31)
+    out.write_text("tau,value\n" + "".join(f"{t!r},{scale * 10.0**-t!r}\n" for t in tau.tolist()), encoding="utf-8")
+    assert run(["fkm", "oufit", "--in", str(out)]) == 0
+    fit = json.loads(capsys.readouterr().out)
+    assert fit["gamma"] == pytest.approx(math.log(10.0), rel=1e-12)
+    assert fit["amplitude"] == pytest.approx(scale, rel=1e-12)
+    assert 0.0 <= fit["residual"] < 1e-12
+
+
 def test_oufit_degenerate_is_numeric_failure(tmp_path, capsys):
     out = tmp_path / "zero.csv"
     out.write_text("tau,value\n" + "\n".join(f"{t / 10},0.0" for t in range(40)) + "\n", encoding="utf-8")
@@ -607,10 +621,13 @@ def test_tiny_beta_names_beta(tmp_path, capsys):
 
 def test_mc_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    # 1 / beta is finite, but the Monte-Carlo's squared products overflow
+    # 1 / beta is finite, but the Monte-Carlo's squared products overflow;
+    # the message names the products and beta, then gives numpy's text
     argv = ["fkm", "autocorr", "--mode", "mc", "--n", "8", "--beta", "1e-200", "--samples", "100", "--out", str(out)]
     assert run(argv) == 2
-    assert capsys.readouterr().err.strip() == "config error: fkm autocorr: overflow encountered in multiply"
+    assert capsys.readouterr().err.strip() == (
+        "config error: fkm autocorr: Monte-Carlo products p0(0) p0(tau) at beta=1e-200: overflow encountered in multiply"
+    )
     assert list(tmp_path.iterdir()) == []
 
 
@@ -621,7 +638,9 @@ def test_mc_sum_overflow_names_the_sum(tmp_path, capsys):
     # that sum, so the error is the sum's, as for one sum over the chunk
     argv = ["fkm", "autocorr", "--mode", "mc", "--n", "8", "--beta", "4.686e-153", "--samples", "2000", "--out", str(out)]
     assert run(argv) == 2
-    assert capsys.readouterr().err.strip() == "config error: fkm autocorr: overflow encountered in reduce"
+    assert capsys.readouterr().err.strip() == (
+        "config error: fkm autocorr: Monte-Carlo products p0(0) p0(tau) at beta=4.686e-153: overflow encountered in reduce"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

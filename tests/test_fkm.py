@@ -133,13 +133,13 @@ def _per_mode_columns(chain):
     return np.array(freqs), np.column_stack(cols)
 
 
-# 2048 and 2049 span two and three blocks of pairs, each ending in a partial one
+# 2048 spans eight whole blocks of 256 rows; 2049 folds a lone row into its last
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 255, 256, 2048, 2049])
 def test_normal_modes_match_per_mode_columns(n):
     chain = fkm.HarmonicChain(n=n, beta=1.0, kappa=0.3)
     if n > 2000:
-        pairs, step = (n + 1) // 2 - 1, fkm._MODE_BLOCK_VALUES // n
-        assert pairs > step and pairs % step != 0
+        rows = [hi - lo for lo, hi in fkm._row_blocks(n, (n + 1) // 2 - 1, fkm._BLOCK_VALUES)]
+        assert rows == ([256] * 8 if n == 2048 else [256] * 7 + [257])
     frequencies, vectors = _per_mode_columns(chain)
     modes = fkm.normal_modes(chain)
     assert np.array_equal(modes.frequencies, frequencies)
@@ -168,6 +168,40 @@ def test_phase_curve_matches_sum_over_every_dft_index(n):
     every_k = np.cos(np.outer(fkm.dft_frequencies(chain), TAU)).mean(axis=0) / chain.beta
     assert np.abs(curve.values - every_k).max() <= 1e-12
     assert curve.values[0] == 1.0 / chain.beta
+
+
+# 2000 lags at n = 1024 are four blocks of 512, the last one partial; 1025
+# fold a lone lag into the second block
+@pytest.mark.parametrize("lags", [2, 1025, 2000])
+def test_phase_curve_blocks_move_no_bit(lags):
+    chain = fkm.scaled_ring(1024, beta=2.5)
+    tau = np.linspace(0.0, 20.0, lags)
+    w = fkm.dft_frequencies(chain)
+    whole = np.cos(w[0] * tau) + 2.0 * np.cos(np.outer(w[1:512], tau)).sum(axis=0)
+    whole += np.cos(w[512] * tau)
+    assert np.array_equal(fkm.phase_autocorrelation(chain, tau).values, whole / 1024 / chain.beta)
+
+
+def test_phase_curve_peak_memory_bounded_by_block():
+    # Bound in doubles: one block of angles, 512 lags of the 511 pairs here,
+    # within _BLOCK_VALUES, and a few len(tau) arrays (the total, its pieces,
+    # the values).  A second block alive at once breaks it; the whole pairs x
+    # len(tau) cosine table, held twice, peaked at 164 MB.
+    tau = np.linspace(0.0, 20.0, 20000)
+    bound = 8 * (fkm._BLOCK_VALUES + 6 * tau.size)
+    tracemalloc.start()
+    try:
+        fkm.phase_autocorrelation(fkm.scaled_ring(1024, 1.0), tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
+
+
+@pytest.mark.parametrize("tau", [1.0, [[0.0, 1.0]]], ids=["scalar", "2-d"])
+def test_phase_curve_rejects_tau_that_is_not_1d(tau):
+    with pytest.raises(ValueError, match=r"^tau grid must be 1-d"):
+        fkm.phase_autocorrelation(fkm.scaled_ring(8, beta=1.0), tau)
 
 
 def test_uncoupled_phase_curve_is_single_cosine():
@@ -419,7 +453,7 @@ def _run_on_one_blas_thread(script):
 # the block is rounded down to 1304 rows.  n = 9 is odd: no alternating mode.
 # A sub-block of TAU's products is 320 rows: at n = 8 and 9, 321 samples fold
 # a lone row into it, and 2000, the CLI's size, take seven.
-_SUB_ROWS = fkm._MC_SUB_VALUES // TAU.size // 8 * 8
+_SUB_ROWS = fkm._CACHE_VALUES // TAU.size // 8 * 8
 _BIT_CASES = [(n, s) for n in (8, 9, 200, 256) for s in (2, 1025, 1026, 20001)]
 _BIT_CASES += [(n, s) for n in (8, 9) for s in (_SUB_ROWS + 1, 2000)]
 
@@ -458,9 +492,25 @@ def test_mc_matches_one_shot_draws_at_large_n(n):
     assert np.allclose(mc.stderr, stderr, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [8, 256])
+def test_mc_matches_one_shot_draws_on_wide_lag_grid(n):
+    # Past 192 lags and off a multiple of 8, gemm's tail columns depend on
+    # how many rows one call takes, so the sub-blocks (200 rows of 321 lags)
+    # may move the last lags' last bits; the block layout fixes them, so a
+    # rerun gives the same bytes.
+    chain = fkm.scaled_ring(n, beta=1.0)
+    tau = np.linspace(0.0, 20.0, 321)
+    mc = fkm.mc_phase_autocorrelation(chain, tau, samples=2000, seed=7)
+    values, stderr = _one_shot_mc(chain, tau, 2000, 7)
+    assert np.allclose(mc.values, values, rtol=0.0, atol=1e-15)
+    assert np.allclose(mc.stderr, stderr, rtol=0.0, atol=1e-15)
+    again = fkm.mc_phase_autocorrelation(chain, tau, samples=2000, seed=7)
+    assert np.array_equal(again.values, mc.values) and np.array_equal(again.stderr, mc.stderr)
+
+
 def test_mc_peak_memory_independent_of_ring_width():
     # Bound from the block layout, in doubles: the draw block, its gathered
-    # site-0 columns, the sub-block buffer and slack (3 x _MC_BLOCK_VALUES);
+    # site-0 columns, the sub-block buffer and slack (3 x _BLOCK_VALUES);
     # the call's one chunk x |tau| array b, the only one of that size; the
     # cos/sin tables with their gathered copies and temporaries (5 x n x |tau|).
     # At n = 1024 one (m, n) draw is 41 MB; the one-shot chunk holds three at
@@ -471,7 +521,7 @@ def test_mc_peak_memory_independent_of_ring_width():
         chain = fkm.scaled_ring(n, beta=1.0)
         fkm.normal_modes(chain)  # the cached mode table is not part of the estimator
         rows = min(m, fkm._MC_CHUNK)
-        bound = 8 * (3 * fkm._MC_BLOCK_VALUES + rows * TAU.size + 5 * n * TAU.size)
+        bound = 8 * (3 * fkm._BLOCK_VALUES + rows * TAU.size + 5 * n * TAU.size)
         tracemalloc.start()
         try:
             fkm.mc_phase_autocorrelation(chain, TAU, samples=m, seed=3)
@@ -658,6 +708,19 @@ def test_ou_fit_recovers_exact_exponential():
     fit = fkm.ou_fit(curve)
     assert abs(fit.gamma - 2.0) < 1e-9
     assert fit.residual < 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_ou_fit_at_extreme_scales(scale):
+    # finite, positive and decaying, but the fit's products and norms leave
+    # the float range unless it runs on the curve over a power of two
+    tau = np.linspace(0.0, 3.0, 31)
+    curve = fkm.AutocorrCurve(tau=tau, values=scale * 10.0**-tau, kind="phase-analytic")
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        fit = fkm.ou_fit(curve)
+    assert fit.gamma == pytest.approx(math.log(10.0), rel=1e-12)
+    assert fit.amplitude == pytest.approx(scale, rel=1e-12)
+    assert 0.0 <= fit.residual < 1e-12
 
 
 def test_ou_fit_rejects_cosine_shape():
