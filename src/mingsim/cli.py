@@ -17,9 +17,9 @@ Handlers only compute and return the artifact text.
 
 Artifacts are written atomically (temp file + rename), values are
 formatted through repr so identical configs give byte-identical files,
-and anything environment-dependent (wall clock, library versions, BLAS
-thread settings, compute time) lives only in the sidecar provenance JSON
-next to each artifact.
+and anything environment-dependent (wall clock, Python and numpy versions,
+BLAS thread settings, compute time) lives only in the sidecar provenance
+JSON next to each artifact; numpy is the one library mingsim imports.
 All JSON is strict: a non-finite value raises instead of reaching disk.
 
 Exit codes: 0 success, 2 invalid config or flags (including an input too
@@ -52,7 +52,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import __version__, acceptance, dynamics, fkm, observable, thermolimit
 from .bitlattice import is_prime, require_dense
@@ -95,7 +94,7 @@ def write_sidecar(out: str, command: str, params: dict, elapsed: float) -> None:
     sidecar = {
         "config": {"command": command, "format_version": FORMAT_VERSION, "out": out, "params": params},
         "version": __version__,
-        "libraries": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
+        "libraries": {"python": platform.python_version(), "numpy": np.__version__},
         "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "wall_clock_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": elapsed,

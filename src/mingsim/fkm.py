@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,6 +53,7 @@ _BLOCK_VALUES = 1 << 18
 _CACHE_VALUES = 1 << 16
 
 _OU_MAX_ITER = 8  # window refits in ou_fit
+_OU_MAX_STEPS = 100  # Gauss-Newton steps per window fit in ou_fit
 
 
 @dataclass(frozen=True)
@@ -298,9 +298,12 @@ def mc_phase_autocorrelation(
     is for one sum over the chunk.  A one-column grid is the exception:
     numpy sums one column pairwise, here over each sub-block rather than
     over the chunk, so its last digit may differ from the one-shot
-    formula's.  Memory is O(_BLOCK_VALUES + _MC_CHUNK * len(tau)) whatever
-    n is.  The tau products skip the columns whose site-0 weight is exactly
-    0.0, the sin half of every cos/sin pair: they add nothing but work.
+    formula's.  The tau products skip the columns whose site-0 weight is
+    exactly 0.0, the sin half of every cos/sin pair: they add nothing but
+    work.  Each chunk builds its cos and sin tables of omega_k tau on the
+    rows it reads only, the n // 2 + 1 support modes (every mode for a
+    one-sample chunk), and frees them before the next chunk's, so memory is
+    O(_BLOCK_VALUES + (n + _MC_CHUNK) len(tau)).
 
     The draws are rng.standard_normal, which gives the bits of
     rng.normal(size=...) but for the sign of a zero (normal returns
@@ -339,8 +342,6 @@ def mc_phase_autocorrelation(
     omega = modes.frequencies
     _require_finite_angles(omega, tau)
     support = np.flatnonzero(w_site != 0.0)
-    cos_t = np.cos(np.outer(omega, tau))
-    sin_t = np.sin(np.outer(omega, tau))
     sqrt_beta = math.sqrt(chain.beta)
     q_scale = sqrt_beta * omega
     sizes = [min(_MC_CHUNK, samples - done) for done in range(0, samples, _MC_CHUNK)]
@@ -371,7 +372,8 @@ def mc_phase_autocorrelation(
             for m, spans in chunks:
                 keep = support if m > 1 else np.arange(n)  # see the docstring
                 p_weight, q_weight = w_site[keep], (w_site * omega)[keep]
-                cos_k, sin_k = cos_t[keep], sin_t[keep]
+                angles = np.outer(omega[keep], tau)
+                cos_k, sin_k = np.cos(angles), np.sin(angles, out=angles)
                 a, b = a_all[:m], b_all[:m]
                 for lo, hi in spans:
                     draws = ahead.result()
@@ -401,6 +403,7 @@ def mc_phase_autocorrelation(
                         acc2 = sub.sum(axis=0)
                 sum1 += acc1
                 sum2 += acc2
+                del cos_k, sin_k, angles  # before the next chunk's tables are made
     except FloatingPointError as exc:
         raise FloatingPointError(f"Monte-Carlo products p0(0) p0(tau) at beta={chain.beta!r}: {exc}") from exc
     mean = sum1 / samples
@@ -616,6 +619,15 @@ class OuFit:
     window: float  # fit used tau <= window
 
 
+def _ou_project(t: np.ndarray, v: np.ndarray, gamma: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(S, c, e, r) of ou_fit at gamma: e = exp(-gamma t), the best c, r = v - c e, S = <r, r> or inf."""
+    e = np.exp(-gamma * t)
+    c = float(v @ e / (e @ e))
+    r = v - c * e
+    s = float(r @ r)
+    return (s if math.isfinite(s) else math.inf), c, e, r
+
+
 def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0) -> OuFit:
     """Least-squares fit of c * exp(-gamma tau) on the window tau <= window_factor / gamma.
 
@@ -625,16 +637,21 @@ def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0) -> OuFit:
     data on the final window.  The fit runs on values / 2^k, 2^k <= values[0]
     < 2^(k+1), which is exact and keeps it in range at any scale.  tau must
     increase strictly, and window_factor must be finite and > 0 (each a
-    ValueError).  scipy.optimize is imported by the first call, so the first
-    call in a process (`fkm oufit`, A7 of `reproduce`) also pays that import.
+    ValueError, as is a non-finite tau or value).  Each fit is a variable
+    projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): c
+    is <v, e> / <e, e> for e = exp(-gamma tau), and gamma takes Gauss-Newton
+    steps with the projected derivative, each halved until it lowers the
+    squared misfit S; the fit stops when none does (the halved step no
+    longer moves gamma, or is not finite) or after _OU_MAX_STEPS steps.  An
+    amplitude past the float range is a DegenerateFitError.
     """
-    import scipy.optimize  # half a second to import (with scipy.linalg); nothing else in mingsim needs it
-
     if not (math.isfinite(window_factor) and window_factor > 0):
         raise ValueError(f"window_factor must be finite and > 0, got {window_factor!r}")
     tau, vals = curve.tau, curve.values
     if len(tau) < 3:
         raise DegenerateFitError("need at least three curve points")
+    if not (np.isfinite(tau).all() and np.isfinite(vals).all()):
+        raise ValueError("tau and values must be finite")
     if np.any(np.diff(tau) <= 0.0):
         raise ValueError("tau must increase strictly")
     if not np.any(vals != 0.0):
@@ -647,28 +664,32 @@ def ou_fit(curve: AutocorrCurve, window_factor: float = 5.0) -> OuFit:
     # crossing of values[0]/e sets the first rate guess
     below = np.nonzero(vals < vals[0] / math.e)[0]
     tau_e = tau[below[0]] if len(below) and tau[below[0]] > 0 else tau[-1]
-    gamma = 1.0 / tau_e
+    gamma = float(1.0 / tau_e)
 
-    model = lambda t, c, g: c * np.exp(-g * t)
     n_window = len(tau)
     for _ in range(_OU_MAX_ITER):
         cut = window_factor / gamma
         new_window = max(int(np.searchsorted(tau, cut, side="right")), 3)
         t_fit, v_fit = tau[:new_window], vals[:new_window]
-        try:
-            with warnings.catch_warnings():
-                # the covariance is unused, its conditioning is irrelevant here
-                warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
-                (c_hat, gamma_hat), _ = scipy.optimize.curve_fit(
-                    model, t_fit, v_fit, p0=(vals[0], gamma), maxfev=20000
-                )
-        except RuntimeError as exc:
-            raise DegenerateFitError(f"exponential fit failed to converge: {exc}") from exc
-        if gamma_hat <= 0 or c_hat <= 0:
-            raise DegenerateFitError(f"fit left the decay family (c={math.ldexp(c_hat, k):.3g}, gamma={gamma_hat:.3g})")
-        gamma = float(gamma_hat)
+        with np.errstate(all="ignore"):  # a trial gamma may under- or overflow every exp(-gamma tau): its S is inf
+            s, c_hat, e, r = _ou_project(t_fit, v_fit, gamma)
+            for _ in range(_OU_MAX_STEPS):
+                d = t_fit * e  # -de/dgamma
+                proj = d - e * ((d @ e) / (e @ e))  # (I - e e^T / <e, e>) d: the projected derivative over c
+                step = float(-(d @ r) / (c_hat * (proj @ proj)))
+                while math.isfinite(step) and gamma + step != gamma:
+                    if (trial := _ou_project(t_fit, v_fit, gamma + step))[0] < s:
+                        break
+                    step /= 2
+                else:
+                    break  # no step lowers S
+                gamma, (s, c_hat, e, r) = gamma + step, trial
+        if gamma <= 0 or c_hat <= 0:
+            raise DegenerateFitError(f"fit left the decay family (c={c_hat * 2.0**k:.3g}, gamma={gamma:.3g})")
         if new_window == n_window:
             break
         n_window = new_window
-    resid = float(np.linalg.norm(model(t_fit, c_hat, gamma) - v_fit) / np.linalg.norm(v_fit))
-    return OuFit(gamma=gamma, amplitude=math.ldexp(c_hat, k), residual=resid, window=float(t_fit[-1]))
+    if math.isinf(amplitude := c_hat * 2.0**k):  # Python floats: inf, not an OverflowError
+        raise DegenerateFitError(f"fitted amplitude {c_hat!r} * 2**{k} is beyond the float range")
+    resid = float(np.linalg.norm(r) / np.linalg.norm(v_fit))
+    return OuFit(gamma=gamma, amplitude=amplitude, residual=resid, window=float(t_fit[-1]))

@@ -194,7 +194,7 @@ def test_sidecar_provenance(tmp_path, monkeypatch):
         "params": {"a0": [1.0, 0.0], "a1": [0.0, 1.0], "epsilon": 0.0, "n": [5, 7]},
     }
     assert "wall_clock_utc" in sidecar and "version" in sidecar
-    assert set(sidecar["libraries"]) == {"python", "numpy", "scipy"}
+    assert set(sidecar["libraries"]) == {"python", "numpy"}
     assert sidecar["libraries"]["numpy"] == np.__version__
     assert sidecar["blas_thread_env"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
     # the one subcommand that draws random numbers records its seed as a parameter
@@ -491,6 +491,19 @@ def test_oufit_degenerate_is_numeric_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oufit_amplitude_past_float_range_exits_3(tmp_path, capsys):
+    # the fitted amplitude is about 2.17 * 2^1023; math.ldexp raised a bare
+    # OverflowError here, and the command exited 2 without naming it
+    values = 1.7e308 * np.exp(-np.linspace(0.0, 3.0, 31))
+    values[1:4] = 1.79e308
+    out = tmp_path / "curve.csv"
+    out.write_text("tau,value\n" + "".join(f"{t / 10!r},{v!r}\n" for t, v in enumerate(values.tolist())), encoding="utf-8")
+    assert run(["fkm", "oufit", "--in", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"numeric failure: fitted amplitude [0-9.e+]+ \* 2\*\*1023 is beyond the float range\n", captured.err)
+
+
 # ---------------------------------------------------------------------------
 # exit codes and plumbing
 # ---------------------------------------------------------------------------
@@ -681,40 +694,48 @@ def test_observable_fn_rejects_non_finite_state(tmp_path, capsys):
         assert captured.out == "" and "not finite" in captured.err
 
 
-def test_cold_start_imports_scipy_submodules_at_first_use(tmp_path, capsys):
-    # A fresh interpreter imports no scipy submodule with mingsim, and
-    # `ming verify` imports none either: verify_exponential runs on numpy
-    # alone.  ou_fit imports scipy.optimize on first use, under main's
-    # np.errstate and with warnings as errors.  In-process tests cannot see
-    # this, because tests/test_ming.py imports scipy.linalg when it is
-    # collected.
+def _without_seconds(text):
+    """reproduce's table with each criterion's runtime column dropped."""
+    return re.sub(r"(PASS|FAIL) +[0-9.]+s ", r"\1 ", text)
+
+
+def test_cold_start_loads_no_scipy_module(tmp_path, capsys):
+    # A fresh interpreter whose imports of scipy and scipy.* are refused runs
+    # `ming verify`, `fkm oufit` and `reproduce --only A7` with warnings as
+    # errors, gives this process's bytes, and ends with no scipy module
+    # loaded.  In-process tests cannot see this, because tests/test_ming.py
+    # imports scipy.linalg when it is collected.
     curve = tmp_path / "curve.csv"
     tau = np.linspace(0.0, 20.0, 200)
     curve.write_text("tau,value\n" + "".join(f"{float(t)!r},{math.exp(-0.4 * t)!r}\n" for t in tau), encoding="utf-8")
-    oufit = ["fkm", "oufit", "--in", str(curve)]
     verify = ["ming", "verify", "--n", "7", "--h", "0.7", "--out"]
+    commands = [verify + [str(tmp_path / "cold" / "v.csv")], ["fkm", "oufit", "--in", str(curve)], ["reproduce", "--only", "A7"]]
     (tmp_path / "cold").mkdir()
     (tmp_path / "warm").mkdir()
     script = textwrap.dedent(f"""
-        import sys
+        import importlib.abc, sys
+
+        class RefuseScipy(importlib.abc.MetaPathFinder):
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] == "scipy":
+                    raise ImportError(f"{{name}} is refused")
+
+        sys.meta_path.insert(0, RefuseScipy())
         import mingsim, mingsim.acceptance, mingsim.cli
-        submodules = {{"scipy.linalg", "scipy.optimize"}}
-        if submodules & set(sys.modules):
-            sys.exit(f"loaded at import: {{sorted(submodules & set(sys.modules))}}")
-        if mingsim.cli.main({verify + [str(tmp_path / "cold" / "v.csv")]!r}):
-            sys.exit("ming verify failed")
-        if submodules & set(sys.modules):
-            sys.exit(f"loaded by ming verify: {{sorted(submodules & set(sys.modules))}}")
-        sys.exit(mingsim.cli.main({oufit!r}))
+        for argv in {commands!r}:
+            if mingsim.cli.main(argv):
+                sys.exit(f"{{argv}} failed")
+        loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+        sys.exit(f"loaded: {{loaded}}" if loaded else 0)
     """)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
     argv = [sys.executable, "-W", "error", "-c", script]
     cold = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert (cold.returncode, cold.stderr) == (0, "")
-    assert run(verify + [str(tmp_path / "warm" / "v.csv")]) == 0
-    assert run(oufit) == 0
-    assert cold.stdout == capsys.readouterr().out
+    commands[0] = verify + [str(tmp_path / "warm" / "v.csv")]
+    assert [run(argv) for argv in commands] == [0, 0, 0]
+    assert _without_seconds(cold.stdout) == _without_seconds(capsys.readouterr().out)
     assert (tmp_path / "cold" / "v.csv").read_bytes() == (tmp_path / "warm" / "v.csv").read_bytes()
 
 

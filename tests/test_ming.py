@@ -112,6 +112,14 @@ def test_offdiagonal_magnitudes_near_diagonal():
     assert offdiagonal_approximation_error(block) <= 0.005
 
 
+def test_offdiagonal_error_needs_a_block_wider_than_its_band():
+    # the band is 1 <= |i - j| <= 3: a 3 x 3 block has no entry at offset 3
+    # (an IndexError if the guard let it through), a 4 x 4 block has one
+    with pytest.raises(ValueError, match=r"^block dimension must exceed the band 3, got 3$"):
+        offdiagonal_approximation_error(build_block(3, 1.0))
+    assert math.isfinite(offdiagonal_approximation_error(build_block(4, 1.0)))
+
+
 def test_propagator_integer_matches_digit_shift():
     # at integer t the Fourier phases reproduce the relabeling to rounding
     rng = np.random.default_rng(3)
