@@ -21,6 +21,11 @@ and anything environment-dependent (wall clock, Python and numpy versions,
 BLAS thread settings, compute time) lives only in the sidecar provenance
 JSON next to each artifact; numpy is the one library mingsim imports.
 All JSON is strict: a non-finite value raises instead of reaching disk.
+CSV tables are formatted a column at a time by render_csv: each column
+holds one type, and its cells go through str (repr for a float) in one
+pass, a repeated cell once.  A non-finite float raises ValueError naming
+the first such cell in row order, and no cell is quoted: a name or string
+that is empty or holds a comma, quote or line break raises instead.
 
 Exit codes: 0 success, 2 invalid config or flags (including an input too
 large to allocate), 3 numeric acceptance failure (failed reproduce
@@ -102,18 +107,20 @@ def write_sidecar(out: str, command: str, params: dict, elapsed: float) -> None:
     atomic_write(path.with_name(path.name + ".provenance.json"), canonical_json(sidecar))
 
 
-def render_csv(header, rows) -> str:
-    """CSV text, floats written through repr; like canonical_json, a NaN or
-    infinity raises ValueError instead of being written."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        for name, x in zip(header, row):
-            if isinstance(x, float) and not math.isfinite(x):
-                raise ValueError(f"{name} {x!r} is not finite")
-        writer.writerow([x if isinstance(x, str) else repr(x) if isinstance(x, float) else str(x) for x in row])
-    return buf.getvalue()
+def render_csv(columns: dict) -> str:
+    """CSV text of a table given by columns: name -> list of cells, or one cell that every row repeats."""
+    rows = len(next(cells for cells in columns.values() if isinstance(cells, list)))
+    lists = {name: cells if isinstance(cells, list) else [cells][:rows] for name, cells in columns.items()}
+    bad = [(next(i for i, x in enumerate(c) if not math.isfinite(x)), name) for name, c in lists.items()
+           if c and isinstance(c[0], float) and not all(map(math.isfinite, c))]
+    if bad:  # the first in row order: min keeps the earlier column of a tie
+        i, name = min(bad, key=lambda b: b[0])
+        raise ValueError(f"{name} {lists[name][i]!r} is not finite")
+    for text in dict.fromkeys([*columns, *(x for c in lists.values() if c and isinstance(c[0], str) for x in c)]):
+        if not text or any(c in text for c in ',"\r\n'):  # what a CSV writer quotes
+            raise ValueError(f"{text!r} would need CSV quoting")
+    texts = [map(str, c) if isinstance(c, list) else [str(c)] * rows for c in columns.values()]
+    return "\n".join([",".join(columns), *map(",".join, zip(*texts))]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +222,9 @@ EPSILON = Field("epsilon", finite, 0.0, lambda e: 0.0 <= e < 1.0, "deviation bud
 def cmd_ming_verify(p) -> str:
     n = p["n"]
     residual = verify_exponential(build_block(n, p["h"]))
-    rows = [(-1, 2, 0.0)]  # the two shift-fixed lines; identity is exact there
-    rows += [(k, n, residual) for k in range(((1 << n) - 2) // n)]  # q orbits, n prime
-    return render_csv(("orbit_id", "dimension", "residual"), rows)
+    q = ((1 << n) - 2) // n  # q orbits, n prime
+    # first row: the two shift-fixed lines; identity is exact there
+    return render_csv({"orbit_id": [-1, *range(q)], "dimension": [2] + [n] * q, "residual": [0.0] + [residual] * q})
 
 
 def read_input(field: str, path: str) -> str:
@@ -259,11 +266,8 @@ def cmd_observable_fn(p) -> str:
 
 
 def cmd_born_sweep(p) -> str:
-    rows = [
-        (row.n, row.mean, row.born_weight, row.abs_error)
-        for row in dynamics.born_limit_sweep((p["a0"], p["a1"]), p["n"], epsilon_schedule=p["epsilon"])
-    ]
-    return render_csv(("n", "mean", "born_weight", "abs_error"), rows)
+    sweep = dynamics.born_limit_sweep((p["a0"], p["a1"]), p["n"], epsilon_schedule=p["epsilon"])
+    return render_csv({name: [getattr(row, name) for row in sweep] for name in ("n", "mean", "born_weight", "abs_error")})
 
 
 def cmd_limit_compare(p) -> str:
@@ -286,8 +290,8 @@ def cmd_fkm_autocorr(p) -> str:
         x0 = fkm.sample_gibbs(chain, seed)
         horizon = p["horizon_periods"] * 2 * np.pi / fkm.dft_frequencies(chain).max()
         curve = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=p["oversample"])
-    rows = [(float(t), float(v), curve.kind, n, beta, seed) for t, v in zip(curve.tau, curve.values)]
-    text = render_csv(("tau", "value", "kind", "n", "beta", "seed"), rows)  # first: it rejects non-finite values
+    columns = {"tau": curve.tau.tolist(), "value": curve.values.tolist(), "kind": curve.kind, "n": n, "beta": beta, "seed": seed}
+    text = render_csv(columns)  # first: it rejects non-finite values
     if p["svg"] is not None:
         atomic_write(Path(p["svg"]), render_svg(curve))
     return text
@@ -303,7 +307,7 @@ def render_svg(curve) -> str:
     v_span = (v_hi - v_lo) or 1.0
     xs = pad + (t - t.min()) / t_span * (width - 2 * pad)
     ys = height - pad - (v - v_lo) / v_span * (height - 2 * pad)
-    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    points = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n'
@@ -320,18 +324,27 @@ def render_svg(curve) -> str:
 
 
 def read_curve_csv(path: str) -> fkm.AutocorrCurve:
-    reader = csv.DictReader(io.StringIO(read_input("in_path", path)))
-    if reader.fieldnames is None or "tau" not in reader.fieldnames or "value" not in reader.fieldnames:
+    # read as csv.DictReader reads: the last of a repeated column name wins,
+    # blank lines are skipped and a short row's missing cells are None
+    rows = list(csv.reader(io.StringIO(read_input("in_path", path))))
+    index = {name: i for i, name in enumerate(rows[0])} if rows else {}
+    if "tau" not in index or "value" not in index:
         raise ConfigInvalidError("in_path: curve CSV needs tau and value columns")
-    taus, vals, kinds = [], [], set()
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            taus.append(finite(row["tau"]))
-            vals.append(finite(row["value"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalidError(f"in_path: line {lineno}: bad curve row: {exc}") from exc
-        kinds.add(row.get("kind") or "phase-analytic")
-    return fkm.AutocorrCurve(tau=np.array(taus), values=np.array(vals), kind=min(kinds, default="phase-analytic"))
+    body = [row for row in rows[1:] if row]
+    columns = index["tau"], index["value"], index.get("kind", math.inf)  # no kind column: every cell None
+    taus, vals, kinds = ([row[i] if i < len(row) else None for row in body] for i in columns)
+    try:
+        tau, values = np.array(list(map(float, taus))), np.array(list(map(float, vals)))
+        parsed = np.isfinite(tau).all() and np.isfinite(values).all()
+    except (TypeError, ValueError):
+        parsed = False
+    if not parsed:  # the first bad cell names its line
+        for lineno, (t, v) in enumerate(zip(taus, vals), start=2):
+            try:
+                finite(t), finite(v)
+            except (TypeError, ValueError) as exc:
+                raise ConfigInvalidError(f"in_path: line {lineno}: bad curve row: {exc}") from exc
+    return fkm.AutocorrCurve(tau=tau, values=values, kind=min({k or "phase-analytic" for k in kinds}, default="phase-analytic"))
 
 
 def cmd_fkm_oufit(p) -> str:

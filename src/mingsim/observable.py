@@ -216,7 +216,7 @@ def macroscopic_check(
             if not abs(np.linalg.norm(tail) - 1.0) <= 1e-9:  # written so that NaN fails too
                 raise NotNormalizedError("tail vectors must have norm one")
             # new site becomes the highest bit of the index
-            state = np.kron(tail, state)
+            state = np.multiply.outer(tail, state).ravel()  # np.kron(tail, state), bit for bit
             values[pi, si] = family(size, state)
     spreads = values.max(axis=0) - values.min(axis=0)
     steps_ok = bool((np.diff(spreads) <= tolerance / 2 + 1e-15).all())

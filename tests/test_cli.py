@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import logging
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mingsim import cli, dynamics
+from mingsim import cli, dynamics, fkm, ming
 
 
 def run(argv):
@@ -505,6 +506,168 @@ def test_oufit_amplitude_past_float_range_exits_3(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# tables: render_csv and read_curve_csv against csv's row-at-a-time path
+# ---------------------------------------------------------------------------
+
+
+def _csv_writer_table(columns):
+    """The table as csv.writer writes it a row at a time, a float through
+    repr, with the first non-finite float cell in row order a ValueError."""
+    header = list(columns)
+    rows = len(next(cells for cells in columns.values() if isinstance(cells, list)))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for r in range(rows):
+        row = [cells[r] if isinstance(cells, list) else cells for cells in columns.values()]
+        for name, x in zip(header, row):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"{name} {x!r} is not finite")
+        writer.writerow([x if isinstance(x, str) else repr(x) if isinstance(x, float) else str(x) for x in row])
+    return buf.getvalue()
+
+
+def _same_table_or_error(columns):
+    try:
+        expected = _csv_writer_table(columns)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            cli.render_csv(columns)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    assert cli.render_csv(columns) == expected
+    return expected
+
+
+@pytest.mark.parametrize(
+    "columns, expected",
+    [
+        pytest.param(
+            {"x": [5e-324, -0.0, 1e16, 1e-05, 0.1 + 0.2, 1.7976931348623157e308, -1.7976931348623157e308], "k": list(range(7))},
+            None, id="floats",
+        ),
+        pytest.param({"i": [-1, -(10**30), 10**400, 2**63, 0]}, None, id="ints"),
+        pytest.param({"tau": [0.0, 0.5, 1.0], "kind": "phase-mc", "n": -8, "beta": 0.1 + 0.2, "seed": 10**20}, None, id="constant"),
+        pytest.param({"tau": [], "kind": "phase-mc", "beta": math.nan}, "tau,kind,beta\n", id="zero-rows"),
+        pytest.param({"a": [0.0, 1.0, math.nan], "b": [0.0, math.inf, 2.0]}, "b inf is not finite", id="nan-then-inf"),
+        pytest.param({"a": [0.0, math.nan], "b": [-math.inf, 1.0]}, "b -inf is not finite", id="inf-in-a-later-column"),
+        pytest.param({"tau": [0.0, 1.0], "beta": math.inf}, "beta inf is not finite", id="constant-inf"),
+    ],
+)
+def test_render_csv_matches_csv_writer(columns, expected):
+    got = _same_table_or_error(columns)
+    assert expected is None or got == expected
+
+
+def test_render_csv_refuses_what_csv_writer_would_quote():
+    # every string render_csv accepts is written as csv.writer writes it,
+    # and every string csv.writer quotes is refused
+    for text in ["", *(f"a{chr(c)}b" for c in range(0x250)), "two words", " lead", "trail "]:
+        quoted = _csv_writer_table({"s": [text], "t": [1]}) != f"s,t\n{text},1\n"
+        for columns in ({"s": [text], "t": [1]}, {"s": text, "t": [1]}, {text: [1]}):
+            try:
+                got = cli.render_csv(columns)
+            except ValueError as exc:
+                assert str(exc).endswith(f"{text!r} would need CSV quoting")
+                assert text == "" or set(text) & set(',"\r\n'), text
+            else:
+                assert not quoted and got == _csv_writer_table(columns), text
+        assert not quoted or text == "" or set(text) & set(',"\r\n'), text
+
+
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        (["ming", "verify", "--n", "7"], lambda: {
+            "orbit_id": [-1, *range(18)], "dimension": [2] + [7] * 18,
+            "residual": [0.0] + [ming.verify_exponential(ming.build_block(7, 1.0))] * 18,
+        }),
+        (["born", "sweep", "--n", "5,7", "--epsilon", "0.25"], lambda: {
+            name: [getattr(row, name) for row in dynamics.born_limit_sweep((1 + 0j, 1j), [5, 7], epsilon_schedule=0.25)]
+            for name in ("n", "mean", "born_weight", "abs_error")
+        }),
+        (["fkm", "autocorr", "--n", "16", "--tau-steps", "50"], lambda: {
+            "tau": np.linspace(0.0, 20.0, 50).tolist(),
+            "value": fkm.phase_autocorrelation(fkm.scaled_ring(16, 1.0), np.linspace(0.0, 20.0, 50)).values.tolist(),
+            "kind": "phase-analytic", "n": 16, "beta": 1.0, "seed": 42,
+        }),
+    ],
+    ids=["ming-verify", "born-sweep", "fkm-autocorr"],
+)
+def test_cli_tables_match_csv_writer(tmp_path, argv, columns):
+    out = tmp_path / "table.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == _csv_writer_table(columns())
+
+
+def _dict_reader_curve(path):
+    """(tau, values, kind) of a curve CSV as csv.DictReader reads it a row
+    at a time, or the ConfigInvalidError message."""
+    reader = csv.DictReader(io.StringIO(Path(path).read_text(encoding="utf-8")))
+    if reader.fieldnames is None or "tau" not in reader.fieldnames or "value" not in reader.fieldnames:
+        return "in_path: curve CSV needs tau and value columns"
+    taus, vals, kinds = [], [], set()
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            taus.append(cli.finite(row["tau"]))
+            vals.append(cli.finite(row["value"]))
+        except (TypeError, ValueError) as exc:
+            return f"in_path: line {lineno}: bad curve row: {exc}"
+        kinds.add(row.get("kind") or "phase-analytic")
+    return taus, vals, min(kinds, default="phase-analytic")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "tau,value\n\n0,1\n\n1,0.5\n2,0.25\n\n",
+        "tau,value\n0,1\n1\n2,0.3\n",
+        "tau,value\n0,1\n\n1,0.5\n2,zz\n3,0.1\n",
+        "tau,value\n0,1\n1,-inf\nnan,0.5\n",
+        "tau,value,kind\n0,1,phase-mc\n1,0.5,\n2,0.25,phase-mc\n3,0.1,phase-mc\n",
+        "kind,tau,value\nphase-time,0,1\nzz,1,0.4\n,2,0.2\n",
+        "kind,tau,value\nphase-time,0,1\nzz,1,0.4\n3\n",
+        "tau,value,tau\n5,1,0\n6,0.5,1\n7,0.25,2\n",
+        "tau,value,tau\n5,1,0\n6,0.5\n",
+        "tau,value\n0,1,extra,x\n1,0.4\n",
+        'tau,value\n"0",1\n"1\n",0.4\n2,0.2\n',
+        "tau,value\n 0 ,1\n1, 0.4\n2,2_0\n",
+        "tau,value\r\n0,1\r\n1,0.4\r\n",
+        "tau,value\n",
+        "",
+        "\ntau,value\n0,1\n",
+        "tau,val\n0,1\n",
+    ],
+    ids=[
+        "blank-lines", "short-row", "bad-value-at-line-5", "inf-then-nan", "kind", "kind-first", "kind-short-row",
+        "repeated-name", "repeated-name-short-row", "long-row", "quoted", "spaces", "crlf", "header-only", "empty",
+        "blank-first-line", "no-value-column",
+    ],
+)
+def test_read_curve_csv_matches_dict_reader(tmp_path, text):
+    path = tmp_path / "curve.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = _dict_reader_curve(path)
+    if isinstance(expected, str):
+        with pytest.raises(cli.ConfigInvalidError) as exc:
+            cli.read_curve_csv(str(path))
+        assert str(exc.value) == expected
+    else:
+        curve = cli.read_curve_csv(str(path))
+        assert (curve.tau.tolist(), curve.values.tolist(), curve.kind) == expected
+        assert curve.tau.dtype == curve.values.dtype == np.float64
+
+
+def test_svg_points_match_numpy_scalar_formatting():
+    curve = fkm.phase_autocorrelation(fkm.scaled_ring(8, 1.0), np.linspace(0.0, 20.0, 200))
+    t, v = curve.tau, curve.values
+    xs = 45 + (t - t.min()) / (t.max() - t.min()) * 550
+    ys = 315 - (v - v.min()) / (v.max() - v.min()) * 270
+    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))  # numpy scalars, one at a time
+    assert f'points="{points}"' in cli.render_svg(curve)
+
+
+# ---------------------------------------------------------------------------
 # exit codes and plumbing
 # ---------------------------------------------------------------------------
 
@@ -683,6 +846,16 @@ def test_oufit_rejects_tau_that_does_not_increase(tmp_path, capsys, taus):
     assert run(["fkm", "oufit", "--in", str(curve)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "tau must increase strictly" in captured.err
+
+
+@pytest.mark.parametrize("taus", ["-2,-1,0", "-3,-2,-1"])
+def test_oufit_rejects_negative_tau(tmp_path, capsys, taus):
+    # the first exited 2 with numpy's bare divide-by-zero message, the second 0
+    curve = tmp_path / "curve.csv"
+    curve.write_text("tau,value\n" + "".join(f"{t},{v}\n" for t, v in zip(taus.split(","), (1, 0.5, 0.2))), encoding="utf-8")
+    assert run(["fkm", "oufit", "--in", str(curve)]) == 2
+    start = float(taus.split(",")[0])
+    assert capsys.readouterr() == ("", f"config error: fkm oufit: tau must be >= 0, got tau[0] = {start!r}\n")
 
 
 def test_observable_fn_rejects_non_finite_state(tmp_path, capsys):

@@ -863,6 +863,17 @@ def test_ou_fit_rejects_non_finite_curve(bad):
         fkm.ou_fit(fkm.AutocorrCurve(tau=np.where(TAU == TAU[3], bad, TAU), values=np.exp(-TAU), kind="phase-analytic"))
 
 
+@pytest.mark.parametrize("start", [-2.0, -3.0, -1e-300])
+def test_ou_fit_rejects_negative_tau(start):
+    # tau -2, -1, 0 divided by zero for the start rate; tau -3, -2, -1 fitted
+    # a window of -1.0
+    tau = start + np.arange(3.0) if start <= -1 else np.array([start, 1.0, 2.0])
+    curve = fkm.AutocorrCurve(tau=tau, values=np.array([1.0, 0.5, 0.2]), kind="phase-analytic")
+    with pytest.raises(ValueError) as exc:
+        fkm.ou_fit(curve)
+    assert str(exc.value) == f"tau must be >= 0, got tau[0] = {start!r}"
+
+
 def test_ou_fit_rejects_cosine_shape():
     # pilot residual 0.741
     chain = fkm.HarmonicChain(n=1, beta=1.0, omega0_sq=1.0)
@@ -930,6 +941,45 @@ def test_recurrence_peak_reads_the_analytic_curve(n):
     chain = fkm.scaled_ring(n, beta=1.5)
     tau_star, value = fkm.recurrence_peak(chain, tau_max=200.0, dt=0.01, skip=1.0)
     assert abs(value - abs(fkm.phase_autocorrelation(chain, [tau_star]).values[0])) <= 1e-15
+
+
+def _scan_every_grid_point(chain, tau_max, dt, skip):
+    """recurrence_peak's reference: |g_n| at every grid point, first argmax."""
+    t = np.arange(math.ceil(skip / dt), int(tau_max / dt) + 1) * dt
+    vals = np.abs(fkm.phase_autocorrelation(chain, t).values)
+    j = int(np.argmax(vals))
+    return float(t[j]), float(vals[j])
+
+
+_TIE = fkm.HarmonicChain(n=2, beta=1.0, omega0_sq=math.pi**2, kappa=2 * math.pi**2)  # omega = pi, 3 pi
+
+
+@pytest.mark.parametrize(
+    "chain, tau_max, dt, skip",
+    [
+        pytest.param(fkm.scaled_ring(8, beta=1.0), 1e4, 0.01, 1.0, id="a7"),
+        pytest.param(fkm.scaled_ring(9, beta=1.5), 200.0, 0.01, 1.0, id="n9"),
+        pytest.param(fkm.scaled_ring(5, beta=1.0), 3000.0, 0.013, 2.0, id="n5"),
+        pytest.param(fkm.scaled_ring(16, beta=0.7), 2000.0, 0.003, 1.0, id="n16"),
+        pytest.param(fkm.scaled_ring(8, beta=1.0), 50.0, 1e-4, 1.0, id="fine-grid"),
+        pytest.param(fkm.scaled_ring(8, beta=1.0), 1.1, 0.01, 1.0, id="eleven-points-whole-scan"),
+        pytest.param(fkm.scaled_ring(64, beta=1.0), 30.0, 0.01, 1.0, id="stride-2"),
+        # |g| is exactly 1.0 at tau = 1, 3, 5, 7 and 9: the first wins
+        pytest.param(_TIE, 10.0, 1 / 64, 0.5, id="tie"),
+    ],
+)
+def test_recurrence_peak_matches_full_scan(monkeypatch, chain, tau_max, dt, skip):
+    evaluated = []
+    curve = fkm.phase_autocorrelation
+    monkeypatch.setattr(fkm, "phase_autocorrelation", lambda ch, t: evaluated.append(len(t)) or curve(ch, t))
+    got = fkm.recurrence_peak(chain, tau_max=tau_max, dt=dt, skip=skip)
+    assert min(evaluated) >= 2  # the per-point bits hold for blocks of 2 or more
+    reference = _scan_every_grid_point(chain, tau_max, dt, skip)
+    assert got == reference
+    if chain is _TIE:
+        assert reference == (1.0, 1.0)
+    if tau_max == 1e4:  # A7: 1 717 of 999 901 points
+        assert sum(evaluated[:-1]) < 5000
 
 
 @pytest.mark.parametrize(

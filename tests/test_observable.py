@@ -150,6 +150,19 @@ def test_macroscopic_pointer_passes_local_fails():
     assert loc.final_spread > 0.05
 
 
+def test_macroscopic_states_are_kron_products_bit_for_bit():
+    # the reference extends the prefix with np.kron, the code under test does not
+    rng = np.random.default_rng(31)
+    prefix = random_product_prefix(3, rng)
+    sites = [random_product_prefix(1, rng) for _ in range(9)]
+    seen = []
+    macroscopic_check(lambda size, state: seen.append(state) or 0.0, [prefix], lambda k: sites[k - 3], 12, 0.05)
+    state = prefix
+    for size, got in zip(range(4, 13), seen, strict=True):
+        state = np.kron(sites[size - 4], state)
+        assert got.tobytes() == state.tobytes()
+
+
 def test_macroscopic_rejects_bad_tails():
     rng = np.random.default_rng(4)
     p = random_product_prefix(3, rng)
