@@ -10,9 +10,10 @@ value and runs its check.
 A value that fails to parse or check is a ConfigInvalidError naming the
 field.  Every input file (--config, --state, --in) is read by read_input,
 and one that cannot be read or is not UTF-8 is a ConfigInvalidError
-naming its field too.  The resolved fields are recorded in the sidecar's
-config object (command, format version, output path and parameters), in
-canonical JSON.
+naming its field too, as is a CSV row the csv module refuses (a cell over
+its field size limit), which also names the line.  The resolved fields
+are recorded in the sidecar's config object (command, format version,
+output path and parameters), in canonical JSON.
 Handlers only compute and return the artifact text.
 
 Artifacts are written atomically (temp file + rename), values are
@@ -236,9 +237,19 @@ def read_input(field: str, path: str) -> str:
         raise ConfigInvalidError(f"{field}: cannot read {path}: {exc}") from exc
 
 
+def read_csv_rows(field: str, path: str):
+    """Rows of the CSV input file that field names, one at a time; a row the
+    csv module refuses is a ConfigInvalidError naming the field and line."""
+    reader = csv.reader(io.StringIO(read_input(field, path)))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ConfigInvalidError(f"{field}: line {reader.line_num}: {exc}") from exc
+
+
 def read_state_csv(path: str) -> dict[int, complex]:
     state: dict[int, complex] = {}
-    for lineno, row in enumerate(csv.reader(io.StringIO(read_input("state", path))), start=1):
+    for lineno, row in enumerate(read_csv_rows("state", path), start=1):
         if not row or not row[0].strip():
             continue
         try:
@@ -326,7 +337,7 @@ def render_svg(curve) -> str:
 def read_curve_csv(path: str) -> fkm.AutocorrCurve:
     # read as csv.DictReader reads: the last of a repeated column name wins,
     # blank lines are skipped and a short row's missing cells are None
-    rows = list(csv.reader(io.StringIO(read_input("in_path", path))))
+    rows = list(read_csv_rows("in_path", path))
     index = {name: i for i, name in enumerate(rows[0])} if rows else {}
     if "tau" not in index or "value" not in index:
         raise ConfigInvalidError("in_path: curve CSV needs tau and value columns")

@@ -268,6 +268,32 @@ def _row_blocks(m: int, width: int, values: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
+def _gram_is_cheaper(k: int, samples: int, lags: int) -> bool:
+    """The Monte-Carlo's choice of reduction: the Gram form costs about
+    k^2 (samples + lags) multiply-adds, the product form k samples lags."""
+    return k * k * (samples + lags) < k * samples * lags
+
+
+def _gram_moments(z_sum: np.ndarray, z_gram: np.ndarray, omega: np.ndarray, tau: np.ndarray):
+    """The Monte-Carlo's two moment sums in the Gram form (see
+    mc_phase_autocorrelation): z_sum . phi and phi^T z_gram phi at each tau,
+    phi = (cos omega tau, sin omega tau), over blocks of tau (_row_blocks
+    under _BLOCK_VALUES values per table)."""
+    k = omega.size
+    sum1, sum2 = np.empty(tau.size), np.empty(tau.size)
+    for lo, hi in _row_blocks(tau.size, 2 * k, _BLOCK_VALUES):
+        phi = np.empty((2 * k, hi - lo))
+        angles = np.outer(omega, tau[lo:hi])
+        np.cos(angles, out=phi[:k])
+        np.sin(angles, out=phi[k:])
+        del angles  # before the quadratic form's table is made
+        sum1[lo:hi] = z_sum @ phi
+        quad = z_gram @ phi
+        quad *= phi
+        sum2[lo:hi] = quad.sum(axis=0)
+    return sum1, sum2
+
+
 def mc_phase_autocorrelation(
     chain: HarmonicChain,
     tau_grid,
@@ -277,39 +303,23 @@ def mc_phase_autocorrelation(
     """Monte-Carlo phase average of p0(0) p0(tau) over Gibbs samples.
 
     Works in mode coordinates throughout: with P_k, Q_k the Gibbs mode
-    draws and v_k = vectors[0, k] the site-0 weights, each sample gives
-    p0(0) = sum_k v_k P_k and p0(tau) = sum_k v_k (P_k cos w_k tau
-    - w_k Q_k sin w_k tau).  Per-tau standard errors come from the sample
-    variance.
+    draws and v_k = vectors[0, k] the site-0 weights, each sample s gives
+    a_s = p0(0) = sum_k v_k P_k and b_s(tau) = p0(tau) = sum_k v_k (P_k
+    cos w_k tau - w_k Q_k sin w_k tau).  The estimate is sum_s a_s b_s / S
+    over the S samples, and the per-tau standard errors come from the
+    sample variance, that is from sum_s a_s^2 b_s^2.  Only the K = n // 2 + 1
+    modes whose site-0 weight is not exactly 0.0 enter b_s (every sin column
+    of a cos/sin pair has weight 0.0).
 
-    Samples come in chunks of _MC_CHUNK.  Each chunk draws its p normals in
-    row blocks (_row_blocks under _BLOCK_VALUES draws), then its q normals
-    in the same blocks; numpy fills an (m, n) draw row by row, so this is
-    the stream of one (m, n) p draw followed by one (m, n) q draw.  The p
-    blocks' tau products go straight into the chunk's rows of b, the call's
-    one min(samples, _MC_CHUNK) x len(tau) array.  Each q block is cut the
-    same way into sub-blocks under _CACHE_VALUES lag values.  One buffer of
-    that size plus one row, allocated per call, takes a sub-block's q
-    products after its first row, then p0(tau) from the sub-block's rows of
-    b, then the products p0(0) p0(tau), then their squares, and each sum is
-    taken while the sub-block is still in cache.  numpy sums a 2-d array's
-    rows in order, so with the chunk's running sum in the first row the sum
-    continues it bit for bit, and an overflow is raised by the sum, as it
-    is for one sum over the chunk.  A one-column grid is the exception:
-    numpy sums one column pairwise, here over each sub-block rather than
-    over the chunk, so its last digit may differ from the one-shot
-    formula's.  The tau products skip the columns whose site-0 weight is
-    exactly 0.0, the sin half of every cos/sin pair: they add nothing but
-    work.  Each chunk builds its cos and sin tables of omega_k tau on the
-    rows it reads only, the n // 2 + 1 support modes (every mode for a
-    one-sample chunk), and frees them before the next chunk's, so memory is
-    O(_BLOCK_VALUES + (n + _MC_CHUNK) len(tau)).
-
+    Draws.  Samples come in chunks of _MC_CHUNK.  Each chunk draws its p
+    normals in row blocks (_row_blocks under _BLOCK_VALUES draws), then its
+    q normals in the same blocks; numpy fills an (m, n) draw row by row, so
+    this is the stream of one (m, n) p draw followed by one (m, n) q draw.
     The draws are rng.standard_normal, which gives the bits of
     rng.normal(size=...) but for the sign of a zero (normal returns
     0.0 + 1.0 * x, so -0.0 comes back as +0.0) and skips its scaling pass.
-    Only the draw calls run on a worker thread, one per block, in
-    stream order and at most one block ahead of the calling thread, which
+    Only the draw calls run on a worker thread, one per block, in stream
+    order and at most one block ahead of the calling thread, which
     meanwhile works on the block before.  It fills the call's two block
     buffers in turn (standard_normal(out=...) draws the bits of size=...)
     and allocates no arrays, so memory, and the process's peak resident
@@ -318,20 +328,64 @@ def mc_phase_autocorrelation(
     caller's error state governs every division, product and sum, and a
     FloatingPointError it raises is raised again naming the products and
     beta, numpy's text kept.  The worker's pool is joined before this
-    returns, on error too.
+    returns, on error too.  Both reductions below take the same draws, the
+    same a_s and the same scaled coordinates v_k P_k and v_k w_k Q_k.
 
-    The reduction is the one-shot formula's, and with single-threaded BLAS
-    so are the bits while n fits in one BLAS K block (384 columns on the
+    Reductions.  The product form costs about K S len(tau) multiply-adds,
+    the Gram form about K^2 (S + len(tau)); the call takes the Gram form
+    when that is strictly smaller (_gram_is_cheaper), so narrow rings with
+    many lags take it and wide rings or short grids keep the product form.
+
+    The product form builds every b_s(tau) and sums the products and their
+    squares over the samples.  The p blocks' tau products go straight into
+    the chunk's rows of b, the call's one min(S, _MC_CHUNK) x len(tau)
+    array.  Each q block is cut the same way into sub-blocks under
+    _CACHE_VALUES lag values.  One buffer of that size plus one row takes a
+    sub-block's q products after its first row, then p0(tau) from the
+    sub-block's rows of b, then the products, then their squares, and each
+    sum is taken while the sub-block is still in cache.  numpy sums a 2-d
+    array's rows in order, so with the chunk's running sum in the first row
+    the sum continues it bit for bit, and an overflow is raised by the sum,
+    as it is for one sum over the chunk.  A one-column grid is the
+    exception: numpy sums one column pairwise, here over each sub-block
+    rather than over the chunk, so its last digit may differ from the
+    one-shot formula's.  Each chunk builds its cos and sin tables of
+    w_k tau on the K support rows (every mode for a one-sample chunk), so
+    memory is O(_BLOCK_VALUES + (K + _MC_CHUNK) len(tau)).
+
+    The product form is the one-shot formula's reduction, and with
+    single-threaded BLAS it keeps that formula's bits on a grid of a
+    multiple of 8 lags while n fits in one BLAS K block (384 columns on the
     OpenBLAS this was measured with).  Block and sub-block edges fall on
     multiples of 8 rows, where gemv's row groups start, and no block is one
     row, which numpy would send to gemv instead of gemm.  A one-sample chunk
     is a gemv whose sums group the zero columns with the rest, so it keeps
     them.  Past one K block the shorter inner sum is split differently and
-    the last digit may move.  On that OpenBLAS the same holds for the lags
-    past the last multiple of 8 when len(tau) is above 192 and not a
-    multiple of 8: there gemm's tail columns depend on how many rows one
-    call takes.  Threaded BLAS deals a gemv's rows out to threads by count,
-    so there even the one-shot formula's bits vary with the thread count.
+    the last digit may move.  Off a multiple of 8 lags, the last len(tau) % 8
+    lags come from gemm's tail columns, whose sums depend on the inner
+    length and on how many rows one call takes, so their last digit may
+    move too: on that OpenBLAS at n = 256 with 2 samples, every width of
+    8j + 1 to 8j + 4 lags up to 196 did.
+
+    The Gram form never builds b.  With x_s = (v_k P_k, -v_k w_k Q_k) the
+    2K scaled support coordinates and phi(tau) = (cos w_k tau, sin w_k tau),
+    b_s(tau) = x_s . phi(tau), so sum_s a_s b_s = (sum_s z_s) . phi and
+    sum_s a_s^2 b_s^2 = phi^T C phi, with z_s = a_s x_s and C = sum_s z_s z_s^T.
+    Each chunk keeps the p halves of its z rows in one min(S, _MC_CHUNK) x K
+    array.  Each q block copies its rows' p halves into a block of whole z
+    rows, completes them, and adds them to sum_s z_s and, by one z^T z, to
+    C.  The quadratic forms are then taken over blocks of tau (_row_blocks
+    under _BLOCK_VALUES), so past the len(tau)-long results memory is
+    O(K^2 + K _MC_CHUNK + _BLOCK_VALUES) at any len(tau).  It sums the same
+    terms in another order, so its bits are not the one-shot formula's; the
+    rounding error of each reduction is at most gamma_N = N u / (1 - N u)
+    times the sum of the terms' absolute values, with N about S + 4K and
+    u = 2^-53.  An overflow is raised by the matmul that forms C or by the
+    sum that closes a quadratic form.
+
+    Threaded BLAS deals a gemv's rows out to threads by count and splits
+    the Gram products as it likes, so with more than one BLAS thread even
+    the one-shot formula's bits vary with the thread count.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -342,22 +396,29 @@ def mc_phase_autocorrelation(
     omega = modes.frequencies
     _require_finite_angles(omega, tau)
     support = np.flatnonzero(w_site != 0.0)
+    k = support.size
+    gram = _gram_is_cheaper(k, samples, tau.size)
     sqrt_beta = math.sqrt(chain.beta)
     q_scale = sqrt_beta * omega
     sizes = [min(_MC_CHUNK, samples - done) for done in range(0, samples, _MC_CHUNK)]
     chunks = [(m, _row_blocks(m, n, _BLOCK_VALUES)) for m in sizes]
-    # the sub-blocks of each draw block length; there are at most three lengths
-    sub_blocks = {
-        hi - lo: _row_blocks(hi - lo, tau.size, _CACHE_VALUES) for _, spans in chunks for lo, hi in spans
-    }
-    # row 0 carries the chunk's running sum into each sub-block's sum
-    buf = np.empty((1 + max(e - s for subs in sub_blocks.values() for s, e in subs), tau.size))
-    # one a and one b for all chunks, so a chunk's pair is not made while
-    # the last one's is alive
+    block_rows = max(hi - lo for _, spans in chunks for lo, hi in spans)
     a_all = np.empty(sizes[0])
-    b_all = np.empty((sizes[0], tau.size))
-    draw_bufs = [np.empty((max(hi - lo for _, spans in chunks for lo, hi in spans), n)) for _ in range(2)]
-    sum1, sum2 = np.zeros(tau.shape), np.zeros(tau.shape)
+    if gram:
+        # the chunk's p halves of z, and one block of whole z rows
+        zp_all, z_buf = np.empty((sizes[0], k)), np.empty((block_rows, 2 * k))
+        z_sum, z_gram = np.zeros(2 * k), np.zeros((2 * k, 2 * k))
+    else:
+        # the sub-blocks of each draw block length; there are at most three lengths
+        sub_blocks = {
+            hi - lo: _row_blocks(hi - lo, tau.size, _CACHE_VALUES) for _, spans in chunks for lo, hi in spans
+        }
+        # row 0 carries the chunk's running sum into each sub-block's sum
+        buf = np.empty((1 + max(e - s for subs in sub_blocks.values() for s, e in subs), tau.size))
+        # one b for all chunks, so a chunk's b is not made while the last one's is alive
+        b_all = np.empty((sizes[0], tau.size))
+        sum1, sum2 = np.zeros(tau.shape), np.zeros(tau.shape)
+    draw_bufs = [np.empty((block_rows, n)) for _ in range(2)]
     try:
         with ThreadPoolExecutor(max_workers=1) as pool:
             # one draw call per block in stream order (each chunk's p
@@ -365,16 +426,22 @@ def mc_phase_autocorrelation(
             # taken, into the buffer the calling thread is done with
             spans_in_order = (span for _, spans in chunks for _half in "pq" for span in spans)
             draws_ahead = (
-                pool.submit(rng.standard_normal, out=draw_bufs[k % 2][: hi - lo])
-                for k, (lo, hi) in enumerate(spans_in_order)
+                pool.submit(rng.standard_normal, out=draw_bufs[j % 2][: hi - lo])
+                for j, (lo, hi) in enumerate(spans_in_order)
             )
             ahead = next(draws_ahead)
             for m, spans in chunks:
-                keep = support if m > 1 else np.arange(n)  # see the docstring
+                keep = support if gram or m > 1 else np.arange(n)  # see the docstring
                 p_weight, q_weight = w_site[keep], (w_site * omega)[keep]
-                angles = np.outer(omega[keep], tau)
-                cos_k, sin_k = np.cos(angles), np.sin(angles, out=angles)
-                a, b = a_all[:m], b_all[:m]
+                a = a_all[:m]
+                if gram:
+                    zp = zp_all[:m]
+                    q_weight = -q_weight  # x_s's sign, so that phi is (cos, sin)
+                else:
+                    b = b_all[:m]
+                    angles = np.outer(omega[keep], tau)
+                    cos_k, sin_k = np.cos(angles), np.sin(angles, out=angles)
+                    acc1, acc2 = np.zeros(tau.size), np.zeros(tau.size)  # the chunk's running sums
                 for lo, hi in spans:
                     draws = ahead.result()
                     ahead = next(draws_ahead, None)
@@ -382,28 +449,40 @@ def mc_phase_autocorrelation(
                     a[lo:hi] = draws @ w_site
                     p_site = np.take(draws, keep, axis=1)
                     p_site *= p_weight
-                    np.matmul(p_site, cos_k, out=b[lo:hi])
-                acc1, acc2 = np.zeros(tau.size), np.zeros(tau.size)  # the chunk's running sums
+                    if gram:
+                        np.multiply(p_site, a[lo:hi, None], out=zp[lo:hi])
+                    else:
+                        np.matmul(p_site, cos_k, out=b[lo:hi])
                 for lo, hi in spans:
                     draws = ahead.result()
                     ahead = next(draws_ahead, None)
                     draws /= q_scale
                     q_site = np.take(draws, keep, axis=1)
                     q_site *= q_weight
-                    for s, e in sub_blocks[hi - lo]:
-                        sub = buf[: 1 + e - s]
-                        rows = sub[1:]
-                        np.matmul(q_site[s:e], sin_k, out=rows)
-                        np.subtract(b[lo + s : lo + e], rows, out=rows)
-                        rows *= a[lo + s : lo + e, None]  # the products
-                        sub[0] = acc1
-                        acc1 = sub.sum(axis=0)
-                        rows *= rows  # and their squares
-                        sub[0] = acc2
-                        acc2 = sub.sum(axis=0)
-                sum1 += acc1
-                sum2 += acc2
-                del cos_k, sin_k, angles  # before the next chunk's tables are made
+                    if gram:
+                        rows = z_buf[: hi - lo]
+                        rows[:, :k] = zp[lo:hi]
+                        np.multiply(q_site, a[lo:hi, None], out=rows[:, k:])
+                        z_sum += rows.sum(axis=0)
+                        z_gram += rows.T @ rows
+                    else:
+                        for s, e in sub_blocks[hi - lo]:
+                            sub = buf[: 1 + e - s]
+                            rows = sub[1:]
+                            np.matmul(q_site[s:e], sin_k, out=rows)
+                            np.subtract(b[lo + s : lo + e], rows, out=rows)
+                            rows *= a[lo + s : lo + e, None]  # the products
+                            sub[0] = acc1
+                            acc1 = sub.sum(axis=0)
+                            rows *= rows  # and their squares
+                            sub[0] = acc2
+                            acc2 = sub.sum(axis=0)
+                if not gram:
+                    sum1 += acc1
+                    sum2 += acc2
+                    del cos_k, sin_k, angles  # before the next chunk's tables are made
+        if gram:
+            sum1, sum2 = _gram_moments(z_sum, z_gram, omega[support], tau)
     except FloatingPointError as exc:
         raise FloatingPointError(f"Monte-Carlo products p0(0) p0(tau) at beta={chain.beta!r}: {exc}") from exc
     mean = sum1 / samples

@@ -95,6 +95,26 @@ def test_observable_fn_input_validation(tmp_path, capsys):
     assert captured.out == "" and "state: cannot read" in captured.err and "can't decode byte 0xff" in captured.err
 
 
+@pytest.mark.parametrize(
+    ("argv", "field", "text"),
+    [
+        (["observable", "fn", "--n", "5", "--epsilon", "0", "--state"], "state", "index,re,im\n3,1,0\n4,{cell},0\n"),
+        (["fkm", "oufit", "--in"], "in_path", "tau,value\n0,1\n{cell},0.5\n2,0.25\n"),
+    ],
+    ids=["state", "curve"],
+)
+def test_oversized_csv_cell_names_field_and_line(tmp_path, capsys, argv, field, text):
+    # one cell past the csv module's 131 072-character field limit, on line 3
+    path = tmp_path / "input.csv"
+    path.write_text(text.format(cell="1" * 200_000), encoding="utf-8")
+    assert run(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        f"config error: {' '.join(argv[:2])}: {field}: line 3: field larger than field limit (131072)"
+    )
+
+
 def test_undecodable_curve_and_config_name_their_field(tmp_path, capsys):
     binary = tmp_path / "binary"
     binary.write_bytes(b"tau,value\n0,1\xff\n")
@@ -797,12 +817,13 @@ def test_tiny_beta_names_beta(tmp_path, capsys):
 
 def test_mc_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    # 1 / beta is finite, but the Monte-Carlo's squared products overflow;
-    # the message names the products and beta, then gives numpy's text
+    # 1 / beta is finite, but the Monte-Carlo's squared products overflow,
+    # here in the Gram form's z^T z; the message names the products and
+    # beta, then gives numpy's text
     argv = ["fkm", "autocorr", "--mode", "mc", "--n", "8", "--beta", "1e-200", "--samples", "100", "--out", str(out)]
     assert run(argv) == 2
     assert capsys.readouterr().err.strip() == (
-        "config error: fkm autocorr: Monte-Carlo products p0(0) p0(tau) at beta=1e-200: overflow encountered in multiply"
+        "config error: fkm autocorr: Monte-Carlo products p0(0) p0(tau) at beta=1e-200: overflow encountered in matmul"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -810,12 +831,27 @@ def test_mc_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
 def test_mc_sum_overflow_names_the_sum(tmp_path, capsys):
     out = tmp_path / "x.csv"
     # no squared product overflows here, but the sum of the tau = 0 squares
-    # does, at the first row of a sub-block: the running sum is carried in
-    # that sum, so the error is the sum's, as for one sum over the chunk
+    # does: the Gram form's C = sum_s z_s z_s^T is finite, and the sum that
+    # closes its quadratic form at tau = 0 overflows, so the error is the
+    # sum's, as for one sum over the products
     argv = ["fkm", "autocorr", "--mode", "mc", "--n", "8", "--beta", "4.686e-153", "--samples", "2000", "--out", str(out)]
     assert run(argv) == 2
     assert capsys.readouterr().err.strip() == (
         "config error: fkm autocorr: Monte-Carlo products p0(0) p0(tau) at beta=4.686e-153: overflow encountered in reduce"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mc_sum_overflow_names_the_sum_on_the_product_form(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    # n = 1024 keeps the product form: its sub-blocks start every 256 rows,
+    # and at this beta the running sum of the tau = 0 squares overflows at
+    # row 256, the first row of the second sub-block, where no square does;
+    # the running sum is carried in that sum, so the error is the sum's
+    argv = ["fkm", "autocorr", "--mode", "mc", "--n", "1024", "--beta", "2.077e-153", "--samples", "2000", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: fkm autocorr: Monte-Carlo products p0(0) p0(tau) at beta=2.077e-153: overflow encountered in reduce"
     )
     assert list(tmp_path.iterdir()) == []
 

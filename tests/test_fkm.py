@@ -407,38 +407,66 @@ def test_mc_worker_thread_joined_on_return_and_on_error():
     threads = threading.active_count()
     fkm.mc_phase_autocorrelation(fkm.scaled_ring(64, beta=1.0), TAU, samples=2_000, seed=1)
     assert threading.active_count() == threads
-    # the overflow happens on the calling thread, under the caller's errstate
+    # the overflow happens on the calling thread, under the caller's errstate:
+    # in the Gram form's z^T z on 200 lags, in the squared products on 5
     chain = fkm.HarmonicChain(n=8, beta=1e-200, kappa=0.3)
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
-        fkm.mc_phase_autocorrelation(chain, TAU, samples=100, seed=0)
-    assert threading.active_count() == threads
+    for tau, op in ((TAU, "matmul"), (TAU[:5], "multiply")):
+        assert fkm._gram_is_cheaper(5, 100, tau.size) == (op == "matmul")
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match=f"overflow encountered in {op}$"):
+            fkm.mc_phase_autocorrelation(chain, tau, samples=100, seed=0)
+        assert threading.active_count() == threads
 
 
-def _one_shot_mc(chain, tau, samples, seed):
-    """Reference estimator: whole (m, n) draws and every mode column per chunk."""
-    modes = fkm.normal_modes(chain)
+def _one_shot_chunks(chain, samples, seed):
+    """The estimator's scaled (m, n) p and q mode draws, one chunk at a time."""
+    omega = fkm.normal_modes(chain).frequencies
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    w_site = modes.vectors[0, :]
-    omega = modes.frequencies
-    cos_t = np.cos(np.outer(omega, tau))
-    sin_t = np.sin(np.outer(omega, tau))
-    sum1 = np.zeros(tau.shape)
-    sum2 = np.zeros(tau.shape)
     sqrt_beta = math.sqrt(chain.beta)
     done = 0
     while done < samples:
         m = min(20000, samples - done)  # the documented chunk fixes the p/q split
         p_modes = rng.normal(size=(m, chain.n)) / sqrt_beta
         q_modes = rng.normal(size=(m, chain.n)) / (sqrt_beta * omega)
+        yield p_modes, q_modes
+        done += m
+
+
+def _one_shot_mc(chain, tau, samples, seed):
+    """Reference estimator: whole (m, n) draws and every mode column per chunk."""
+    modes = fkm.normal_modes(chain)
+    w_site = modes.vectors[0, :]
+    omega = modes.frequencies
+    cos_t = np.cos(np.outer(omega, tau))
+    sin_t = np.sin(np.outer(omega, tau))
+    sum1 = np.zeros(tau.shape)
+    sum2 = np.zeros(tau.shape)
+    for p_modes, q_modes in _one_shot_chunks(chain, samples, seed):
         a = p_modes @ w_site
         b = (p_modes * w_site) @ cos_t - (q_modes * (w_site * omega)) @ sin_t
         prod = a[:, None] * b
         sum1 += prod.sum(axis=0)
         sum2 += (prod**2).sum(axis=0)
-        done += m
     mean = sum1 / samples
     var = (sum2 - samples * mean**2) / (samples - 1)
     return mean, np.sqrt(np.clip(var, 0.0, None) / samples)
+
+
+def _absolute_moments(chain, tau, samples, seed):
+    """Per lag, sum_s |a_s| B_s and sum_s a_s^2 B_s^2 over the same draws,
+    B_s = sum_j |x_sj phi_j(tau)|: the terms' absolute values that bound the
+    rounding error of any order of summing the two moments."""
+    modes = fkm.normal_modes(chain)
+    w_site = modes.vectors[0, :]
+    omega = modes.frequencies
+    abs_cos = np.abs(np.cos(np.outer(omega, tau)))
+    abs_sin = np.abs(np.sin(np.outer(omega, tau)))
+    first, second = np.zeros(tau.shape), np.zeros(tau.shape)
+    for p_modes, q_modes in _one_shot_chunks(chain, samples, seed):
+        a = p_modes @ w_site
+        terms = np.abs(p_modes * w_site) @ abs_cos + np.abs(q_modes * (w_site * omega)) @ abs_sin
+        first += (np.abs(a)[:, None] * terms).sum(axis=0)
+        second += ((a[:, None] * terms) ** 2).sum(axis=0)
+    return first, second
 
 
 def _run_on_one_blas_thread(script):
@@ -450,44 +478,61 @@ def _run_on_one_blas_thread(script):
     return run.stdout
 
 
+def _bit_tau(n):
+    """No more lags than the K = n // 2 + 1 support modes, so that the rule
+    sends the estimator to the product form at any sample count, and past 8
+    a multiple of 8: off one, gemm's tail lags may move in the last digit
+    (at n = 256 and 2 samples, every width of 8j + 1 to 8j + 4 up to 196)."""
+    k = n // 2 + 1
+    return np.linspace(0.0, 20.0, k if k < 8 else k // 8 * 8)
+
+
 # At n = 256 a block is 1024 rows: 1025 samples fold a lone row into it, 1026
 # leave a two-row second block, 20001 a one-sample second chunk.  At n = 200
 # the block is rounded down to 1304 rows.  n = 9 is odd: no alternating mode.
-# A sub-block of TAU's products is 320 rows: at n = 8 and 9, 321 samples fold
-# a lone row into it, and 2000, the CLI's size, take seven.
-_SUB_ROWS = fkm._CACHE_VALUES // TAU.size // 8 * 8
+# A sub-block of the 5-lag products at n = 8 and 9 is 13104 rows: 13105
+# samples fold a lone row into it, and 2000, the CLI's size, take one.
+_SUB_ROWS = fkm._CACHE_VALUES // _bit_tau(8).size // 8 * 8
 _BIT_CASES = [(n, s) for n in (8, 9, 200, 256) for s in (2, 1025, 1026, 20001)]
 _BIT_CASES += [(n, s) for n in (8, 9) for s in (_SUB_ROWS + 1, 2000)]
+# n = 8 has K = 5 support modes, so on 10 lags the two costs, K^2 (S + 10)
+# and K S 10, are equal at S = 10: a tie keeps the product form
+_CROSSOVER_TAU = np.linspace(0.0, 20.0, 10)
 
 
 def test_mc_bit_identical_to_one_shot_draws():
     # Threaded BLAS deals a gemv's rows out to threads by count, and a row's
     # rounding depends on its place in its thread's share, so there even the
     # one-shot formula's bits move with the thread count: compare on one.
+    assert not any(fkm._gram_is_cheaper(n // 2 + 1, s, _bit_tau(n).size) for n, s in _BIT_CASES)
+    assert not fkm._gram_is_cheaper(5, 10, _CROSSOVER_TAU.size)
     script = f"""
-from test_fkm import TAU, _one_shot_mc, fkm, np
+from test_fkm import _CROSSOVER_TAU, _bit_tau, _one_shot_mc, fkm, np
 
-def same(n, samples, seed, ref_seed):
+def same(n, samples, seed, ref_seed, tau):
     chain = fkm.scaled_ring(n, beta=2.5)
-    mc = fkm.mc_phase_autocorrelation(chain, TAU, samples, seed)
-    values, stderr = _one_shot_mc(chain, TAU, samples, ref_seed)
+    mc = fkm.mc_phase_autocorrelation(chain, tau, samples, seed)
+    values, stderr = _one_shot_mc(chain, tau, samples, ref_seed)
     return np.array_equal(mc.values, values) and np.array_equal(mc.stderr, stderr)
 
 for n, samples in {_BIT_CASES!r}:
-    print(n, samples, same(n, samples, 7, 7))
+    print(n, samples, same(n, samples, 7, 7, _bit_tau(n)))
 rng_mc, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
-print("generator", same(256, 20001, rng_mc, rng_ref) and rng_mc.normal() == rng_ref.normal())
+print("generator", same(256, 20001, rng_mc, rng_ref, _bit_tau(256)) and rng_mc.normal() == rng_ref.normal())
+print("crossover", same(8, 10, 7, 7, _CROSSOVER_TAU))
 """
     lines = _run_on_one_blas_thread(script).splitlines()
-    assert len(lines) == len(_BIT_CASES) + 1
+    assert len(lines) == len(_BIT_CASES) + 2
     assert [line for line in lines if not line.endswith(" True")] == []
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
 def test_mc_matches_one_shot_draws_at_large_n(n):
     # dropping the zero-weight columns changes BLAS's blocking of the inner
-    # sum past a few hundred columns, so only the last bit may move
+    # sum past a few hundred columns, so only the last bit may move; with
+    # more support modes than lags, both take the product form
     chain = fkm.scaled_ring(n, beta=1.0)
+    assert not fkm._gram_is_cheaper(n // 2 + 1, 1025, TAU.size)
     mc = fkm.mc_phase_autocorrelation(chain, TAU, samples=1025, seed=7)
     values, stderr = _one_shot_mc(chain, TAU, 1025, 7)
     assert np.allclose(mc.values, values, rtol=0.0, atol=1e-15)
@@ -499,15 +544,68 @@ def test_mc_matches_one_shot_draws_on_wide_lag_grid(n):
     # Past 192 lags and off a multiple of 8, gemm's tail columns depend on
     # how many rows one call takes, so the sub-blocks (200 rows of 321 lags)
     # may move the last lags' last bits; the block layout fixes them, so a
-    # rerun gives the same bytes.
+    # rerun gives the same bytes.  The samples are the most that the rule
+    # keeps on the product form on this grid: 5 at n = 8 (K = 5), and 215
+    # at n = 256 (K = 129), one block cut into sub-blocks of 200 and 15 rows.
     chain = fkm.scaled_ring(n, beta=1.0)
     tau = np.linspace(0.0, 20.0, 321)
-    mc = fkm.mc_phase_autocorrelation(chain, tau, samples=2000, seed=7)
-    values, stderr = _one_shot_mc(chain, tau, 2000, 7)
+    samples = max(s for s in range(2, 2001) if not fkm._gram_is_cheaper(n // 2 + 1, s, tau.size))
+    assert samples == {8: 5, 256: 215}[n]
+    mc = fkm.mc_phase_autocorrelation(chain, tau, samples=samples, seed=7)
+    values, stderr = _one_shot_mc(chain, tau, samples, 7)
     assert np.allclose(mc.values, values, rtol=0.0, atol=1e-15)
     assert np.allclose(mc.stderr, stderr, rtol=0.0, atol=1e-15)
-    again = fkm.mc_phase_autocorrelation(chain, tau, samples=2000, seed=7)
+    again = fkm.mc_phase_autocorrelation(chain, tau, samples=samples, seed=7)
     assert np.array_equal(again.values, mc.values) and np.array_equal(again.stderr, mc.stderr)
+
+
+@pytest.mark.parametrize(
+    ("n", "samples", "tau"),
+    [(8, 2000, TAU), (8, 100_000, TAU), (9, 20001, TAU), (256, 2000, TAU), (8, 11, _CROSSOVER_TAU)],
+    ids=["cli", "a5", "one-sample-chunk", "n256", "crossover"],
+)
+def test_mc_gram_form_within_rounding_of_one_shot_draws(n, samples, tau):
+    # The Gram form sums the one-shot formula's terms in another order.  Each
+    # order is within gamma(N) = N u / (1 - N u) of the exact sum times the
+    # sum of the terms' absolute values (Higham, Accuracy and Stability of
+    # Numerical Algorithms, sec. 3.1), N = S + 4K + 8 covering the sample
+    # sum, the two inner sums over 2K coordinates, the products and the
+    # cos/sin tables; so the two differ by at most twice that.  The stderr
+    # bound carries those errors through (sum2 - S mean^2) / (S - 1) / S and
+    # the square root, with 4u for the rounding of those steps.
+    k = n // 2 + 1
+    assert fkm._gram_is_cheaper(k, samples, tau.size)
+    chain = fkm.scaled_ring(n, beta=1.0)
+    rng_mc, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+    mc = fkm.mc_phase_autocorrelation(chain, tau, samples, rng_mc)
+    values, stderr = _one_shot_mc(chain, tau, samples, rng_ref)
+    assert rng_mc.normal() == rng_ref.normal()  # the same stream, to its end
+    abs1, abs2 = _absolute_moments(chain, tau, samples, 7)
+    u = 2.0**-53
+    length = samples + 4 * k + 8
+    gamma = length * u / (1 - length * u)
+    e1 = 2 * gamma * abs1 / samples
+    assert (np.abs(mc.values - values) <= e1).all()
+    d = (2 * gamma * abs2 + samples * (2 * np.abs(values) + e1) * e1 + 4 * u * (abs2 + samples * values**2)) / (
+        (samples - 1) * samples
+    )
+    se_bound = d / (mc.stderr + stderr) + 2 * u * np.maximum(mc.stderr, stderr)
+    assert (np.abs(mc.stderr - stderr) <= se_bound).all()
+
+
+def test_mc_takes_the_gram_form_only_past_the_crossover(monkeypatch):
+    # at the tie (10 samples on 10 lags at n = 8) the product form; one
+    # sample or one lag more, the Gram form
+    assert not fkm._gram_is_cheaper(5, 10, 10)
+    assert fkm._gram_is_cheaper(5, 11, 10) and fkm._gram_is_cheaper(5, 10, 11)
+    chain = fkm.scaled_ring(8, beta=1.0)
+    taken = []
+    gram_moments = fkm._gram_moments
+    monkeypatch.setattr(fkm, "_gram_moments", lambda *args: taken.append(True) or gram_moments(*args))
+    for samples in (10, 11):
+        taken.clear()
+        fkm.mc_phase_autocorrelation(chain, _CROSSOVER_TAU, samples, seed=7)
+        assert taken == [True] * (samples == 11)
 
 
 def test_mc_peak_memory_independent_of_ring_width():
@@ -516,9 +614,8 @@ def test_mc_peak_memory_independent_of_ring_width():
     # the call's one chunk x |tau| array b, the only one of that size; the
     # cos/sin tables with their gathered copies and temporaries (5 x n x |tau|).
     # At n = 1024 one (m, n) draw is 41 MB; the one-shot chunk holds three at
-    # once.  At n = 8 a whole chunk is one draw block, and a chunk-sized
-    # temporary next to b would break the bound, as would a second chunk's b
-    # made while the first one's is alive.
+    # once.  n = 1024 takes the product form; n = 8 the Gram form, which holds
+    # no b, only the chunk's m x K p halves of z, well inside the bound.
     for n, m in [(1024, 5000), (8, 20000), (8, 2 * fkm._MC_CHUNK)]:
         chain = fkm.scaled_ring(n, beta=1.0)
         fkm.normal_modes(chain)  # the cached mode table is not part of the estimator
@@ -547,6 +644,28 @@ def test_mc_tables_hold_only_the_support_rows():
     tracemalloc.start()
     try:
         fkm.mc_phase_autocorrelation(chain, tau, samples=2, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
+
+
+def test_mc_gram_form_memory_does_not_grow_with_support_times_lags():
+    # n = 64 (K = 33) with 100 samples on 200 000 lags takes the Gram form,
+    # which evaluates its quadratic forms over blocks of tau; the product
+    # form's cos and sin tables alone would hold 2 K |tau| = 13.2 M doubles.
+    # Bound, in doubles, with neither K nor K |tau| in it: the blocks
+    # (3 x _BLOCK_VALUES, as above) and the |tau|-long sums, means and
+    # errors (12 |tau|).
+    n, samples, lags = 64, 100, 200_000
+    assert fkm._gram_is_cheaper(n // 2 + 1, samples, lags)
+    chain = fkm.scaled_ring(n, beta=1.0)
+    tau = np.linspace(0.0, 20.0, lags)
+    bound = 8 * (3 * fkm._BLOCK_VALUES + 12 * lags)
+    fkm.normal_modes(chain)  # the cached mode table is not part of the estimator
+    tracemalloc.start()
+    try:
+        fkm.mc_phase_autocorrelation(chain, tau, samples=samples, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

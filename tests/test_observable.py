@@ -1,9 +1,12 @@
 """Cocked set membership and the pointer variable."""
 
+import math
+
 import numpy as np
 import pytest
 
 from mingsim.bitlattice import shift_index
+from mingsim.dynamics import CombinedState
 from mingsim.errors import NotNormalizedError
 from mingsim.observable import (
     CockedSet,
@@ -148,6 +151,33 @@ def test_macroscopic_pointer_passes_local_fails():
     loc = macroscopic_check(first_site_family, [a, b], tails, 13, 0.05)
     assert not loc.passed
     assert loc.final_spread > 0.05
+
+
+def test_macroscopic_trend_step_of_exactly_half_the_tolerance_passes():
+    # prefix b's value steps from 0 to tolerance / 2 + 1e-15 between the two
+    # sizes, prefix a's stays 0, so the spread grows by exactly the trend
+    # slack: that step passes, one ulp more fails
+    tolerance = 1.0
+    prefixes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    for step, passed in [(tolerance / 2 + 1e-15, True), (np.nextafter(tolerance / 2 + 1e-15, 1.0), False)]:
+        family = lambda size, state: step if size == 3 and state[1] == 1.0 else 0.0
+        rep = macroscopic_check(family, prefixes, lambda k: np.array([1.0, 0.0]), 3, tolerance)
+        assert rep.spreads.tolist() == [0.0, step]
+        assert rep.final_spread <= tolerance
+        assert rep.passed is passed
+
+
+def test_pointer_weights_each_branch_norm_by_its_amplitude():
+    # branch mappings off unit norm: |a0|^2 |amp0|^2 + |a1|^2 |amp1|^2 =
+    # 0.5 * 1.5 + 0.5 * 0.5 = 1, and only branch 0 sits on the cocked set,
+    # so f = 1 - 0.75 / 1
+    a = complex(math.sqrt(0.5))
+    c = CockedSet(5, 0.0)
+    cocked, off = strict_cocked_index(5), idx("00100")
+    assert c.contains(cocked) and not c.contains(off)
+    state = CombinedState(n=5, a0=a, a1=a, amp0={cocked: math.sqrt(1.5)}, amp1={off: math.sqrt(0.5)})
+    for normalize in (False, True):
+        assert PointerVariable(c).value(state, normalize=normalize) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_macroscopic_states_are_kron_products_bit_for_bit():
