@@ -85,16 +85,6 @@ def scaled_ring(n: int, beta: float, kappa0: float = 1.0, omega0_sq: float = 1.0
     return HarmonicChain(n=n, beta=beta, omega0_sq=omega0_sq, kappa=kappa)
 
 
-def stiffness_matrix(chain: HarmonicChain) -> np.ndarray:
-    n = chain.n
-    k = np.zeros((n, n))
-    idx = np.arange(n)
-    k[idx, idx] = chain.omega0_sq + 2 * chain.kappa
-    k[idx, (idx + 1) % n] -= chain.kappa
-    k[idx, (idx - 1) % n] -= chain.kappa
-    return k
-
-
 def dft_frequencies(chain: HarmonicChain) -> np.ndarray:
     """omega_k over the DFT index k = 0..n-1 (the k and n-k entries coincide)."""
     k = np.arange(chain.n)
@@ -216,8 +206,10 @@ class AutocorrCurve:
             self.stderr.setflags(write=False)
 
 
-def _require_finite_angles(omega: np.ndarray, tau: np.ndarray) -> None:
-    """Reject a tau grid with a non-finite value or a non-finite omega_max * max|tau|."""
+def _check_tau_grid(omega: np.ndarray, tau: np.ndarray) -> None:
+    """Reject a tau grid that is not 1-d, holds a non-finite value, or has a non-finite omega_max * max|tau|."""
+    if tau.ndim != 1:
+        raise ValueError(f"tau grid must be 1-d, got shape {tau.shape}")
     if not np.isfinite(tau).all():
         raise ValueError("tau holds a non-finite value")
     # Python floats: an overflow here gives inf, not an error under np.errstate
@@ -241,10 +233,8 @@ def phase_autocorrelation(chain: HarmonicChain, tau_grid) -> AutocorrCurve:
     omega_max * max|tau| is not finite, is a ValueError.
     """
     tau = np.asarray(tau_grid, dtype=float)
-    if tau.ndim != 1:
-        raise ValueError(f"tau grid must be 1-d, got shape {tau.shape}")
     w = dft_frequencies(chain)
-    _require_finite_angles(w, tau)
+    _check_tau_grid(w, tau)
     n = chain.n
     pairs = w[1 : (n + 1) // 2]
     total = np.cos(w[0] * tau)
@@ -309,7 +299,8 @@ def mc_phase_autocorrelation(
     over the S samples, and the per-tau standard errors come from the
     sample variance, that is from sum_s a_s^2 b_s^2.  Only the K = n // 2 + 1
     modes whose site-0 weight is not exactly 0.0 enter b_s (every sin column
-    of a cos/sin pair has weight 0.0).
+    of a cos/sin pair has weight 0.0).  The tau grid is checked as in
+    phase_autocorrelation.
 
     Draws.  Samples come in chunks of _MC_CHUNK.  Each chunk draws its p
     normals in row blocks (_row_blocks under _BLOCK_VALUES draws), then its
@@ -394,7 +385,7 @@ def mc_phase_autocorrelation(
     n = chain.n
     w_site = modes.vectors[0, :]
     omega = modes.frequencies
-    _require_finite_angles(omega, tau)
+    _check_tau_grid(omega, tau)
     support = np.flatnonzero(w_site != 0.0)
     k = support.size
     gram = _gram_is_cheaper(k, samples, tau.size)
@@ -657,19 +648,26 @@ def recurrence_peak(
     """Largest |g_n| on the grid j dt in [skip, tau_max]; quasi-periodic revisit probe.
 
     The analytic curve is a finite cosine sum, so it keeps returning
-    arbitrarily close to g_n(0); this scans a window and reports where and
-    how closely: the first grid point of the largest |g_n| as
-    phase_autocorrelation evaluates it.  Only the grid intervals that may
-    hold it are evaluated: values and slopes at every stride-th point bound
-    |g_n| between them, since |g_n''| <= sum_k omega_k^2 / (beta n)
-    (_peak_intervals).  An interval whose bound plus a rounding slack is
-    below the largest of those values is skipped; one that reaches it is
-    kept, so a tie keeps the first grid point.  The kept intervals, end
-    points included, go through phase_autocorrelation in _row_blocks of at
-    least 2 points, whose per-point bits do not depend on the block, so the
-    result is the full scan's bit for bit.  At A7's arguments 1 717 of
-    999 901 points are evaluated.  A grid too coarse for a stride of 2 is
-    scanned whole.
+    arbitrarily close to g_n(0); this reports the first grid point of the
+    largest |g_n| as phase_autocorrelation evaluates it, and that value.
+
+    The m points of the window are laid out in rows of `cols`, about
+    sqrt(m): point a cols + b is c_a + f_b, so g_n = sum_k d_k (cos w_k c_a
+    cos w_k f_b - sin w_k c_a sin w_k f_b) / (beta n) over the K = n // 2 + 1
+    distinct frequencies w_k, each shared by d_k DFT indices, is one
+    (rows x 2K) @ (2K x cols) product per _row_blocks block of rows.  It is
+    within slack = eps (4 omega_max n_pts dt + 3K + 32) / beta of
+    phase_autocorrelation at every grid point (the angles' rounding and
+    c_a + f_b against j dt, cos/sin to 4 ulp, and both sums in any order,
+    doubled), so the first exact argmax and its ties approximate within
+    2 slack of the largest approximation.  A first pass keeps each block's
+    maximum; a second recomputes the blocks that reach the overall maximum
+    less 2 slack and evaluates exactly their points that reach it, in blocks
+    of at least 2 points (a lone one is padded with a neighbour), whose
+    per-point bits do not depend on the block: the result is the full
+    scan's bit for bit.  Memory is O(_BLOCK_VALUES) at any grid length; the
+    cost is about 2K multiply-adds per point, plus K cos/sin per row and
+    per column.  At A7's arguments 2 of 999 901 points are evaluated.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
@@ -684,70 +682,41 @@ def recurrence_peak(
     if start_idx >= n_pts:
         raise ValueError(f"no grid point j*dt lies in [skip, tau_max] = [{skip!r}, {tau_max!r}] for dt={dt!r}")
     m = n_pts - start_idx  # grid points start_idx + i, i = 0..m-1
-    w = dft_frequencies(chain)
-    mean_sq = float(w @ w) / chain.n  # beta |g_n''| <= mean omega^2
-    # the stride keeps the bound's curvature term |g_n''| L^2 / 8 at 1/20 of g_n(0) = 1 / beta
-    stride = int(min(math.sqrt(0.4 / mean_sq) / dt, m)) if mean_sq > 0 else m
-    lo, span = np.array([0]), m - 1  # closed index ranges [lo, lo + span] that may hold the peak
-    if 2 <= stride < span:
-        lo, span = _peak_intervals(chain, start_idx, m, dt, stride, mean_sq / chain.beta), stride
-    counts = np.minimum(lo + span, m - 1) - lo + 1
-    first = np.cumsum(counts) - counts
+    n, beta = chain.n, chain.beta
+    omega = dft_frequencies(chain)[: n // 2 + 1]
+    _check_tau_grid(omega, np.array([tau_max]))
+    k = omega.size
+    # each frequency weighted by the number of DFT indices that share it
+    weight = np.bincount(np.minimum(np.arange(n), n - np.arange(n))) / (n * beta)
+    weight = np.concatenate([weight, -weight])  # the cos half, then the sin half
+    slack = np.finfo(float).eps * (4 * float(omega.max()) * n_pts * dt + 3 * k + 32) / beta
+    cols = min(math.isqrt(m - 1) + 1, max(_BLOCK_VALUES // (8 * k), 1))
+    fine = np.outer(omega, np.arange(cols) * dt)
+    fine = np.concatenate([np.cos(fine), np.sin(fine)])
+    # per row: the angles, their cos and sin, the weighted coarse table, the product
+    blocks = _row_blocks(-(-m // cols), 5 * k + cols, _BLOCK_VALUES)
+
+    def approx(lo: int, hi: int) -> np.ndarray:
+        """|g_n| to within slack at the grid points i = lo cols .. min(hi cols, m) - 1."""
+        angles = np.outer((start_idx + np.arange(lo, hi) * cols) * dt, omega)
+        values = (np.hstack([np.cos(angles), np.sin(angles)]) * weight) @ fine
+        return np.abs(values, out=values).ravel()[: min(hi * cols, m) - lo * cols]
+
+    tops = [float(approx(lo, hi).max()) for lo, hi in blocks]
+    cut = max(tops) - 2 * slack
     best_tau, best_val = skip, -np.inf
-    for b0, b1 in _row_blocks(int(counts.sum()), 1, _BLOCK_VALUES):
-        k = np.arange(b0, b1)
-        r = np.searchsorted(first, k, side="right") - 1
-        t = (start_idx + lo[r] + k - first[r]) * dt
+    for (lo, hi), top in zip(blocks, tops):
+        if top < cut:
+            continue
+        i = lo * cols + np.flatnonzero(approx(lo, hi) >= cut)
+        if i.size == 1 and m > 1:
+            i = min(int(i[0]), m - 2) + np.arange(2)
+        t = (start_idx + i) * dt
         vals = np.abs(phase_autocorrelation(chain, t).values)
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_tau, best_val = float(t[j]), float(vals[j])
     return best_tau, best_val
-
-
-def _peak_intervals(chain: HarmonicChain, start_idx: int, m: int, dt: float, stride: int, curvature: float) -> np.ndarray:
-    """Starts i of the intervals [i, i + stride] (grid points start_idx + i)
-    whose bound on |g_n| reaches the largest |g_n| at the points i = 0,
-    stride, 2 stride, ... up to m - 1.
-
-    With A, B the value and slope of |g_n| at one end of an interval of
-    length L, C, D at the other and M >= |g_n''|, |g_n| at distance h from
-    the first end is at most min(A + B h + M h^2 / 2, C + D (L - h) + M
-    (L - h)^2 / 2); the larger of the two at the h where they cross bounds
-    the interval, and so does it at any h in [0, L], which makes the bound
-    safe against rounding in h.  The values and slopes need not be exact:
-    the phasors exp(i omega tau) are products of a coarse and a fine table
-    (two square roots of the point count of cos/sin each), and the slack
-    covers their error, n eps per unit term of each sum plus eps omega tau
-    per angle.  Memory: two floats per coarse point, the tables and one
-    block.
-    """
-    n, beta = chain.n, chain.beta
-    half = dft_frequencies(chain)[: n // 2 + 1]
-    weight = np.full(half.size, 2.0 / (n * beta))  # DFT index 0 and n/2 once, each pair twice
-    weight[0] /= 2
-    if n % 2 == 0:
-        weight[-1] /= 2
-    points = (m - 2) // stride + 2  # i = 0, stride, ..: the last one at or past m - 1
-    cols = min(math.isqrt(points - 1) + 1, max(_BLOCK_VALUES // (8 * half.size), 1))
-    rows = -(-points // cols)
-    coarse = np.exp(1j * np.outer((start_idx + np.arange(rows) * (cols * stride)) * dt, half))
-    fine = np.exp(1j * np.outer(np.arange(cols) * (stride * dt), half))
-    value, slope = np.empty(rows * cols), np.empty(rows * cols)
-    for lo, hi in _row_blocks(rows, cols * half.size, _BLOCK_VALUES):
-        z = coarse[lo:hi, None, :] * fine
-        value[lo * cols : hi * cols] = (z.real @ weight).ravel()
-        slope[lo * cols : hi * cols] = (z.imag @ (weight * half)).ravel()
-    value, slope = np.abs(value[:points]), np.abs(slope[:points])
-    best = float(value[: (m - 1) // stride + 1].max())  # grid points only
-    length, top = stride * dt, float(half.max())
-    a, b, c, d = value[:-1], slope[:-1], value[1:], slope[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.clip((c - a + d * length + curvature * length**2 / 2) / (b + d + curvature * length), 0.0, length)
-    bound = np.maximum(a + h * (b + curvature * h / 2), c + (length - h) * (d + curvature * (length - h) / 2))
-    tau_end = (start_idx + (points - 1) * stride) * dt
-    slack = 8 * n * np.finfo(float).eps * (n + top * tau_end) * (1 + top * length + curvature * length**2) / beta
-    return np.nonzero(~(bound + slack < best))[0] * stride  # a NaN bound is kept
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,17 @@ from mingsim.errors import (
 TAU = np.linspace(0.0, 20.0, 200)
 
 
+def stiffness_matrix(chain):
+    """The dense n x n stiffness circulant: the tests' reference for the modes and the energy."""
+    n = chain.n
+    k = np.zeros((n, n))
+    idx = np.arange(n)
+    k[idx, idx] = chain.omega0_sq + 2 * chain.kappa
+    k[idx, (idx + 1) % n] -= chain.kappa
+    k[idx, (idx - 1) % n] -= chain.kappa
+    return k
+
+
 def energy(stiffness, x):
     """H = (p.p + q^T K q) / 2, from the site-basis stiffness matrix K."""
     return 0.5 * (x.p @ x.p + x.q @ stiffness @ x.q)
@@ -88,7 +99,7 @@ def test_modes_orthonormal_and_reconstruct(n):
     modes = fkm.normal_modes(chain)
     v = modes.vectors
     assert np.abs(v.T @ v - np.eye(n)).max() < 1e-12
-    k = fkm.stiffness_matrix(chain)
+    k = stiffness_matrix(chain)
     recon = v @ np.diag(modes.frequencies**2) @ v.T
     assert np.abs(recon - k).max() < 1e-10
 
@@ -99,7 +110,7 @@ DENSE_RING = fkm.HarmonicChain(n=8, beta=1.0, omega0_sq=1.0, kappa=1.7)
 def _dispersion_matches_dense_eigensolver(chain):
     k = np.arange(chain.n)
     expected = np.sort(chain.omega0_sq + 4 * chain.kappa * np.sin(np.pi * k / chain.n) ** 2)
-    dense = np.linalg.eigvalsh(fkm.stiffness_matrix(chain))
+    dense = np.linalg.eigvalsh(stiffness_matrix(chain))
     return bool(
         np.allclose(np.sort(fkm.dft_frequencies(chain) ** 2), expected, atol=1e-12)
         and np.allclose(np.sort(fkm.normal_modes(chain).frequencies ** 2), dense, atol=1e-10)
@@ -202,8 +213,9 @@ def test_phase_curve_peak_memory_bounded_by_block():
 
 @pytest.mark.parametrize("tau", [1.0, [[0.0, 1.0]]], ids=["scalar", "2-d"])
 def test_phase_curve_rejects_tau_that_is_not_1d(tau):
-    with pytest.raises(ValueError, match=r"^tau grid must be 1-d"):
-        fkm.phase_autocorrelation(fkm.scaled_ring(8, beta=1.0), tau)
+    for curve in (fkm.phase_autocorrelation, functools.partial(fkm.mc_phase_autocorrelation, samples=2, seed=0)):
+        with pytest.raises(ValueError, match=r"^tau grid must be 1-d, got shape \("):
+            curve(fkm.scaled_ring(8, beta=1.0), tau)
 
 
 def test_uncoupled_phase_curve_is_single_cosine():
@@ -246,7 +258,7 @@ def _gibbs_energies(chain, rng, draws):
     for i in range(3):
         x = fkm.sample_gibbs(chain, calls)
         assert np.abs(x.q - q[i]).max() <= 1e-12 and np.abs(x.p - p[i]).max() <= 1e-12
-    return 0.5 * ((p * p).sum(axis=1) + ((q @ fkm.stiffness_matrix(chain)) * q).sum(axis=1))
+    return 0.5 * ((p * p).sum(axis=1) + ((q @ stiffness_matrix(chain)) * q).sum(axis=1))
 
 
 def test_gibbs_mean_energy_equipartition():
@@ -287,7 +299,7 @@ def test_single_mode_state_carries_requested_energy():
     chain = fkm.scaled_ring(16, beta=1.0)
     x = fkm.single_mode_state(chain, 5, energy=7.5)
     assert np.allclose(x.q, 0.0)
-    assert energy(fkm.stiffness_matrix(chain), x) == pytest.approx(7.5, rel=1e-12)
+    assert energy(stiffness_matrix(chain), x) == pytest.approx(7.5, rel=1e-12)
     with pytest.raises(ValueError):
         fkm.single_mode_state(chain, 16, energy=1.0)
 
@@ -962,6 +974,37 @@ def test_ou_fit_rejects_rates_where_every_exp_underflows(monkeypatch):
     assert all(math.isfinite(x) for x in (fit.gamma, fit.amplitude, fit.residual))
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_ou_fit_takes_only_steps_that_lower_the_misfit(monkeypatch, n):
+    # On these curves the step search meets trial steps whose misfit equals
+    # the current one; taking them moves gamma in its last digits.  Every
+    # misfit comparison that lets a step through is recorded.
+    taken = []
+
+    class Misfit(float):
+        def __lt__(self, other):
+            return self._record(other, float(self) < float(other))
+
+        def __le__(self, other):
+            return self._record(other, float(self) <= float(other))
+
+        def _record(self, other, result):
+            if result:
+                taken.append((float(self), float(other)))
+            return result
+
+    project = fkm._ou_project
+
+    def spy(t, v, gamma):
+        s, *rest = project(t, v, gamma)
+        return (Misfit(s), *rest)
+
+    monkeypatch.setattr(fkm, "_ou_project", spy)
+    fkm.ou_fit(fkm.phase_autocorrelation(fkm.scaled_ring(n, beta=1.0), TAU))
+    assert taken
+    assert all(trial < current for trial, current in taken), [p for p in taken if not p[0] < p[1]]
+
+
 def test_ou_fit_amplitude_past_float_range_is_degenerate():
     tau = np.linspace(0.0, 3.0, 31)
     values = 1.7e308 * np.exp(-tau)
@@ -1053,6 +1096,8 @@ def test_recurrence_of_small_ring():
         fkm.recurrence_peak(chain, tau_max=math.inf, dt=0.01, skip=1.0)
     with pytest.raises(ValueError, match="dt"):  # no grid point in [0.5, 0.9]
         fkm.recurrence_peak(chain, tau_max=0.9, dt=1.0, skip=0.5)
+    with pytest.raises(ValueError, match=r"^tau up to 1e\+160 is too large"):  # omega_max = 2e150
+        fkm.recurrence_peak(fkm.HarmonicChain(n=8, beta=1.0, kappa=1e300), tau_max=1e160, dt=1e157, skip=1e158)
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -1083,8 +1128,17 @@ _TIE = fkm.HarmonicChain(n=2, beta=1.0, omega0_sq=math.pi**2, kappa=2 * math.pi*
         pytest.param(fkm.scaled_ring(8, beta=1.0), 50.0, 1e-4, 1.0, id="fine-grid"),
         pytest.param(fkm.scaled_ring(8, beta=1.0), 1.1, 0.01, 1.0, id="eleven-points-whole-scan"),
         pytest.param(fkm.scaled_ring(64, beta=1.0), 30.0, 0.01, 1.0, id="stride-2"),
-        # |g| is exactly 1.0 at tau = 1, 3, 5, 7 and 9: the first wins
+        # |g| is exactly 1.0 at every integer tau: the first wins
         pytest.param(_TIE, 10.0, 1 / 64, 0.5, id="tie"),
+        pytest.param(_TIE, 9000.0, 1 / 64, 0.5, id="tie-across-blocks"),
+        # |g| is within rounding of 1.0 at every integer tau: without the
+        # slack the approximation's own maximum picks the wrong one
+        pytest.param(_TIE, 1000.0, 0.01, 0.5, id="tie-dt-0.01"),
+        pytest.param(fkm.scaled_ring(256, beta=1.0), 1000.0, 0.01, 1.0, id="n256"),
+        # the window ends just before A7's peak at 263.89, on the rise to it
+        pytest.param(fkm.scaled_ring(8, beta=1.0), 263.88, 0.01, 263.0, id="peak-past-the-end"),
+        # the approximation's last row runs past the window to |g| = 0.88 at 52.89
+        pytest.param(fkm.scaled_ring(8, beta=1.0), 52.16, 0.01, 1.0, id="row-past-the-end"),
     ],
 )
 def test_recurrence_peak_matches_full_scan(monkeypatch, chain, tau_max, dt, skip):
@@ -1097,8 +1151,24 @@ def test_recurrence_peak_matches_full_scan(monkeypatch, chain, tau_max, dt, skip
     assert got == reference
     if chain is _TIE:
         assert reference == (1.0, 1.0)
-    if tau_max == 1e4:  # A7: 1 717 of 999 901 points
+    if tau_max == 1e4:  # A7: 2 of 999 901 points
         assert sum(evaluated[:-1]) < 5000
+
+
+def test_recurrence_peak_memory_does_not_grow_with_the_grid():
+    # Bound in doubles: one block of the approximation (its angles, its
+    # coarse table and its product, within _BLOCK_VALUES), the fine table and
+    # the exact evaluation of a few points; no term grows with the grid.
+    # Holding |g_n| at all 10^7 points would take 80 MB.
+    chain = fkm.scaled_ring(8, beta=1.0)
+    bound = 8 * 2 * fkm._BLOCK_VALUES
+    tracemalloc.start()
+    try:
+        fkm.recurrence_peak(chain, tau_max=1e5, dt=0.01, skip=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
 
 
 @pytest.mark.parametrize(
