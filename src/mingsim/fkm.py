@@ -28,6 +28,7 @@ choice, not a derived quantity.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -110,6 +111,23 @@ class NormalModes:
         self.vectors.setflags(write=False)
 
 
+def _column_frequencies(chain: HarmonicChain) -> np.ndarray:
+    """omega of each mode column: column c is DFT index (c + 1) // 2, that is
+    0, then each cos/sin pair, then n/2 for even n."""
+    return dft_frequencies(chain)[(np.arange(chain.n) + 1) // 2]
+
+
+def _site0_row(n: int) -> np.ndarray:
+    """Row 0 of the mode table in closed form, bit for bit: 1/sqrt(n), then
+    sqrt(2/n) and 0.0 for each cos/sin pair, then 1/sqrt(n) for even n."""
+    row = np.zeros(n)
+    row[0] = 1.0 / math.sqrt(n)
+    row[1 : (n + 1) // 2 * 2 - 1 : 2] = math.sqrt(2.0 / n)
+    if n % 2 == 0:
+        row[n - 1] = 1.0 / math.sqrt(n)
+    return row
+
+
 @functools.lru_cache(maxsize=32)
 def normal_modes(chain: HarmonicChain) -> NormalModes:
     """Mode table of the ring, cached; safe because its arrays are read-only.
@@ -120,7 +138,7 @@ def normal_modes(chain: HarmonicChain) -> NormalModes:
     evaluated elementwise, so the block size moves no bit of the table.
     """
     n = chain.n
-    w_dft = dft_frequencies(chain)
+    frequencies = _column_frequencies(chain)
     j = np.arange(n)
     vectors = np.empty((n, n))
     vectors[:, 0] = 1.0 / math.sqrt(n)
@@ -132,8 +150,7 @@ def normal_modes(chain: HarmonicChain) -> NormalModes:
             out *= math.sqrt(2.0 / n)
     if n % 2 == 0:
         vectors[:, n - 1] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n)
-    # column c is DFT index (c + 1) // 2: 0, then each pair, then n/2
-    return NormalModes(frequencies=w_dft[(j + 1) // 2], vectors=vectors)
+    return NormalModes(frequencies=frequencies, vectors=vectors)
 
 
 @dataclass(frozen=True)
@@ -154,12 +171,11 @@ class PhasePoint:
         self.p.setflags(write=False)
 
 
-def _gibbs_start(chain: HarmonicChain, seed) -> tuple[NormalModes, np.random.Generator]:
-    """Modes and generator for Gibbs draws; zero modes have no Gibbs marginal."""
-    modes = normal_modes(chain)
-    if (modes.frequencies <= math.sqrt(_FREQ_SQ_TOL)).any():
+def _gibbs_rng(frequencies: np.ndarray, seed) -> np.random.Generator:
+    """Generator for Gibbs draws; zero modes have no Gibbs marginal."""
+    if (frequencies <= math.sqrt(_FREQ_SQ_TOL)).any():
         raise ZeroModeError("chain has a zero mode; the Gibbs measure is not normalizable")
-    return modes, np.random.default_rng(seed)
+    return np.random.default_rng(seed)
 
 
 def sample_gibbs(chain: HarmonicChain, seed) -> PhasePoint:
@@ -168,7 +184,8 @@ def sample_gibbs(chain: HarmonicChain, seed) -> PhasePoint:
     Mode coordinates are independent Gaussians: Var Q_k = 1/(beta w_k^2),
     Var P_k = 1/beta.  Zero modes have no Gibbs marginal and are rejected.
     """
-    modes, rng = _gibbs_start(chain, seed)
+    modes = normal_modes(chain)
+    rng = _gibbs_rng(modes.frequencies, seed)
     n = chain.n
     q_modes = rng.normal(size=n) / (math.sqrt(chain.beta) * modes.frequencies)
     p_modes = rng.normal(size=n) / math.sqrt(chain.beta)
@@ -264,6 +281,16 @@ def _gram_is_cheaper(k: int, samples: int, lags: int) -> bool:
     return k * k * (samples + lags) < k * samples * lags
 
 
+def _draws_on_worker(n: int, samples: int, k: int, lags: int) -> bool:
+    """The Monte-Carlo's choice of thread for its draws: a worker thread when
+    the values the call makes before its first product, its 2 n samples
+    draws and, in the product form, its 2 k lags cos/sin table, reach
+    _CACHE_VALUES; below that the worker's start and hand-offs cost more
+    than the drawing it hides."""
+    tables = 0 if _gram_is_cheaper(k, samples, lags) else 2 * k * lags
+    return 2 * n * samples + tables >= _CACHE_VALUES
+
+
 def _gram_moments(z_sum: np.ndarray, z_gram: np.ndarray, omega: np.ndarray, tau: np.ndarray):
     """The Monte-Carlo's two moment sums in the Gram form (see
     mc_phase_autocorrelation): z_sum . phi and phi^T z_gram phi at each tau,
@@ -293,7 +320,8 @@ def mc_phase_autocorrelation(
     """Monte-Carlo phase average of p0(0) p0(tau) over Gibbs samples.
 
     Works in mode coordinates throughout: with P_k, Q_k the Gibbs mode
-    draws and v_k = vectors[0, k] the site-0 weights, each sample s gives
+    draws and v_k the site-0 weights (row 0 of normal_modes' vectors, here
+    in closed form, so the call builds no n x n table), each sample s gives
     a_s = p0(0) = sum_k v_k P_k and b_s(tau) = p0(tau) = sum_k v_k (P_k
     cos w_k tau - w_k Q_k sin w_k tau).  The estimate is sum_s a_s b_s / S
     over the S samples, and the per-tau standard errors come from the
@@ -309,18 +337,28 @@ def mc_phase_autocorrelation(
     The draws are rng.standard_normal, which gives the bits of
     rng.normal(size=...) but for the sign of a zero (normal returns
     0.0 + 1.0 * x, so -0.0 comes back as +0.0) and skips its scaling pass.
-    Only the draw calls run on a worker thread, one per block, in stream
-    order and at most one block ahead of the calling thread, which
-    meanwhile works on the block before.  It fills the call's two block
-    buffers in turn (standard_normal(out=...) draws the bits of size=...)
-    and allocates no arrays, so memory, and the process's peak resident
-    size, do not depend on how the two threads interleave.  All arithmetic
-    stays on the calling thread, because np.errstate is per thread: the
-    caller's error state governs every division, product and sum, and a
-    FloatingPointError it raises is raised again naming the products and
-    beta, numpy's text kept.  The worker's pool is joined before this
-    returns, on error too.  Both reductions below take the same draws, the
-    same a_s and the same scaled coordinates v_k P_k and v_k w_k Q_k.
+    The draw calls, one per block in stream order, fill the call's two
+    block buffers in turn (standard_normal(out=...) draws the bits of
+    size=...).  When the values the call makes before its first product,
+    its 2 n S draws and, in the product form, its 2 K len(tau) cos/sin
+    table, reach _CACHE_VALUES (_draws_on_worker), the draw calls run on a
+    worker thread, at most one block ahead of the calling thread, which
+    meanwhile works on the block before.  The worker allocates no arrays,
+    so memory, and the process's peak resident size, do not depend on how
+    the two threads interleave, and its pool is joined before this
+    returns, on error too.  A smaller call makes each draw call on the
+    calling thread as it takes the block: there, starting the worker and
+    handing it the blocks cost more than the drawing it hides.  On one
+    BLAS thread the CLI's n = 8 call at 2000 samples took 1.6 ms against
+    2.2 ms with the worker, and n = 16 2.8 against 3.5 ms; past the bound
+    the calling thread was slower, by up to a third in the product form
+    (n = 1024 at 256 samples).  Either way the stream, the arithmetic and
+    every bit are the same.  All arithmetic stays on the calling thread,
+    because np.errstate is per thread: the caller's error state governs
+    every division, product and sum (and, on a small call, the draws), and
+    a FloatingPointError it raises is raised again naming the products and
+    beta, numpy's text kept.  Both reductions below take the same draws,
+    the same a_s and the same scaled coordinates v_k P_k and v_k w_k Q_k.
 
     Reductions.  The product form costs about K S len(tau) multiply-adds,
     the Gram form about K^2 (S + len(tau)); the call takes the Gram form
@@ -381,10 +419,10 @@ def mc_phase_autocorrelation(
     if samples < 2:
         raise ValueError("need at least two samples")
     tau = np.asarray(tau_grid, dtype=float)
-    modes, rng = _gibbs_start(chain, seed)
     n = chain.n
-    w_site = modes.vectors[0, :]
-    omega = modes.frequencies
+    omega = _column_frequencies(chain)
+    rng = _gibbs_rng(omega, seed)
+    w_site = _site0_row(n)
     _check_tau_grid(omega, tau)
     support = np.flatnonzero(w_site != 0.0)
     k = support.size
@@ -410,16 +448,18 @@ def mc_phase_autocorrelation(
         b_all = np.empty((sizes[0], tau.size))
         sum1, sum2 = np.zeros(tau.shape), np.zeros(tau.shape)
     draw_bufs = [np.empty((block_rows, n)) for _ in range(2)]
+    worker = _draws_on_worker(n, samples, k, tau.size)
     try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
+        with ThreadPoolExecutor(max_workers=1) if worker else contextlib.nullcontext() as pool:
             # one draw call per block in stream order (each chunk's p
-            # blocks, then its q blocks), submitted as the block before is
-            # taken, into the buffer the calling thread is done with
+            # blocks, then its q blocks), into the buffer the calling thread
+            # is done with; a worker's is submitted as the block before is taken
             spans_in_order = (span for _, spans in chunks for _half in "pq" for span in spans)
-            draws_ahead = (
-                pool.submit(rng.standard_normal, out=draw_bufs[j % 2][: hi - lo])
+            draw_calls = (
+                functools.partial(rng.standard_normal, out=draw_bufs[j % 2][: hi - lo])
                 for j, (lo, hi) in enumerate(spans_in_order)
             )
+            draws_ahead = (pool.submit(call).result for call in draw_calls) if worker else draw_calls
             ahead = next(draws_ahead)
             for m, spans in chunks:
                 keep = support if gram or m > 1 else np.arange(n)  # see the docstring
@@ -434,7 +474,7 @@ def mc_phase_autocorrelation(
                     cos_k, sin_k = np.cos(angles), np.sin(angles, out=angles)
                     acc1, acc2 = np.zeros(tau.size), np.zeros(tau.size)  # the chunk's running sums
                 for lo, hi in spans:
-                    draws = ahead.result()
+                    draws = ahead()
                     ahead = next(draws_ahead, None)
                     draws /= sqrt_beta
                     a[lo:hi] = draws @ w_site
@@ -445,7 +485,7 @@ def mc_phase_autocorrelation(
                     else:
                         np.matmul(p_site, cos_k, out=b[lo:hi])
                 for lo, hi in spans:
-                    draws = ahead.result()
+                    draws = ahead()
                     ahead = next(draws_ahead, None)
                     draws /= q_scale
                     q_site = np.take(draws, keep, axis=1)

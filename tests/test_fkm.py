@@ -415,18 +415,50 @@ def test_overflowing_tau_names_tau(estimate, last, message):
         estimate(fkm.scaled_ring(8, beta=1.0), [0.0, last])
 
 
-def test_mc_worker_thread_joined_on_return_and_on_error():
+def test_mc_worker_thread_joined_on_return_and_on_error(monkeypatch):
+    made, pool = [], fkm.ThreadPoolExecutor  # the pools the estimator makes
+    monkeypatch.setattr(fkm, "ThreadPoolExecutor", lambda *args, **kwargs: made.append(True) or pool(*args, **kwargs))
     threads = threading.active_count()
-    fkm.mc_phase_autocorrelation(fkm.scaled_ring(64, beta=1.0), TAU, samples=2_000, seed=1)
-    assert threading.active_count() == threads
+    # n = 256: 1026 samples are two draw blocks of 1024 and 2 rows
+    assert fkm._draws_on_worker(256, 1026, 129, TAU.size)
+    fkm.mc_phase_autocorrelation(fkm.scaled_ring(256, beta=1.0), TAU, samples=1026, seed=1)
+    assert threading.active_count() == threads and made == [True]
     # the overflow happens on the calling thread, under the caller's errstate:
-    # in the Gram form's z^T z on 200 lags, in the squared products on 5
+    # in the Gram form's z^T z on 200 lags, in the squared products on 5; at
+    # n = 8, 32 770 samples are two draw blocks of 32 768 and 2 rows
     chain = fkm.HarmonicChain(n=8, beta=1e-200, kappa=0.3)
     for tau, op in ((TAU, "matmul"), (TAU[:5], "multiply")):
-        assert fkm._gram_is_cheaper(5, 100, tau.size) == (op == "matmul")
+        assert fkm._gram_is_cheaper(5, 32_770, tau.size) == (op == "matmul")
+        assert fkm._draws_on_worker(8, 32_770, 5, tau.size)
+        made.clear()
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match=f"overflow encountered in {op}$"):
-            fkm.mc_phase_autocorrelation(chain, tau, samples=100, seed=0)
-        assert threading.active_count() == threads
+            fkm.mc_phase_autocorrelation(chain, tau, samples=32_770, seed=0)
+        assert threading.active_count() == threads and made == [True]
+
+
+def test_mc_small_call_draws_on_the_calling_thread(monkeypatch):
+    # A call makes no pool while the values it makes before its first
+    # product stay under _CACHE_VALUES = 65 536: its 2 n S draws and, in the
+    # product form, its 2 K |tau| cos/sin table.  n = 16 at 2048 samples is
+    # the first Gram-form call that reaches it; n = 256 at 64 samples takes
+    # the product form, 32 768 draws and 51 600 table values.
+    assert not fkm._draws_on_worker(16, 2047, 9, TAU.size) and fkm._draws_on_worker(16, 2048, 9, TAU.size)
+    assert not fkm._gram_is_cheaper(129, 64, TAU.size) and fkm._draws_on_worker(256, 64, 129, TAU.size)
+    assert not fkm._draws_on_worker(256, 16, 129, TAU.size)
+    # The CLI's calls draw on the calling thread, under the caller's
+    # np.errstate: at an ordinary beta nothing raises, not even an
+    # underflow, and the bits are those of the call under the default state.
+    plain = {n: fkm.mc_phase_autocorrelation(fkm.scaled_ring(n, beta=1.0), TAU, 2000, seed=42) for n in (8, 16)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a small call made a worker pool")
+
+    monkeypatch.setattr(fkm, "ThreadPoolExecutor", refuse)
+    for n, curve in plain.items():
+        assert not fkm._draws_on_worker(n, 2000, n // 2 + 1, TAU.size)
+        with np.errstate(all="raise"):
+            raised = fkm.mc_phase_autocorrelation(fkm.scaled_ring(n, beta=1.0), TAU, 2000, seed=42)
+        assert np.array_equal(raised.values, curve.values) and np.array_equal(raised.stderr, curve.stderr)
 
 
 def _one_shot_chunks(chain, samples, seed):
@@ -518,12 +550,18 @@ def test_mc_bit_identical_to_one_shot_draws():
     # one-shot formula's bits move with the thread count: compare on one.
     assert not any(fkm._gram_is_cheaper(n // 2 + 1, s, _bit_tau(n).size) for n, s in _BIT_CASES)
     assert not fkm._gram_is_cheaper(5, 10, _CROSSOVER_TAU.size)
+    # both sides of the draw-thread rule: the calling thread draws up to 2000
+    # samples at n = 8 and 9 and 2 samples at n = 200 and 256, a worker the rest
+    on_worker = {(n, s) for n, s in _BIT_CASES if fkm._draws_on_worker(n, s, n // 2 + 1, _bit_tau(n).size)}
+    assert on_worker == {(n, s) for n, s in _BIT_CASES if s > 2000 or (n >= 200 and s > 2)}
+    assert not fkm._draws_on_worker(8, 10, 5, _CROSSOVER_TAU.size)
     script = f"""
 from test_fkm import _CROSSOVER_TAU, _bit_tau, _one_shot_mc, fkm, np
 
-def same(n, samples, seed, ref_seed, tau):
+def same(n, samples, seed, ref_seed, tau, **errstate):
     chain = fkm.scaled_ring(n, beta=2.5)
-    mc = fkm.mc_phase_autocorrelation(chain, tau, samples, seed)
+    with np.errstate(**errstate):
+        mc = fkm.mc_phase_autocorrelation(chain, tau, samples, seed)
     values, stderr = _one_shot_mc(chain, tau, samples, ref_seed)
     return np.array_equal(mc.values, values) and np.array_equal(mc.stderr, stderr)
 
@@ -532,9 +570,10 @@ for n, samples in {_BIT_CASES!r}:
 rng_mc, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
 print("generator", same(256, 20001, rng_mc, rng_ref, _bit_tau(256)) and rng_mc.normal() == rng_ref.normal())
 print("crossover", same(8, 10, 7, 7, _CROSSOVER_TAU))
+print("errstate", same(8, 2000, 7, 7, _bit_tau(8), all="raise"))
 """
     lines = _run_on_one_blas_thread(script).splitlines()
-    assert len(lines) == len(_BIT_CASES) + 2
+    assert len(lines) == len(_BIT_CASES) + 3
     assert [line for line in lines if not line.endswith(" True")] == []
 
 
@@ -630,7 +669,6 @@ def test_mc_peak_memory_independent_of_ring_width():
     # no b, only the chunk's m x K p halves of z, well inside the bound.
     for n, m in [(1024, 5000), (8, 20000), (8, 2 * fkm._MC_CHUNK)]:
         chain = fkm.scaled_ring(n, beta=1.0)
-        fkm.normal_modes(chain)  # the cached mode table is not part of the estimator
         rows = min(m, fkm._MC_CHUNK)
         bound = 8 * (3 * fkm._BLOCK_VALUES + rows * TAU.size + 5 * n * TAU.size)
         tracemalloc.start()
@@ -652,7 +690,6 @@ def test_mc_tables_hold_only_the_support_rows():
     chain = fkm.scaled_ring(n, beta=1.0)
     tau = np.linspace(0.0, 20.0, lags)
     bound = 8 * (2 * (n // 2 + 1) * lags + 3 * fkm._BLOCK_VALUES + 12 * lags)
-    fkm.normal_modes(chain)  # the cached mode table is not part of the estimator
     tracemalloc.start()
     try:
         fkm.mc_phase_autocorrelation(chain, tau, samples=2, seed=3)
@@ -674,7 +711,6 @@ def test_mc_gram_form_memory_does_not_grow_with_support_times_lags():
     chain = fkm.scaled_ring(n, beta=1.0)
     tau = np.linspace(0.0, 20.0, lags)
     bound = 8 * (3 * fkm._BLOCK_VALUES + 12 * lags)
-    fkm.normal_modes(chain)  # the cached mode table is not part of the estimator
     tracemalloc.start()
     try:
         fkm.mc_phase_autocorrelation(chain, tau, samples=samples, seed=3)
@@ -810,6 +846,31 @@ def test_site0_weight_vanishes_on_every_sin_column(n):
     row = fkm.normal_modes(fkm.HarmonicChain(n=n, beta=1.0)).vectors[0]
     assert np.all(row[2::2] == 0.0)
     assert np.count_nonzero(row) == n // 2 + 1
+
+
+@pytest.mark.parametrize("n", [*range(1, 71), 4096])
+def test_closed_form_site0_row_is_the_mode_table_row(n):
+    # the Monte-Carlo reads these two instead of the mode table
+    chain = fkm.scaled_ring(n, beta=1.0)
+    modes = fkm.normal_modes(chain)
+    assert np.array_equal(fkm._site0_row(n), modes.vectors[0])
+    assert np.array_equal(fkm._column_frequencies(chain), modes.frequencies)
+    fkm.normal_modes.cache_clear()
+
+
+def test_mc_builds_no_mode_table():
+    # Bound, stated before the first run: 16 MB, where n = 4096's mode
+    # table alone is 134 MB; the call itself holds two 2 x 4096 draw blocks,
+    # the 2049 x 2 cos/sin tables and a few n-long rows
+    fkm.normal_modes.cache_clear()
+    tracemalloc.start()
+    try:
+        fkm.mc_phase_autocorrelation(fkm.scaled_ring(4096, beta=1.0), TAU[:2], samples=2, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fkm.normal_modes.cache_info().currsize == 0
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _time_reversed(monkeypatch):
