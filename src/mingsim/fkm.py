@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -281,42 +282,190 @@ def _gram_is_cheaper(k: int, samples: int, lags: int) -> bool:
     return k * k * (samples + lags) < k * samples * lags
 
 
-def _draws_on_worker(n: int, samples: int, k: int, lags: int) -> bool:
+def _draws_on_worker(n: int, samples: int, tables: int) -> bool:
     """The Monte-Carlo's choice of thread for its draws: a worker thread when
-    the values the call makes before its first product, its 2 n samples
-    draws and, in the product form, its 2 k lags cos/sin table, reach
-    _CACHE_VALUES; below that the worker's start and hand-offs cost more
-    than the drawing it hides."""
-    tables = 0 if _gram_is_cheaper(k, samples, lags) else 2 * k * lags
+    the values made before the first product, the 2 n samples draws and the
+    reduction's `tables` (the product form's 2 k lags cos/sin table), reach
+    _CACHE_VALUES.  Below that the worker costs more than it hides: on one
+    BLAS thread the CLI's n = 8 and 16 calls at 2000 samples took 1.6 and
+    2.8 ms, against 2.2 and 3.5 ms with it; past the bound the calling
+    thread was slower, by up to a third (product form, n = 1024 at 256)."""
     return 2 * n * samples + tables >= _CACHE_VALUES
 
 
-def _gram_moments(z_sum: np.ndarray, z_gram: np.ndarray, omega: np.ndarray, tau: np.ndarray):
-    """The Monte-Carlo's two moment sums in the Gram form (see
-    mc_phase_autocorrelation): z_sum . phi and phi^T z_gram phi at each tau,
-    phi = (cos omega tau, sin omega tau), over blocks of tau (_row_blocks
-    under _BLOCK_VALUES values per table)."""
-    k = omega.size
-    sum1, sum2 = np.empty(tau.size), np.empty(tau.size)
-    for lo, hi in _row_blocks(tau.size, 2 * k, _BLOCK_VALUES):
-        phi = np.empty((2 * k, hi - lo))
-        angles = np.outer(omega, tau[lo:hi])
-        np.cos(angles, out=phi[:k])
-        np.sin(angles, out=phi[k:])
-        del angles  # before the quadratic form's table is made
-        sum1[lo:hi] = z_sum @ phi
-        quad = z_gram @ phi
-        quad *= phi
-        sum2[lo:hi] = quad.sum(axis=0)
-    return sum1, sum2
+class _DrawBlocks:
+    """The Monte-Carlo's Gibbs normals, a block at a time into two buffers.
+
+    Samples come in chunks of _MC_CHUNK, laid out as they are reached.  A
+    chunk draws its p normals in row blocks (_row_blocks under _BLOCK_VALUES
+    draws), then its q normals in the same blocks: numpy fills a draw row by
+    row, so this is the stream of one (m, n) p draw and one (m, n) q draw.
+    One standard_normal(out=...) call per block gives the bits of
+    rng.normal(size=...) but for the sign of a zero (normal returns
+    0.0 + 1.0 * x, so +0.0 for -0.0), without its scaling pass.
+    `with draws.chunks(tables)` gives each chunk as (m, p blocks, q blocks),
+    a block being ((lo, hi), the draws of rows lo:hi), done with when the
+    next is taken, in stream order: a chunk's p blocks before its q blocks.
+    When _draws_on_worker says so, a worker thread makes the draw calls one
+    block ahead (past a chunk's last block, the next chunk's first); it
+    allocates no arrays, so memory does not depend on how the threads
+    interleave, and the `with` joins its pool, on error too.  Otherwise the
+    calling thread draws each block as it takes it.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int, samples: int):
+        self.rng, self.n, self.samples = rng, n, samples
+        self.rows = min(samples, _MC_CHUNK)  # the first chunk's size; only the last's may differ
+        self.blocks = {m: _row_blocks(m, n, _BLOCK_VALUES) for m in {self.rows, (samples - 1) % _MC_CHUNK + 1}}
+        self.block_sizes = {hi - lo for spans in self.blocks.values() for lo, hi in spans}
+        self.bufs = [np.empty((max(self.block_sizes), n)) for _ in range(2)]
+
+    @contextlib.contextmanager
+    def chunks(self, tables: int):
+        worker = _draws_on_worker(self.n, self.samples, tables)
+        with ThreadPoolExecutor(max_workers=1) if worker else contextlib.nullcontext() as pool:
+            bufs = itertools.cycle(self.bufs)  # each call fills the one the calling thread is done with
+            left = range(self.samples, 0, -_MC_CHUNK)  # the samples left as each chunk starts
+            spans = (span for r in left for _half in "pq" for span in self.blocks[min(_MC_CHUNK, r)])
+            calls = (functools.partial(self.rng.standard_normal, out=next(bufs)[: hi - lo]) for lo, hi in spans)
+            calls = (pool.submit(call).result for call in calls) if worker else calls
+            ahead = next(calls)  # a worker starts on block 0 now, and on block j + 1 once block j is taken
+
+            def take(spans):
+                nonlocal ahead
+                for span in spans:
+                    block, ahead = ahead(), next(calls, None)  # block j's draws, then block j + 1's call
+                    yield span, block
+
+            yield ((m, take(self.blocks[m]), take(self.blocks[m])) for m in (min(_MC_CHUNK, r) for r in left))
 
 
-def mc_phase_autocorrelation(
-    chain: HarmonicChain,
-    tau_grid,
-    samples: int,
-    seed,
-) -> AutocorrCurve:
+class _ProductSums:
+    """The Monte-Carlo's product form: it builds every b_s(tau).
+
+    The p blocks' tau products go straight into the chunk's rows of b, the
+    call's one min(S, _MC_CHUNK) x len(tau) array.  Each q block is cut into
+    sub-blocks under _CACHE_VALUES lag values; one buffer of that size plus
+    one row takes a sub-block's q products after its first row, then p0(tau)
+    from its rows of b, then the products, then their squares, each summed
+    while in cache.  numpy sums a 2-d array's rows in order, so with the
+    chunk's running sum in row 0 the sum continues it bit for bit, and an
+    overflow is raised by the sum, as by one sum over the chunk.  A
+    one-column grid is the exception: numpy sums one column pairwise, here
+    over each sub-block, so its last digit may differ from the one-shot
+    formula's.  Each chunk builds cos and sin tables of w_k tau on the K
+    support rows (every mode for a one-sample chunk), so memory is
+    O(_BLOCK_VALUES + (K + _MC_CHUNK) len(tau)).
+
+    It is the one-shot formula's reduction: with single-threaded BLAS it
+    keeps that formula's bits on a grid of a multiple of 8 lags while n fits
+    in one BLAS K block (384 columns on the OpenBLAS measured).  Block and
+    sub-block edges fall on multiples of 8 rows, where gemv's row groups
+    start, and no block is one row, which numpy would send to gemv; a
+    one-sample chunk is a gemv whose sums group the zero columns with the
+    rest, so it keeps them.  The last digit may move past one K block, and
+    off a multiple of 8 lags in the last len(tau) % 8, from gemm's tail
+    columns, whose sums depend on the inner length and the rows per call:
+    on that OpenBLAS at n = 256 with 2 samples, every width of 8j + 1 to
+    8j + 4 lags up to 196 did.
+    """
+
+    def __init__(self, omega, support, tau, rows: int, block_sizes):
+        self.omega, self.support, self.tau = omega, support, tau
+        self.tables = 2 * support.size * tau.size
+        # row 0 carries the chunk's running sum into each sub-block's sum
+        self.sub_blocks = {size: _row_blocks(size, tau.size, _CACHE_VALUES) for size in block_sizes}
+        self.buf = np.empty((1 + max(e - s for subs in self.sub_blocks.values() for s, e in subs), tau.size))
+        # one b for all chunks, so a chunk's b is not made while the last one's is alive
+        self.b_all = np.empty((rows, tau.size))
+        self.total, self.acc = np.zeros((2, tau.size)), np.zeros((2, tau.size))
+
+    def start(self, m: int) -> np.ndarray:
+        self.total += self.acc  # the chunk before's running sums
+        self.acc[:] = 0.0
+        keep = self.support if m > 1 else np.arange(self.omega.size)  # see the docstring
+        self.b = self.b_all[:m]
+        self.cos_k = self.sin_k = None  # before this chunk's tables are made
+        angles = np.outer(self.omega[keep], self.tau)
+        self.cos_k, self.sin_k = np.cos(angles), np.sin(angles, out=angles)
+        return keep
+
+    def take_p(self, lo: int, hi: int, a: np.ndarray, p_site: np.ndarray) -> None:
+        np.matmul(p_site, self.cos_k, out=self.b[lo:hi])
+
+    def take_q(self, lo: int, hi: int, a: np.ndarray, q_site: np.ndarray) -> None:
+        for s, e in self.sub_blocks[hi - lo]:
+            sub = self.buf[: 1 + e - s]
+            rows = sub[1:]
+            np.matmul(q_site[s:e], self.sin_k, out=rows)
+            np.subtract(self.b[lo + s : lo + e], rows, out=rows)
+            rows *= a[s:e, None]  # the products
+            sub[0] = self.acc[0]
+            sub.sum(axis=0, out=self.acc[0])
+            rows *= rows  # and their squares
+            sub[0] = self.acc[1]
+            sub.sum(axis=0, out=self.acc[1])
+
+    def sums(self) -> np.ndarray:
+        return self.total + self.acc
+
+
+class _GramSums:
+    """The Monte-Carlo's Gram form, which never builds b.
+
+    With x_s = (v_k P_k, -v_k w_k Q_k) the 2K scaled support coordinates and
+    phi(tau) = (cos w_k tau, sin w_k tau), b_s(tau) = x_s . phi(tau), so
+    sum_s a_s b_s = (sum_s z_s) . phi and sum_s a_s^2 b_s^2 = phi^T C phi,
+    with z_s = a_s x_s and C = sum_s z_s z_s^T.  Each chunk keeps the p
+    halves of its z rows in one min(S, _MC_CHUNK) x K array.  Each q block
+    copies its rows' p halves into a block of whole z rows, completes them,
+    and adds them to sum_s z_s and, by one z^T z, to C.  sums() takes the
+    quadratic forms over _BLOCK_VALUES blocks of tau, so past the
+    len(tau)-long results memory is O(K^2 + K _MC_CHUNK + _BLOCK_VALUES).
+    It sums the same terms in another order, so its bits are not the
+    one-shot formula's; the rounding error of each reduction is at most
+    gamma_N = N u / (1 - N u) times the sum of the terms' absolute values,
+    with N about S + 4K and u = 2^-53.  An overflow is raised by the matmul
+    that forms C or by the sum that closes a quadratic form.
+    """
+
+    def __init__(self, omega, support, tau, rows: int, block_sizes):
+        self.omega, self.support, self.tau = omega[support], support, tau
+        self.tables = 0
+        k = self.k = support.size
+        # the chunk's p halves of z, and one block of whole z rows
+        self.zp_all, self.z_buf = np.empty((rows, k)), np.empty((max(block_sizes), 2 * k))
+        self.z_sum, self.z_gram = np.zeros(2 * k), np.zeros((2 * k, 2 * k))
+
+    def start(self, m: int) -> np.ndarray:
+        self.zp = self.zp_all[:m]
+        return self.support
+
+    def take_p(self, lo: int, hi: int, a: np.ndarray, p_site: np.ndarray) -> None:
+        np.multiply(p_site, a[:, None], out=self.zp[lo:hi])
+
+    def take_q(self, lo: int, hi: int, a: np.ndarray, q_site: np.ndarray) -> None:
+        rows = self.z_buf[: hi - lo]
+        rows[:, : self.k] = self.zp[lo:hi]
+        np.multiply(q_site, -a[:, None], out=rows[:, self.k :])  # x_s's sign; x (-a) is -(x a), bit for bit
+        self.z_sum += rows.sum(axis=0)
+        self.z_gram += rows.T @ rows
+
+    def sums(self) -> np.ndarray:
+        k, tau = self.k, self.tau
+        sums = np.empty((2, tau.size))
+        for lo, hi in _row_blocks(tau.size, 2 * k, _BLOCK_VALUES):
+            angles = np.outer(self.omega, tau[lo:hi])
+            phi = np.concatenate([np.cos(angles), np.sin(angles, out=angles)])
+            del angles  # before the quadratic form's table is made
+            sums[0, lo:hi] = self.z_sum @ phi
+            quad = self.z_gram @ phi
+            quad *= phi
+            sums[1, lo:hi] = quad.sum(axis=0)
+        return sums
+
+
+def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed) -> AutocorrCurve:
     """Monte-Carlo phase average of p0(0) p0(tau) over Gibbs samples.
 
     Works in mode coordinates throughout: with P_k, Q_k the Gibbs mode
@@ -330,190 +479,50 @@ def mc_phase_autocorrelation(
     of a cos/sin pair has weight 0.0).  The tau grid is checked as in
     phase_autocorrelation.
 
-    Draws.  Samples come in chunks of _MC_CHUNK.  Each chunk draws its p
-    normals in row blocks (_row_blocks under _BLOCK_VALUES draws), then its
-    q normals in the same blocks; numpy fills an (m, n) draw row by row, so
-    this is the stream of one (m, n) p draw followed by one (m, n) q draw.
-    The draws are rng.standard_normal, which gives the bits of
-    rng.normal(size=...) but for the sign of a zero (normal returns
-    0.0 + 1.0 * x, so -0.0 comes back as +0.0) and skips its scaling pass.
-    The draw calls, one per block in stream order, fill the call's two
-    block buffers in turn (standard_normal(out=...) draws the bits of
-    size=...).  When the values the call makes before its first product,
-    its 2 n S draws and, in the product form, its 2 K len(tau) cos/sin
-    table, reach _CACHE_VALUES (_draws_on_worker), the draw calls run on a
-    worker thread, at most one block ahead of the calling thread, which
-    meanwhile works on the block before.  The worker allocates no arrays,
-    so memory, and the process's peak resident size, do not depend on how
-    the two threads interleave, and its pool is joined before this
-    returns, on error too.  A smaller call makes each draw call on the
-    calling thread as it takes the block: there, starting the worker and
-    handing it the blocks cost more than the drawing it hides.  On one
-    BLAS thread the CLI's n = 8 call at 2000 samples took 1.6 ms against
-    2.2 ms with the worker, and n = 16 2.8 against 3.5 ms; past the bound
-    the calling thread was slower, by up to a third in the product form
-    (n = 1024 at 256 samples).  Either way the stream, the arithmetic and
-    every bit are the same.  All arithmetic stays on the calling thread,
-    because np.errstate is per thread: the caller's error state governs
-    every division, product and sum (and, on a small call, the draws), and
-    a FloatingPointError it raises is raised again naming the products and
-    beta, numpy's text kept.  Both reductions below take the same draws,
-    the same a_s and the same scaled coordinates v_k P_k and v_k w_k Q_k.
-
-    Reductions.  The product form costs about K S len(tau) multiply-adds,
-    the Gram form about K^2 (S + len(tau)); the call takes the Gram form
-    when that is strictly smaller (_gram_is_cheaper), so narrow rings with
-    many lags take it and wide rings or short grids keep the product form.
-
-    The product form builds every b_s(tau) and sums the products and their
-    squares over the samples.  The p blocks' tau products go straight into
-    the chunk's rows of b, the call's one min(S, _MC_CHUNK) x len(tau)
-    array.  Each q block is cut the same way into sub-blocks under
-    _CACHE_VALUES lag values.  One buffer of that size plus one row takes a
-    sub-block's q products after its first row, then p0(tau) from the
-    sub-block's rows of b, then the products, then their squares, and each
-    sum is taken while the sub-block is still in cache.  numpy sums a 2-d
-    array's rows in order, so with the chunk's running sum in the first row
-    the sum continues it bit for bit, and an overflow is raised by the sum,
-    as it is for one sum over the chunk.  A one-column grid is the
-    exception: numpy sums one column pairwise, here over each sub-block
-    rather than over the chunk, so its last digit may differ from the
-    one-shot formula's.  Each chunk builds its cos and sin tables of
-    w_k tau on the K support rows (every mode for a one-sample chunk), so
-    memory is O(_BLOCK_VALUES + (K + _MC_CHUNK) len(tau)).
-
-    The product form is the one-shot formula's reduction, and with
-    single-threaded BLAS it keeps that formula's bits on a grid of a
-    multiple of 8 lags while n fits in one BLAS K block (384 columns on the
-    OpenBLAS this was measured with).  Block and sub-block edges fall on
-    multiples of 8 rows, where gemv's row groups start, and no block is one
-    row, which numpy would send to gemv instead of gemm.  A one-sample chunk
-    is a gemv whose sums group the zero columns with the rest, so it keeps
-    them.  Past one K block the shorter inner sum is split differently and
-    the last digit may move.  Off a multiple of 8 lags, the last len(tau) % 8
-    lags come from gemm's tail columns, whose sums depend on the inner
-    length and on how many rows one call takes, so their last digit may
-    move too: on that OpenBLAS at n = 256 with 2 samples, every width of
-    8j + 1 to 8j + 4 lags up to 196 did.
-
-    The Gram form never builds b.  With x_s = (v_k P_k, -v_k w_k Q_k) the
-    2K scaled support coordinates and phi(tau) = (cos w_k tau, sin w_k tau),
-    b_s(tau) = x_s . phi(tau), so sum_s a_s b_s = (sum_s z_s) . phi and
-    sum_s a_s^2 b_s^2 = phi^T C phi, with z_s = a_s x_s and C = sum_s z_s z_s^T.
-    Each chunk keeps the p halves of its z rows in one min(S, _MC_CHUNK) x K
-    array.  Each q block copies its rows' p halves into a block of whole z
-    rows, completes them, and adds them to sum_s z_s and, by one z^T z, to
-    C.  The quadratic forms are then taken over blocks of tau (_row_blocks
-    under _BLOCK_VALUES), so past the len(tau)-long results memory is
-    O(K^2 + K _MC_CHUNK + _BLOCK_VALUES) at any len(tau).  It sums the same
-    terms in another order, so its bits are not the one-shot formula's; the
-    rounding error of each reduction is at most gamma_N = N u / (1 - N u)
-    times the sum of the terms' absolute values, with N about S + 4K and
-    u = 2^-53.  An overflow is raised by the matmul that forms C or by the
-    sum that closes a quadratic form.
-
-    Threaded BLAS deals a gemv's rows out to threads by count and splits
-    the Gram products as it likes, so with more than one BLAS thread even
-    the one-shot formula's bits vary with the thread count.
+    The draws come from _DrawBlocks and the sums from _ProductSums or, when
+    _gram_is_cheaper, _GramSums: start(m) takes a chunk of m samples and
+    returns the mode columns it keeps, take_p and take_q take a block's rows
+    lo:hi of a_s and of v_k P_k or v_k w_k Q_k on them, and sums() returns
+    sum_s a_s b_s and sum_s a_s^2 b_s^2.  All arithmetic stays on the
+    calling thread, as np.errstate is per thread: the caller's error state
+    governs every division, product and sum (and, on a small call, the
+    draws), and a FloatingPointError is raised again naming the products
+    and beta, numpy's text kept.  Threaded BLAS deals a gemv's rows out to
+    threads by count and splits the Gram products as it likes, so with more
+    than one BLAS thread even the one-shot formula's bits vary with it.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     tau = np.asarray(tau_grid, dtype=float)
-    n = chain.n
     omega = _column_frequencies(chain)
     rng = _gibbs_rng(omega, seed)
-    w_site = _site0_row(n)
+    w_site = _site0_row(chain.n)
     _check_tau_grid(omega, tau)
     support = np.flatnonzero(w_site != 0.0)
-    k = support.size
-    gram = _gram_is_cheaper(k, samples, tau.size)
+    draws = _DrawBlocks(rng, chain.n, samples)
+    form = _GramSums if _gram_is_cheaper(support.size, samples, tau.size) else _ProductSums
+    reduction = form(omega, support, tau, draws.rows, draws.block_sizes)
     sqrt_beta = math.sqrt(chain.beta)
     q_scale = sqrt_beta * omega
-    sizes = [min(_MC_CHUNK, samples - done) for done in range(0, samples, _MC_CHUNK)]
-    chunks = [(m, _row_blocks(m, n, _BLOCK_VALUES)) for m in sizes]
-    block_rows = max(hi - lo for _, spans in chunks for lo, hi in spans)
-    a_all = np.empty(sizes[0])
-    if gram:
-        # the chunk's p halves of z, and one block of whole z rows
-        zp_all, z_buf = np.empty((sizes[0], k)), np.empty((block_rows, 2 * k))
-        z_sum, z_gram = np.zeros(2 * k), np.zeros((2 * k, 2 * k))
-    else:
-        # the sub-blocks of each draw block length; there are at most three lengths
-        sub_blocks = {
-            hi - lo: _row_blocks(hi - lo, tau.size, _CACHE_VALUES) for _, spans in chunks for lo, hi in spans
-        }
-        # row 0 carries the chunk's running sum into each sub-block's sum
-        buf = np.empty((1 + max(e - s for subs in sub_blocks.values() for s, e in subs), tau.size))
-        # one b for all chunks, so a chunk's b is not made while the last one's is alive
-        b_all = np.empty((sizes[0], tau.size))
-        sum1, sum2 = np.zeros(tau.shape), np.zeros(tau.shape)
-    draw_bufs = [np.empty((block_rows, n)) for _ in range(2)]
-    worker = _draws_on_worker(n, samples, k, tau.size)
+    a_all = np.empty(draws.rows)
     try:
-        with ThreadPoolExecutor(max_workers=1) if worker else contextlib.nullcontext() as pool:
-            # one draw call per block in stream order (each chunk's p
-            # blocks, then its q blocks), into the buffer the calling thread
-            # is done with; a worker's is submitted as the block before is taken
-            spans_in_order = (span for _, spans in chunks for _half in "pq" for span in spans)
-            draw_calls = (
-                functools.partial(rng.standard_normal, out=draw_bufs[j % 2][: hi - lo])
-                for j, (lo, hi) in enumerate(spans_in_order)
-            )
-            draws_ahead = (pool.submit(call).result for call in draw_calls) if worker else draw_calls
-            ahead = next(draws_ahead)
-            for m, spans in chunks:
-                keep = support if gram or m > 1 else np.arange(n)  # see the docstring
+        with draws.chunks(reduction.tables) as chunks:
+            for m, p_blocks, q_blocks in chunks:
+                keep = reduction.start(m)
                 p_weight, q_weight = w_site[keep], (w_site * omega)[keep]
                 a = a_all[:m]
-                if gram:
-                    zp = zp_all[:m]
-                    q_weight = -q_weight  # x_s's sign, so that phi is (cos, sin)
-                else:
-                    b = b_all[:m]
-                    angles = np.outer(omega[keep], tau)
-                    cos_k, sin_k = np.cos(angles), np.sin(angles, out=angles)
-                    acc1, acc2 = np.zeros(tau.size), np.zeros(tau.size)  # the chunk's running sums
-                for lo, hi in spans:
-                    draws = ahead()
-                    ahead = next(draws_ahead, None)
-                    draws /= sqrt_beta
-                    a[lo:hi] = draws @ w_site
-                    p_site = np.take(draws, keep, axis=1)
+                for (lo, hi), block in p_blocks:
+                    block /= sqrt_beta
+                    a[lo:hi] = block @ w_site
+                    p_site = np.take(block, keep, axis=1)
                     p_site *= p_weight
-                    if gram:
-                        np.multiply(p_site, a[lo:hi, None], out=zp[lo:hi])
-                    else:
-                        np.matmul(p_site, cos_k, out=b[lo:hi])
-                for lo, hi in spans:
-                    draws = ahead()
-                    ahead = next(draws_ahead, None)
-                    draws /= q_scale
-                    q_site = np.take(draws, keep, axis=1)
+                    reduction.take_p(lo, hi, a[lo:hi], p_site)
+                for (lo, hi), block in q_blocks:
+                    block /= q_scale
+                    q_site = np.take(block, keep, axis=1)
                     q_site *= q_weight
-                    if gram:
-                        rows = z_buf[: hi - lo]
-                        rows[:, :k] = zp[lo:hi]
-                        np.multiply(q_site, a[lo:hi, None], out=rows[:, k:])
-                        z_sum += rows.sum(axis=0)
-                        z_gram += rows.T @ rows
-                    else:
-                        for s, e in sub_blocks[hi - lo]:
-                            sub = buf[: 1 + e - s]
-                            rows = sub[1:]
-                            np.matmul(q_site[s:e], sin_k, out=rows)
-                            np.subtract(b[lo + s : lo + e], rows, out=rows)
-                            rows *= a[lo + s : lo + e, None]  # the products
-                            sub[0] = acc1
-                            acc1 = sub.sum(axis=0)
-                            rows *= rows  # and their squares
-                            sub[0] = acc2
-                            acc2 = sub.sum(axis=0)
-                if not gram:
-                    sum1 += acc1
-                    sum2 += acc2
-                    del cos_k, sin_k, angles  # before the next chunk's tables are made
-        if gram:
-            sum1, sum2 = _gram_moments(z_sum, z_gram, omega[support], tau)
+                    reduction.take_q(lo, hi, a[lo:hi], q_site)
+        sum1, sum2 = reduction.sums()
     except FloatingPointError as exc:
         raise FloatingPointError(f"Monte-Carlo products p0(0) p0(tau) at beta={chain.beta!r}: {exc}") from exc
     mean = sum1 / samples
@@ -562,11 +571,7 @@ def _dirichlet_ratio(num: np.ndarray, den: np.ndarray, n: float) -> np.ndarray:
 
 
 def time_autocorrelation(
-    chain: HarmonicChain,
-    x0: PhasePoint,
-    horizon: float,
-    tau_grid,
-    oversample: int,
+    chain: HarmonicChain, x0: PhasePoint, horizon: float, tau_grid, oversample: int
 ) -> AutocorrCurve:
     """Single-trajectory stroboscopic time average of p0(t) p0(t+tau), in closed form.
 
@@ -679,12 +684,7 @@ def time_autocorrelation(
     return AutocorrCurve(tau=tau, values=values, kind="time-trajectory")
 
 
-def recurrence_peak(
-    chain: HarmonicChain,
-    tau_max: float,
-    dt: float,
-    skip: float,
-) -> tuple[float, float]:
+def recurrence_peak(chain: HarmonicChain, tau_max: float, dt: float, skip: float) -> tuple[float, float]:
     """Largest |g_n| on the grid j dt in [skip, tau_max]; quasi-periodic revisit probe.
 
     The analytic curve is a finite cosine sum, so it keeps returning

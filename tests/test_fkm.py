@@ -415,12 +415,22 @@ def test_overflowing_tau_names_tau(estimate, last, message):
         estimate(fkm.scaled_ring(8, beta=1.0), [0.0, last])
 
 
+def _draws_on_worker(n, samples, tau):
+    """fkm._draws_on_worker as mc_phase_autocorrelation asks it for an n-site
+    ring over tau: with the `tables` of the reduction that _gram_is_cheaper picks."""
+    omega = fkm._column_frequencies(fkm.scaled_ring(n, beta=1.0))
+    support = np.flatnonzero(fkm._site0_row(n) != 0.0)
+    draws = fkm._DrawBlocks(None, n, samples)
+    form = fkm._GramSums if fkm._gram_is_cheaper(support.size, samples, tau.size) else fkm._ProductSums
+    return fkm._draws_on_worker(n, samples, form(omega, support, tau, draws.rows, draws.block_sizes).tables)
+
+
 def test_mc_worker_thread_joined_on_return_and_on_error(monkeypatch):
     made, pool = [], fkm.ThreadPoolExecutor  # the pools the estimator makes
     monkeypatch.setattr(fkm, "ThreadPoolExecutor", lambda *args, **kwargs: made.append(True) or pool(*args, **kwargs))
     threads = threading.active_count()
     # n = 256: 1026 samples are two draw blocks of 1024 and 2 rows
-    assert fkm._draws_on_worker(256, 1026, 129, TAU.size)
+    assert _draws_on_worker(256, 1026, TAU)
     fkm.mc_phase_autocorrelation(fkm.scaled_ring(256, beta=1.0), TAU, samples=1026, seed=1)
     assert threading.active_count() == threads and made == [True]
     # the overflow happens on the calling thread, under the caller's errstate:
@@ -429,7 +439,7 @@ def test_mc_worker_thread_joined_on_return_and_on_error(monkeypatch):
     chain = fkm.HarmonicChain(n=8, beta=1e-200, kappa=0.3)
     for tau, op in ((TAU, "matmul"), (TAU[:5], "multiply")):
         assert fkm._gram_is_cheaper(5, 32_770, tau.size) == (op == "matmul")
-        assert fkm._draws_on_worker(8, 32_770, 5, tau.size)
+        assert _draws_on_worker(8, 32_770, tau)
         made.clear()
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match=f"overflow encountered in {op}$"):
             fkm.mc_phase_autocorrelation(chain, tau, samples=32_770, seed=0)
@@ -442,9 +452,17 @@ def test_mc_small_call_draws_on_the_calling_thread(monkeypatch):
     # product form, its 2 K |tau| cos/sin table.  n = 16 at 2048 samples is
     # the first Gram-form call that reaches it; n = 256 at 64 samples takes
     # the product form, 32 768 draws and 51 600 table values.
-    assert not fkm._draws_on_worker(16, 2047, 9, TAU.size) and fkm._draws_on_worker(16, 2048, 9, TAU.size)
-    assert not fkm._gram_is_cheaper(129, 64, TAU.size) and fkm._draws_on_worker(256, 64, 129, TAU.size)
-    assert not fkm._draws_on_worker(256, 16, 129, TAU.size)
+    assert not _draws_on_worker(16, 2047, TAU) and _draws_on_worker(16, 2048, TAU)
+    assert not fkm._gram_is_cheaper(129, 64, TAU.size) and _draws_on_worker(256, 64, TAU)
+    assert not _draws_on_worker(256, 16, TAU)
+    # and the calls themselves: n = 256 at 64 samples reaches the worker only
+    # through the product form's table, and at 16 samples makes no pool
+    made, pool = [], fkm.ThreadPoolExecutor
+    monkeypatch.setattr(fkm, "ThreadPoolExecutor", lambda *args, **kwargs: made.append(True) or pool(*args, **kwargs))
+    for samples, pools in ((64, [True]), (16, [])):
+        made.clear()
+        fkm.mc_phase_autocorrelation(fkm.scaled_ring(256, beta=1.0), TAU, samples, seed=1)
+        assert made == pools, f"{samples} samples made {len(made)} pools"
     # The CLI's calls draw on the calling thread, under the caller's
     # np.errstate: at an ordinary beta nothing raises, not even an
     # underflow, and the bits are those of the call under the default state.
@@ -455,7 +473,7 @@ def test_mc_small_call_draws_on_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(fkm, "ThreadPoolExecutor", refuse)
     for n, curve in plain.items():
-        assert not fkm._draws_on_worker(n, 2000, n // 2 + 1, TAU.size)
+        assert not _draws_on_worker(n, 2000, TAU)
         with np.errstate(all="raise"):
             raised = fkm.mc_phase_autocorrelation(fkm.scaled_ring(n, beta=1.0), TAU, 2000, seed=42)
         assert np.array_equal(raised.values, curve.values) and np.array_equal(raised.stderr, curve.stderr)
@@ -552,9 +570,9 @@ def test_mc_bit_identical_to_one_shot_draws():
     assert not fkm._gram_is_cheaper(5, 10, _CROSSOVER_TAU.size)
     # both sides of the draw-thread rule: the calling thread draws up to 2000
     # samples at n = 8 and 9 and 2 samples at n = 200 and 256, a worker the rest
-    on_worker = {(n, s) for n, s in _BIT_CASES if fkm._draws_on_worker(n, s, n // 2 + 1, _bit_tau(n).size)}
+    on_worker = {(n, s) for n, s in _BIT_CASES if _draws_on_worker(n, s, _bit_tau(n))}
     assert on_worker == {(n, s) for n, s in _BIT_CASES if s > 2000 or (n >= 200 and s > 2)}
-    assert not fkm._draws_on_worker(8, 10, 5, _CROSSOVER_TAU.size)
+    assert not _draws_on_worker(8, 10, _CROSSOVER_TAU)
     script = f"""
 from test_fkm import _CROSSOVER_TAU, _bit_tau, _one_shot_mc, fkm, np
 
@@ -651,8 +669,8 @@ def test_mc_takes_the_gram_form_only_past_the_crossover(monkeypatch):
     assert fkm._gram_is_cheaper(5, 11, 10) and fkm._gram_is_cheaper(5, 10, 11)
     chain = fkm.scaled_ring(8, beta=1.0)
     taken = []
-    gram_moments = fkm._gram_moments
-    monkeypatch.setattr(fkm, "_gram_moments", lambda *args: taken.append(True) or gram_moments(*args))
+    gram_sums = fkm._GramSums.sums
+    monkeypatch.setattr(fkm._GramSums, "sums", lambda self: taken.append(True) or gram_sums(self))
     for samples in (10, 11):
         taken.clear()
         fkm.mc_phase_autocorrelation(chain, _CROSSOVER_TAU, samples, seed=7)
@@ -714,6 +732,30 @@ def test_mc_gram_form_memory_does_not_grow_with_support_times_lags():
     tracemalloc.start()
     try:
         fkm.mc_phase_autocorrelation(chain, tau, samples=samples, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
+
+
+def test_mc_chunk_layout_does_not_grow_with_the_sample_count():
+    # 2e10 samples are 10^6 chunks.  The chunks are laid out as they are
+    # reached, so the call overflows in the Gram form's z^T z on its first q
+    # block, having read at most one later chunk's size (the worker draws one
+    # block ahead, into the other draw buffer); a list of every chunk's
+    # blocks, made before the first draw, peaked at about 220 MB.  Bound: at
+    # n = 8 a chunk is one block of 20 000 rows, so the two draw buffers
+    # (2 x 8 columns), a (1), the p halves of z (5), one block of z rows
+    # (10), the gathered p and q columns (2 x 5) and -a (1) come to
+    # 43 x 20 000 doubles (6.9 MB), plus an allowance of 2 MB for smaller
+    # temporaries, Python objects and the modules a first call imports.
+    chain = fkm.HarmonicChain(n=8, beta=1e-200, kappa=0.3)
+    assert fkm._gram_is_cheaper(5, 2 * 10**10, TAU.size)
+    bound = 8 * 43 * 20_000 + 2_000_000
+    tracemalloc.start()
+    try:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow encountered in matmul$"):
+            fkm.mc_phase_autocorrelation(chain, TAU, samples=2 * 10**10, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -86,7 +86,8 @@ def test_fourier_eigenvalues(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 11, 13, 101, 401])
 def test_exponential_identity(n):
-    for h in (0.618, 1e-300, 1e300):
+    # at 4e-308, 2 pi / h is finite but 3 pi / h is not
+    for h in (0.618, 1e-300, 4e-308, 1e300):
         assert verify_exponential(build_block(n, h)) <= 1e-9
 
 
@@ -218,6 +219,7 @@ def test_full_period_is_identity():
         (-1.0, "must be finite and > 0"),
         (5e-324, "is too small: 2 pi / h is not finite"),
         (1e-310, "is too small: 2 pi / h is not finite"),
+        (3e-308, "is too small: 2 pi / h is not finite"),
         (1e308, "is too large: the block entries overflow"),
     ],
 )
