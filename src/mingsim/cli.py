@@ -14,7 +14,8 @@ naming its field too, as is a CSV row the csv module refuses (a cell over
 its field size limit), which also names the line.  The resolved fields
 are recorded in the sidecar's config object (command, format version,
 output path and parameters), in canonical JSON.
-Handlers only compute and return the artifact text.
+Handlers only compute and return text, the artifact's and any extra
+file's (the --svg chart), which is written after the artifact's sidecar.
 
 Artifacts are written atomically (temp file + rename), values are
 formatted through repr so identical configs give byte-identical files,
@@ -155,7 +156,7 @@ class Field:
 class Command:
     name: str  # "group cmd", or one word for a top-level command
     help: str
-    handler: Callable  # resolved fields -> artifact text, or (text or None, exit code)
+    handler: Callable  # resolved fields -> artifact text, or (text or None, exit code, *(path, text) files)
     fields: tuple[Field, ...]
     config: bool = True  # accepts --config
 
@@ -238,24 +239,24 @@ def read_input(field: str, path: str) -> str:
 
 
 def read_csv_rows(field: str, path: str):
-    """Rows of the CSV input file that field names, one at a time; a row the
-    csv module refuses is a ConfigInvalidError naming the field and line."""
+    """(the file line it ends on, row) of each row of the CSV input that field names;
+    a row the csv module refuses is a ConfigInvalidError naming the field and line."""
     reader = csv.reader(io.StringIO(read_input(field, path)))
     try:
-        yield from reader
+        yield from ((reader.line_num, row) for row in reader)
     except csv.Error as exc:
         raise ConfigInvalidError(f"{field}: line {reader.line_num}: {exc}") from exc
 
 
 def read_state_csv(path: str) -> dict[int, complex]:
     state: dict[int, complex] = {}
-    for lineno, row in enumerate(read_csv_rows("state", path), start=1):
+    for i, (lineno, row) in enumerate(read_csv_rows("state", path)):
         if not row or not row[0].strip():
             continue
         try:
             index = int(row[0])
         except ValueError:
-            if lineno == 1:
+            if i == 0:
                 continue  # header row
             raise ConfigInvalidError(f"state: line {lineno}: bad index {row[0]!r}")
         if len(row) < 3:
@@ -303,9 +304,7 @@ def cmd_fkm_autocorr(p) -> str:
         curve = fkm.time_autocorrelation(chain, x0, horizon, tau, oversample=p["oversample"])
     columns = {"tau": curve.tau.tolist(), "value": curve.values.tolist(), "kind": curve.kind, "n": n, "beta": beta, "seed": seed}
     text = render_csv(columns)  # first: it rejects non-finite values
-    if p["svg"] is not None:
-        atomic_write(Path(p["svg"]), render_svg(curve))
-    return text
+    return text if p["svg"] is None else (text, EXIT_OK, (p["svg"], render_svg(curve)))
 
 
 def render_svg(curve) -> str:
@@ -338,10 +337,10 @@ def read_curve_csv(path: str) -> fkm.AutocorrCurve:
     # read as csv.DictReader reads: the last of a repeated column name wins,
     # blank lines are skipped and a short row's missing cells are None
     rows = list(read_csv_rows("in_path", path))
-    index = {name: i for i, name in enumerate(rows[0])} if rows else {}
+    index = {name: i for i, name in enumerate(rows[0][1])} if rows else {}
     if "tau" not in index or "value" not in index:
         raise ConfigInvalidError("in_path: curve CSV needs tau and value columns")
-    body = [row for row in rows[1:] if row]
+    body = [row for _, row in rows[1:] if row]
     columns = index["tau"], index["value"], index.get("kind", math.inf)  # no kind column: every cell None
     taus, vals, kinds = ([row[i] if i < len(row) else None for row in body] for i in columns)
     try:
@@ -350,7 +349,7 @@ def read_curve_csv(path: str) -> fkm.AutocorrCurve:
     except (TypeError, ValueError):
         parsed = False
     if not parsed:  # the first bad cell names its line
-        for lineno, (t, v) in enumerate(zip(taus, vals), start=2):
+        for lineno, t, v in zip((lineno for lineno, row in rows[1:] if row), taus, vals):
             try:
                 finite(t), finite(v)
             except (TypeError, ValueError) as exc:
@@ -472,9 +471,11 @@ def run(command: Command, args) -> int:
     params = {key: [v.real, v.imag] if isinstance(v, complex) else v for key, v in recorded.items()}
     start = time.perf_counter()
     result = command.handler(p)
-    text, status = result if isinstance(result, tuple) else (result, EXIT_OK)
+    text, status, *files = result if isinstance(result, tuple) else (result, EXIT_OK)
     if text is not None:
         emit(text, p.get("out"), command.name, params, start)
+    for path, data in files:  # after the artifact, so a failed artifact write leaves none of them
+        atomic_write(Path(path), data)
     log.debug("%s: params %s, elapsed %.3f s", command.name, p, time.perf_counter() - start)
     return status
 

@@ -40,10 +40,6 @@ from .observable import CockedSet, PointerVariable, sq_modulus, strict_cocked_in
 NORM_RTOL = 1e-9
 
 
-def _norm(amp: Mapping[int, complex]) -> float:
-    return math.sqrt(math.fsum(sq_modulus(c) for c in amp.values()))
-
-
 @dataclass(frozen=True)
 class CombinedState:
     """Branch decomposition of a combined particle+amplifier state."""
@@ -76,10 +72,7 @@ class CombinedState:
         return ((self.a0, self.amp0), (self.a1, self.amp1))
 
     def norm(self) -> float:
-        return math.sqrt(
-            sq_modulus(self.a0) * sq_modulus(_norm(self.amp0))
-            + sq_modulus(self.a1) * sq_modulus(_norm(self.amp1))
-        )
+        return math.sqrt(sum(sq_modulus(a) * math.fsum(map(sq_modulus, amp.values())) for a, amp in self.branches))
 
 
 def cocked_start(n: int, a0: complex, a1: complex) -> CombinedState:

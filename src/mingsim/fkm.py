@@ -276,21 +276,20 @@ def _row_blocks(m: int, width: int, values: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _gram_is_cheaper(k: int, samples: int, lags: int) -> bool:
-    """The Monte-Carlo's choice of reduction: the Gram form costs about
-    k^2 (samples + lags) multiply-adds, the product form k samples lags."""
-    return k * k * (samples + lags) < k * samples * lags
+def _mc_plan(n: int, samples: int, lags: int) -> tuple[bool, bool]:
+    """The Monte-Carlo's size rules for an n-site ring, as (gram, worker).
 
-
-def _draws_on_worker(n: int, samples: int, tables: int) -> bool:
-    """The Monte-Carlo's choice of thread for its draws: a worker thread when
-    the values made before the first product, the 2 n samples draws and the
-    reduction's `tables` (the product form's 2 k lags cos/sin table), reach
+    The Gram form, over the K = n // 2 + 1 support modes, costs about
+    K^2 (samples + lags) multiply-adds, the product form K samples lags.  A
+    worker thread draws when the values made before the first product (the
+    2 n samples draws and the product form's 2 K lags cos/sin table) reach
     _CACHE_VALUES.  Below that the worker costs more than it hides: on one
     BLAS thread the CLI's n = 8 and 16 calls at 2000 samples took 1.6 and
     2.8 ms, against 2.2 and 3.5 ms with it; past the bound the calling
     thread was slower, by up to a third (product form, n = 1024 at 256)."""
-    return 2 * n * samples + tables >= _CACHE_VALUES
+    k = n // 2 + 1
+    gram = k * k * (samples + lags) < k * samples * lags
+    return gram, 2 * n * samples + (0 if gram else 2 * k * lags) >= _CACHE_VALUES
 
 
 class _DrawBlocks:
@@ -303,10 +302,10 @@ class _DrawBlocks:
     One standard_normal(out=...) call per block gives the bits of
     rng.normal(size=...) but for the sign of a zero (normal returns
     0.0 + 1.0 * x, so +0.0 for -0.0), without its scaling pass.
-    `with draws.chunks(tables)` gives each chunk as (m, p blocks, q blocks),
+    `with draws.chunks(worker)` gives each chunk as (m, p blocks, q blocks),
     a block being ((lo, hi), the draws of rows lo:hi), done with when the
     next is taken, in stream order: a chunk's p blocks before its q blocks.
-    When _draws_on_worker says so, a worker thread makes the draw calls one
+    With `worker` (_mc_plan's rule), a worker thread makes the draw calls one
     block ahead (past a chunk's last block, the next chunk's first); it
     allocates no arrays, so memory does not depend on how the threads
     interleave, and the `with` joins its pool, on error too.  Otherwise the
@@ -314,15 +313,14 @@ class _DrawBlocks:
     """
 
     def __init__(self, rng: np.random.Generator, n: int, samples: int):
-        self.rng, self.n, self.samples = rng, n, samples
+        self.rng, self.samples = rng, samples
         self.rows = min(samples, _MC_CHUNK)  # the first chunk's size; only the last's may differ
         self.blocks = {m: _row_blocks(m, n, _BLOCK_VALUES) for m in {self.rows, (samples - 1) % _MC_CHUNK + 1}}
         self.block_sizes = {hi - lo for spans in self.blocks.values() for lo, hi in spans}
         self.bufs = [np.empty((max(self.block_sizes), n)) for _ in range(2)]
 
     @contextlib.contextmanager
-    def chunks(self, tables: int):
-        worker = _draws_on_worker(self.n, self.samples, tables)
+    def chunks(self, worker: bool):
         with ThreadPoolExecutor(max_workers=1) if worker else contextlib.nullcontext() as pool:
             bufs = itertools.cycle(self.bufs)  # each call fills the one the calling thread is done with
             left = range(self.samples, 0, -_MC_CHUNK)  # the samples left as each chunk starts
@@ -372,7 +370,6 @@ class _ProductSums:
 
     def __init__(self, omega, support, tau, rows: int, block_sizes):
         self.omega, self.support, self.tau = omega, support, tau
-        self.tables = 2 * support.size * tau.size
         # row 0 carries the chunk's running sum into each sub-block's sum
         self.sub_blocks = {size: _row_blocks(size, tau.size, _CACHE_VALUES) for size in block_sizes}
         self.buf = np.empty((1 + max(e - s for subs in self.sub_blocks.values() for s, e in subs), tau.size))
@@ -431,7 +428,6 @@ class _GramSums:
 
     def __init__(self, omega, support, tau, rows: int, block_sizes):
         self.omega, self.support, self.tau = omega[support], support, tau
-        self.tables = 0
         k = self.k = support.size
         # the chunk's p halves of z, and one block of whole z rows
         self.zp_all, self.z_buf = np.empty((rows, k)), np.empty((max(block_sizes), 2 * k))
@@ -479,17 +475,18 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
     of a cos/sin pair has weight 0.0).  The tau grid is checked as in
     phase_autocorrelation.
 
-    The draws come from _DrawBlocks and the sums from _ProductSums or, when
-    _gram_is_cheaper, _GramSums: start(m) takes a chunk of m samples and
-    returns the mode columns it keeps, take_p and take_q take a block's rows
-    lo:hi of a_s and of v_k P_k or v_k w_k Q_k on them, and sums() returns
-    sum_s a_s b_s and sum_s a_s^2 b_s^2.  All arithmetic stays on the
-    calling thread, as np.errstate is per thread: the caller's error state
-    governs every division, product and sum (and, on a small call, the
-    draws), and a FloatingPointError is raised again naming the products
-    and beta, numpy's text kept.  Threaded BLAS deals a gemv's rows out to
-    threads by count and splits the Gram products as it likes, so with more
-    than one BLAS thread even the one-shot formula's bits vary with it.
+    _mc_plan picks the reduction and the draw thread.  The draws come from
+    _DrawBlocks and the sums from _ProductSums or _GramSums: start(m) takes
+    a chunk of m samples and returns the mode columns it keeps, take_p and
+    take_q take a block's rows lo:hi of a_s and of v_k P_k or v_k w_k Q_k on
+    them, and sums() returns sum_s a_s b_s and sum_s a_s^2 b_s^2.  All
+    arithmetic stays on the calling thread, as np.errstate is per thread:
+    the caller's error state governs every division, product and sum (and,
+    on a small call, the draws), and a FloatingPointError is raised again
+    naming the products and beta, numpy's text kept.  Threaded BLAS deals a
+    gemv's rows out to threads by count and splits the Gram products as it
+    likes, so with more than one BLAS thread even the one-shot formula's
+    bits vary with it.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -499,14 +496,14 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
     w_site = _site0_row(chain.n)
     _check_tau_grid(omega, tau)
     support = np.flatnonzero(w_site != 0.0)
+    gram, worker = _mc_plan(chain.n, samples, tau.size)
     draws = _DrawBlocks(rng, chain.n, samples)
-    form = _GramSums if _gram_is_cheaper(support.size, samples, tau.size) else _ProductSums
-    reduction = form(omega, support, tau, draws.rows, draws.block_sizes)
+    reduction = (_GramSums if gram else _ProductSums)(omega, support, tau, draws.rows, draws.block_sizes)
     sqrt_beta = math.sqrt(chain.beta)
     q_scale = sqrt_beta * omega
     a_all = np.empty(draws.rows)
     try:
-        with draws.chunks(reduction.tables) as chunks:
+        with draws.chunks(worker) as chunks:
             for m, p_blocks, q_blocks in chunks:
                 keep = reduction.start(m)
                 p_weight, q_weight = w_site[keep], (w_site * omega)[keep]
@@ -624,11 +621,13 @@ def time_autocorrelation(
     not BLAS products, so their bits do not depend on the BLAS thread
     count; the mode projection in _site0_phasors is the one BLAS call.  The
     cost is O(K^2 + K len(tau)) whatever the horizon, after the O(n^2)
-    projection.  A horizon for which horizon / dt or N omega_max dt is not
-    finite is a ValueError.
+    projection.  The tau grid is checked as in phase_autocorrelation, and a
+    horizon for which horizon / dt or N omega_max dt is not finite is a
+    ValueError.
     """
     tau = np.asarray(tau_grid, dtype=float)
-    if tau.ndim != 1 or len(tau) < 2:
+    _check_tau_grid(dft_frequencies(chain), tau)
+    if len(tau) < 2:
         raise ValueError("tau grid must hold at least two points")
     step = tau[1] - tau[0]
     if tau[0] != 0.0 or step <= 0 or not np.allclose(np.diff(tau), step, rtol=1e-9):

@@ -115,6 +115,15 @@ def test_oversized_csv_cell_names_field_and_line(tmp_path, capsys, argv, field, 
     )
 
 
+def test_bad_state_row_names_its_file_line(tmp_path, capsys):
+    # the quoted cell spans lines 2 and 3, so the bad row is on line 4
+    state = tmp_path / "state.csv"
+    state.write_text('index,re,im\n0,"0.6\n",0\n1,0,x\n', encoding="utf-8", newline="")
+    assert run(["observable", "fn", "--n", "5", "--state", str(state)]) == 2
+    message = "state: line 4: bad amplitude: could not convert string to float: 'x'"
+    assert capsys.readouterr() == ("", f"config error: observable fn: {message}\n")
+
+
 def test_undecodable_curve_and_config_name_their_field(tmp_path, capsys):
     binary = tmp_path / "binary"
     binary.write_bytes(b"tau,value\n0,1\xff\n")
@@ -627,12 +636,12 @@ def _dict_reader_curve(path):
     if reader.fieldnames is None or "tau" not in reader.fieldnames or "value" not in reader.fieldnames:
         return "in_path: curve CSV needs tau and value columns"
     taus, vals, kinds = [], [], set()
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         try:
             taus.append(cli.finite(row["tau"]))
             vals.append(cli.finite(row["value"]))
         except (TypeError, ValueError) as exc:
-            return f"in_path: line {lineno}: bad curve row: {exc}"
+            return f"in_path: line {reader.line_num}: bad curve row: {exc}"
         kinds.add(row.get("kind") or "phase-analytic")
     return taus, vals, min(kinds, default="phase-analytic")
 
@@ -651,6 +660,7 @@ def _dict_reader_curve(path):
         "tau,value,tau\n5,1,0\n6,0.5\n",
         "tau,value\n0,1,extra,x\n1,0.4\n",
         'tau,value\n"0",1\n"1\n",0.4\n2,0.2\n',
+        'tau,value\n"1\n",0.4\n2,x\n',
         "tau,value\n 0 ,1\n1, 0.4\n2,2_0\n",
         "tau,value\r\n0,1\r\n1,0.4\r\n",
         "tau,value\n",
@@ -660,8 +670,8 @@ def _dict_reader_curve(path):
     ],
     ids=[
         "blank-lines", "short-row", "bad-value-at-line-5", "inf-then-nan", "kind", "kind-first", "kind-short-row",
-        "repeated-name", "repeated-name-short-row", "long-row", "quoted", "spaces", "crlf", "header-only", "empty",
-        "blank-first-line", "no-value-column",
+        "repeated-name", "repeated-name-short-row", "long-row", "quoted", "quoted-then-bad-at-line-4", "spaces", "crlf",
+        "header-only", "empty", "blank-first-line", "no-value-column",
     ],
 )
 def test_read_curve_csv_matches_dict_reader(tmp_path, text):
@@ -695,6 +705,13 @@ def test_svg_points_match_numpy_scalar_formatting():
 def test_io_error_exit_code(capsys):
     assert run(["born", "sweep", "--n", "5", "--out", "/nonexistent-dir/x.csv"]) == 4
     capsys.readouterr()
+
+
+def test_failed_out_write_leaves_no_svg(tmp_path, capsys):
+    svg = tmp_path / "ok.svg"
+    assert run(["fkm", "autocorr", "--n", "8", "--out", "/nonexistent-dir/x.csv", "--svg", str(svg)]) == 4
+    assert "io error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_argparse_usage_error():

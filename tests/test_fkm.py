@@ -211,9 +211,15 @@ def test_phase_curve_peak_memory_bounded_by_block():
     assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
 
 
+def _time_curve(chain, tau):
+    """time_autocorrelation over tau, its other arguments valid for a tau up to 20."""
+    return fkm.time_autocorrelation(chain, fkm.sample_gibbs(chain, 0), 100.0, tau, oversample=1)
+
+
 @pytest.mark.parametrize("tau", [1.0, [[0.0, 1.0]]], ids=["scalar", "2-d"])
 def test_phase_curve_rejects_tau_that_is_not_1d(tau):
-    for curve in (fkm.phase_autocorrelation, functools.partial(fkm.mc_phase_autocorrelation, samples=2, seed=0)):
+    mc = functools.partial(fkm.mc_phase_autocorrelation, samples=2, seed=0)
+    for curve in (fkm.phase_autocorrelation, mc, _time_curve):
         with pytest.raises(ValueError, match=r"^tau grid must be 1-d, got shape \("):
             curve(fkm.scaled_ring(8, beta=1.0), tau)
 
@@ -341,16 +347,6 @@ def test_zero_mode_streams_freely():
 # ---------------------------------------------------------------------------
 
 
-def test_mc_matches_analytic_within_three_stderr():
-    # pilot max |z| = 2.13 at this seed
-    chain = fkm.scaled_ring(8, beta=1.0)
-    ana = fkm.phase_autocorrelation(chain, TAU)
-    mc = fkm.mc_phase_autocorrelation(chain, TAU, samples=100_000, seed=10)
-    assert mc.kind == "phase-monte-carlo"
-    assert (mc.stderr > 0).all()
-    assert (np.abs(mc.values - ana.values) < 3 * mc.stderr).all()
-
-
 @pytest.mark.parametrize("n", [8, 256])
 def test_mc_stderr_matches_isserlis(n):
     # p0(0) and p0(tau) are jointly Gaussian with covariance g(tau), so by
@@ -363,6 +359,8 @@ def test_mc_stderr_matches_isserlis(n):
     chain = fkm.scaled_ring(n, beta=1.0)
     g = fkm.phase_autocorrelation(chain, TAU).values
     mc = fkm.mc_phase_autocorrelation(chain, TAU, samples=samples, seed=10)
+    assert mc.kind == "phase-monte-carlo"
+    assert (mc.stderr > 0).all()
     ratio = mc.stderr / np.sqrt((g[0] ** 2 + g**2) / samples)
     assert np.abs(ratio - 1.0).max() < 0.05
 
@@ -397,8 +395,8 @@ def test_mc_rejects_zero_mode():
 
 @pytest.mark.parametrize(
     "estimate",
-    [fkm.phase_autocorrelation, functools.partial(fkm.mc_phase_autocorrelation, samples=100, seed=0)],
-    ids=["analytic", "mc"],
+    [fkm.phase_autocorrelation, functools.partial(fkm.mc_phase_autocorrelation, samples=100, seed=0), _time_curve],
+    ids=["analytic", "mc", "time"],
 )
 @pytest.mark.parametrize(
     ("last", "message"),
@@ -415,22 +413,12 @@ def test_overflowing_tau_names_tau(estimate, last, message):
         estimate(fkm.scaled_ring(8, beta=1.0), [0.0, last])
 
 
-def _draws_on_worker(n, samples, tau):
-    """fkm._draws_on_worker as mc_phase_autocorrelation asks it for an n-site
-    ring over tau: with the `tables` of the reduction that _gram_is_cheaper picks."""
-    omega = fkm._column_frequencies(fkm.scaled_ring(n, beta=1.0))
-    support = np.flatnonzero(fkm._site0_row(n) != 0.0)
-    draws = fkm._DrawBlocks(None, n, samples)
-    form = fkm._GramSums if fkm._gram_is_cheaper(support.size, samples, tau.size) else fkm._ProductSums
-    return fkm._draws_on_worker(n, samples, form(omega, support, tau, draws.rows, draws.block_sizes).tables)
-
-
 def test_mc_worker_thread_joined_on_return_and_on_error(monkeypatch):
     made, pool = [], fkm.ThreadPoolExecutor  # the pools the estimator makes
     monkeypatch.setattr(fkm, "ThreadPoolExecutor", lambda *args, **kwargs: made.append(True) or pool(*args, **kwargs))
     threads = threading.active_count()
     # n = 256: 1026 samples are two draw blocks of 1024 and 2 rows
-    assert _draws_on_worker(256, 1026, TAU)
+    assert fkm._mc_plan(256, 1026, TAU.size)[1]
     fkm.mc_phase_autocorrelation(fkm.scaled_ring(256, beta=1.0), TAU, samples=1026, seed=1)
     assert threading.active_count() == threads and made == [True]
     # the overflow happens on the calling thread, under the caller's errstate:
@@ -438,8 +426,7 @@ def test_mc_worker_thread_joined_on_return_and_on_error(monkeypatch):
     # n = 8, 32 770 samples are two draw blocks of 32 768 and 2 rows
     chain = fkm.HarmonicChain(n=8, beta=1e-200, kappa=0.3)
     for tau, op in ((TAU, "matmul"), (TAU[:5], "multiply")):
-        assert fkm._gram_is_cheaper(5, 32_770, tau.size) == (op == "matmul")
-        assert _draws_on_worker(8, 32_770, tau)
+        assert fkm._mc_plan(8, 32_770, tau.size) == (op == "matmul", True)
         made.clear()
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match=f"overflow encountered in {op}$"):
             fkm.mc_phase_autocorrelation(chain, tau, samples=32_770, seed=0)
@@ -452,9 +439,9 @@ def test_mc_small_call_draws_on_the_calling_thread(monkeypatch):
     # product form, its 2 K |tau| cos/sin table.  n = 16 at 2048 samples is
     # the first Gram-form call that reaches it; n = 256 at 64 samples takes
     # the product form, 32 768 draws and 51 600 table values.
-    assert not _draws_on_worker(16, 2047, TAU) and _draws_on_worker(16, 2048, TAU)
-    assert not fkm._gram_is_cheaper(129, 64, TAU.size) and _draws_on_worker(256, 64, TAU)
-    assert not _draws_on_worker(256, 16, TAU)
+    assert fkm._mc_plan(16, 2047, TAU.size) == (True, False) and fkm._mc_plan(16, 2048, TAU.size) == (True, True)
+    assert fkm._mc_plan(256, 64, TAU.size) == (False, True)
+    assert fkm._mc_plan(256, 16, TAU.size) == (False, False)
     # and the calls themselves: n = 256 at 64 samples reaches the worker only
     # through the product form's table, and at 16 samples makes no pool
     made, pool = [], fkm.ThreadPoolExecutor
@@ -473,7 +460,7 @@ def test_mc_small_call_draws_on_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(fkm, "ThreadPoolExecutor", refuse)
     for n, curve in plain.items():
-        assert not _draws_on_worker(n, 2000, TAU)
+        assert not fkm._mc_plan(n, 2000, TAU.size)[1]
         with np.errstate(all="raise"):
             raised = fkm.mc_phase_autocorrelation(fkm.scaled_ring(n, beta=1.0), TAU, 2000, seed=42)
         assert np.array_equal(raised.values, curve.values) and np.array_equal(raised.stderr, curve.stderr)
@@ -566,13 +553,13 @@ def test_mc_bit_identical_to_one_shot_draws():
     # Threaded BLAS deals a gemv's rows out to threads by count, and a row's
     # rounding depends on its place in its thread's share, so there even the
     # one-shot formula's bits move with the thread count: compare on one.
-    assert not any(fkm._gram_is_cheaper(n // 2 + 1, s, _bit_tau(n).size) for n, s in _BIT_CASES)
-    assert not fkm._gram_is_cheaper(5, 10, _CROSSOVER_TAU.size)
+    plans = {(n, s): fkm._mc_plan(n, s, _bit_tau(n).size) for n, s in _BIT_CASES}
+    assert not any(gram for gram, _ in plans.values())
     # both sides of the draw-thread rule: the calling thread draws up to 2000
     # samples at n = 8 and 9 and 2 samples at n = 200 and 256, a worker the rest
-    on_worker = {(n, s) for n, s in _BIT_CASES if _draws_on_worker(n, s, _bit_tau(n))}
+    on_worker = {case for case, (_, worker) in plans.items() if worker}
     assert on_worker == {(n, s) for n, s in _BIT_CASES if s > 2000 or (n >= 200 and s > 2)}
-    assert not _draws_on_worker(8, 10, _CROSSOVER_TAU)
+    assert fkm._mc_plan(8, 10, _CROSSOVER_TAU.size) == (False, False)
     script = f"""
 from test_fkm import _CROSSOVER_TAU, _bit_tau, _one_shot_mc, fkm, np
 
@@ -601,7 +588,7 @@ def test_mc_matches_one_shot_draws_at_large_n(n):
     # sum past a few hundred columns, so only the last bit may move; with
     # more support modes than lags, both take the product form
     chain = fkm.scaled_ring(n, beta=1.0)
-    assert not fkm._gram_is_cheaper(n // 2 + 1, 1025, TAU.size)
+    assert not fkm._mc_plan(n, 1025, TAU.size)[0]
     mc = fkm.mc_phase_autocorrelation(chain, TAU, samples=1025, seed=7)
     values, stderr = _one_shot_mc(chain, TAU, 1025, 7)
     assert np.allclose(mc.values, values, rtol=0.0, atol=1e-15)
@@ -618,7 +605,7 @@ def test_mc_matches_one_shot_draws_on_wide_lag_grid(n):
     # at n = 256 (K = 129), one block cut into sub-blocks of 200 and 15 rows.
     chain = fkm.scaled_ring(n, beta=1.0)
     tau = np.linspace(0.0, 20.0, 321)
-    samples = max(s for s in range(2, 2001) if not fkm._gram_is_cheaper(n // 2 + 1, s, tau.size))
+    samples = max(s for s in range(2, 2001) if not fkm._mc_plan(n, s, tau.size)[0])
     assert samples == {8: 5, 256: 215}[n]
     mc = fkm.mc_phase_autocorrelation(chain, tau, samples=samples, seed=7)
     values, stderr = _one_shot_mc(chain, tau, samples, 7)
@@ -643,7 +630,7 @@ def test_mc_gram_form_within_rounding_of_one_shot_draws(n, samples, tau):
     # bound carries those errors through (sum2 - S mean^2) / (S - 1) / S and
     # the square root, with 4u for the rounding of those steps.
     k = n // 2 + 1
-    assert fkm._gram_is_cheaper(k, samples, tau.size)
+    assert fkm._mc_plan(n, samples, tau.size)[0]
     chain = fkm.scaled_ring(n, beta=1.0)
     rng_mc, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
     mc = fkm.mc_phase_autocorrelation(chain, tau, samples, rng_mc)
@@ -665,8 +652,7 @@ def test_mc_gram_form_within_rounding_of_one_shot_draws(n, samples, tau):
 def test_mc_takes_the_gram_form_only_past_the_crossover(monkeypatch):
     # at the tie (10 samples on 10 lags at n = 8) the product form; one
     # sample or one lag more, the Gram form
-    assert not fkm._gram_is_cheaper(5, 10, 10)
-    assert fkm._gram_is_cheaper(5, 11, 10) and fkm._gram_is_cheaper(5, 10, 11)
+    assert [fkm._mc_plan(8, s, lags)[0] for s, lags in ((10, 10), (11, 10), (10, 11))] == [False, True, True]
     chain = fkm.scaled_ring(8, beta=1.0)
     taken = []
     gram_sums = fkm._GramSums.sums
@@ -725,7 +711,7 @@ def test_mc_gram_form_memory_does_not_grow_with_support_times_lags():
     # (3 x _BLOCK_VALUES, as above) and the |tau|-long sums, means and
     # errors (12 |tau|).
     n, samples, lags = 64, 100, 200_000
-    assert fkm._gram_is_cheaper(n // 2 + 1, samples, lags)
+    assert fkm._mc_plan(n, samples, lags)[0]
     chain = fkm.scaled_ring(n, beta=1.0)
     tau = np.linspace(0.0, 20.0, lags)
     bound = 8 * (3 * fkm._BLOCK_VALUES + 12 * lags)
@@ -750,7 +736,7 @@ def test_mc_chunk_layout_does_not_grow_with_the_sample_count():
     # 43 x 20 000 doubles (6.9 MB), plus an allowance of 2 MB for smaller
     # temporaries, Python objects and the modules a first call imports.
     chain = fkm.HarmonicChain(n=8, beta=1e-200, kappa=0.3)
-    assert fkm._gram_is_cheaper(5, 2 * 10**10, TAU.size)
+    assert fkm._mc_plan(8, 2 * 10**10, TAU.size)[0]
     bound = 8 * 43 * 20_000 + 2_000_000
     tracemalloc.start()
     try:
