@@ -15,7 +15,8 @@ its field size limit), which also names the line.  The resolved fields
 are recorded in the sidecar's config object (command, format version,
 output path and parameters), in canonical JSON.
 Handlers only compute and return text, the artifact's and any extra
-file's (the --svg chart), which is written after the artifact's sidecar.
+file's (the --svg chart).  A command's files are written all or none: each
+goes to a temp file, and the renames wait until every write has succeeded.
 
 Artifacts are written atomically (temp file + rename), values are
 formatted through repr so identical configs give byte-identical files,
@@ -41,9 +42,12 @@ move the last digit of a Monte-Carlo or trajectory value.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import contextvars
 import csv
 import dataclasses
 import datetime
+import errno
 import functools
 import io
 import json
@@ -83,17 +87,43 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def atomic_write(path: Path, data: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
+_staged = contextvars.ContextVar("_staged")  # all_or_none()'s (temp file, path) pairs
+
+
+@contextlib.contextmanager
+def all_or_none():
+    """Rename the temp files that the block's atomic_write calls wrote onto
+    their paths at the block's end, or remove them all if it fails, so that
+    a failed write leaves none of the block's files in place."""
+    staged = []
+    token = _staged.set(staged)
     try:
+        yield
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
+    finally:
+        _staged.reset(token)
+
+
+def atomic_write(path: Path, data: str) -> None:
+    """Write data to a temp file beside path, which the enclosing
+    all_or_none() renames onto path.  An OSError names path, not the temp
+    file."""
+    staged, path = _staged.get(), Path(path)
+    try:
+        if path.is_dir():  # the rename would refuse it, so refuse it before any rename
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        staged.append((tmp, path))
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def write_sidecar(out: str, command: str, params: dict, elapsed: float) -> None:
@@ -341,8 +371,7 @@ def read_curve_csv(path: str) -> fkm.AutocorrCurve:
     if "tau" not in index or "value" not in index:
         raise ConfigInvalidError("in_path: curve CSV needs tau and value columns")
     body = [row for _, row in rows[1:] if row]
-    columns = index["tau"], index["value"], index.get("kind", math.inf)  # no kind column: every cell None
-    taus, vals, kinds = ([row[i] if i < len(row) else None for row in body] for i in columns)
+    taus, vals = ([row[i] if i < len(row) else None for row in body] for i in (index["tau"], index["value"]))
     try:
         tau, values = np.array(list(map(float, taus))), np.array(list(map(float, vals)))
         parsed = np.isfinite(tau).all() and np.isfinite(values).all()
@@ -354,7 +383,7 @@ def read_curve_csv(path: str) -> fkm.AutocorrCurve:
                 finite(t), finite(v)
             except (TypeError, ValueError) as exc:
                 raise ConfigInvalidError(f"in_path: line {lineno}: bad curve row: {exc}") from exc
-    return fkm.AutocorrCurve(tau=tau, values=values, kind=min({k or "phase-analytic" for k in kinds}, default="phase-analytic"))
+    return fkm.AutocorrCurve(tau=tau, values=values, kind="phase-analytic")  # ou_fit reads tau and values only
 
 
 def cmd_fkm_oufit(p) -> str:
@@ -472,10 +501,11 @@ def run(command: Command, args) -> int:
     start = time.perf_counter()
     result = command.handler(p)
     text, status, *files = result if isinstance(result, tuple) else (result, EXIT_OK)
-    if text is not None:
-        emit(text, p.get("out"), command.name, params, start)
-    for path, data in files:  # after the artifact, so a failed artifact write leaves none of them
-        atomic_write(Path(path), data)
+    with all_or_none():
+        if text is not None:
+            emit(text, p.get("out"), command.name, params, start)
+        for path, data in files:
+            atomic_write(Path(path), data)
     log.debug("%s: params %s, elapsed %.3f s", command.name, p, time.perf_counter() - start)
     return status
 

@@ -41,9 +41,10 @@ from .errors import DegenerateFitError, IndefiniteFormError, ZeroModeError
 
 _FREQ_SQ_TOL = 1e-12
 
-# Monte-Carlo samples per chunk.  Each chunk draws all of its p normals,
-# then all of its q normals, so the chunk fixes how the stream splits between
-# p and q, and with it the output bytes; it is not a memory knob.
+# Monte-Carlo samples per chunk; a lone last sample joins the chunk before it,
+# as in _row_blocks.  Each chunk draws all of its p normals, then all of its q
+# normals, so the chunks fix how the stream splits between p and q, and with
+# it the output bytes; this is not a memory knob.
 _MC_CHUNK = 20000
 
 # Values per block of every blocked loop here, each cut by _row_blocks.  The
@@ -295,8 +296,9 @@ def _mc_plan(n: int, samples: int, lags: int) -> tuple[bool, bool]:
 class _DrawBlocks:
     """The Monte-Carlo's Gibbs normals, a block at a time into two buffers.
 
-    Samples come in chunks of _MC_CHUNK, laid out as they are reached.  A
-    chunk draws its p normals in row blocks (_row_blocks under _BLOCK_VALUES
+    Samples come in chunks of _MC_CHUNK, laid out as they are reached; a
+    lone last sample joins the chunk before it, as in _row_blocks.  A chunk
+    draws its p normals in row blocks (_row_blocks under _BLOCK_VALUES
     draws), then its q normals in the same blocks: numpy fills a draw row by
     row, so this is the stream of one (m, n) p draw and one (m, n) q draw.
     One standard_normal(out=...) call per block gives the bits of
@@ -314,17 +316,21 @@ class _DrawBlocks:
 
     def __init__(self, rng: np.random.Generator, n: int, samples: int):
         self.rng, self.samples = rng, samples
-        self.rows = min(samples, _MC_CHUNK)  # the first chunk's size; only the last's may differ
-        self.blocks = {m: _row_blocks(m, n, _BLOCK_VALUES) for m in {self.rows, (samples - 1) % _MC_CHUNK + 1}}
+        ends = {next(self.sizes()), (samples - 2) % _MC_CHUNK + 2}  # the first chunk's size and the last's
+        self.rows = max(ends)
+        self.blocks = {m: _row_blocks(m, n, _BLOCK_VALUES) for m in ends}
         self.block_sizes = {hi - lo for spans in self.blocks.values() for lo, hi in spans}
         self.bufs = [np.empty((max(self.block_sizes), n)) for _ in range(2)]
+
+    def sizes(self):
+        edges = itertools.chain(range(0, self.samples - 1, _MC_CHUNK), [self.samples])  # as in _row_blocks
+        return (hi - lo for lo, hi in itertools.pairwise(edges))
 
     @contextlib.contextmanager
     def chunks(self, worker: bool):
         with ThreadPoolExecutor(max_workers=1) if worker else contextlib.nullcontext() as pool:
             bufs = itertools.cycle(self.bufs)  # each call fills the one the calling thread is done with
-            left = range(self.samples, 0, -_MC_CHUNK)  # the samples left as each chunk starts
-            spans = (span for r in left for _half in "pq" for span in self.blocks[min(_MC_CHUNK, r)])
+            spans = (span for m in self.sizes() for _half in "pq" for span in self.blocks[m])
             calls = (functools.partial(self.rng.standard_normal, out=next(bufs)[: hi - lo]) for lo, hi in spans)
             calls = (pool.submit(call).result for call in calls) if worker else calls
             ahead = next(calls)  # a worker starts on block 0 now, and on block j + 1 once block j is taken
@@ -335,14 +341,14 @@ class _DrawBlocks:
                     block, ahead = ahead(), next(calls, None)  # block j's draws, then block j + 1's call
                     yield span, block
 
-            yield ((m, take(self.blocks[m]), take(self.blocks[m])) for m in (min(_MC_CHUNK, r) for r in left))
+            yield ((m, take(self.blocks[m]), take(self.blocks[m])) for m in self.sizes())
 
 
 class _ProductSums:
     """The Monte-Carlo's product form: it builds every b_s(tau).
 
     The p blocks' tau products go straight into the chunk's rows of b, the
-    call's one min(S, _MC_CHUNK) x len(tau) array.  Each q block is cut into
+    call's one (largest chunk) x len(tau) array.  Each q block is cut into
     sub-blocks under _CACHE_VALUES lag values; one buffer of that size plus
     one row takes a sub-block's q products after its first row, then p0(tau)
     from its rows of b, then the products, then their squares, each summed
@@ -351,17 +357,15 @@ class _ProductSums:
     overflow is raised by the sum, as by one sum over the chunk.  A
     one-column grid is the exception: numpy sums one column pairwise, here
     over each sub-block, so its last digit may differ from the one-shot
-    formula's.  Each chunk builds cos and sin tables of w_k tau on the K
-    support rows (every mode for a one-sample chunk), so memory is
-    O(_BLOCK_VALUES + (K + _MC_CHUNK) len(tau)).
+    formula's.  The cos and sin tables of w_k tau on the K support rows are
+    built once, so memory is O(_BLOCK_VALUES + (K + _MC_CHUNK) len(tau)).
 
     It is the one-shot formula's reduction: with single-threaded BLAS it
     keeps that formula's bits on a grid of a multiple of 8 lags while n fits
     in one BLAS K block (384 columns on the OpenBLAS measured).  Block and
     sub-block edges fall on multiples of 8 rows, where gemv's row groups
-    start, and no block is one row, which numpy would send to gemv; a
-    one-sample chunk is a gemv whose sums group the zero columns with the
-    rest, so it keeps them.  The last digit may move past one K block, and
+    start, and no block is one row and no chunk one sample, either of which
+    numpy would send to gemv.  The last digit may move past one K block, and
     off a multiple of 8 lags in the last len(tau) % 8, from gemm's tail
     columns, whose sums depend on the inner length and the rows per call:
     on that OpenBLAS at n = 256 with 2 samples, every width of 8j + 1 to
@@ -369,23 +373,19 @@ class _ProductSums:
     """
 
     def __init__(self, omega, support, tau, rows: int, block_sizes):
-        self.omega, self.support, self.tau = omega, support, tau
         # row 0 carries the chunk's running sum into each sub-block's sum
         self.sub_blocks = {size: _row_blocks(size, tau.size, _CACHE_VALUES) for size in block_sizes}
         self.buf = np.empty((1 + max(e - s for subs in self.sub_blocks.values() for s, e in subs), tau.size))
         # one b for all chunks, so a chunk's b is not made while the last one's is alive
         self.b_all = np.empty((rows, tau.size))
+        angles = np.outer(omega[support], tau)
+        self.cos_k, self.sin_k = np.cos(angles), np.sin(angles, out=angles)
         self.total, self.acc = np.zeros((2, tau.size)), np.zeros((2, tau.size))
 
-    def start(self, m: int) -> np.ndarray:
+    def start(self, m: int) -> None:
         self.total += self.acc  # the chunk before's running sums
         self.acc[:] = 0.0
-        keep = self.support if m > 1 else np.arange(self.omega.size)  # see the docstring
         self.b = self.b_all[:m]
-        self.cos_k = self.sin_k = None  # before this chunk's tables are made
-        angles = np.outer(self.omega[keep], self.tau)
-        self.cos_k, self.sin_k = np.cos(angles), np.sin(angles, out=angles)
-        return keep
 
     def take_p(self, lo: int, hi: int, a: np.ndarray, p_site: np.ndarray) -> None:
         np.matmul(p_site, self.cos_k, out=self.b[lo:hi])
@@ -414,7 +414,7 @@ class _GramSums:
     phi(tau) = (cos w_k tau, sin w_k tau), b_s(tau) = x_s . phi(tau), so
     sum_s a_s b_s = (sum_s z_s) . phi and sum_s a_s^2 b_s^2 = phi^T C phi,
     with z_s = a_s x_s and C = sum_s z_s z_s^T.  Each chunk keeps the p
-    halves of its z rows in one min(S, _MC_CHUNK) x K array.  Each q block
+    halves of its z rows in one (largest chunk) x K array.  Each q block
     copies its rows' p halves into a block of whole z rows, completes them,
     and adds them to sum_s z_s and, by one z^T z, to C.  sums() takes the
     quadratic forms over _BLOCK_VALUES blocks of tau, so past the
@@ -427,15 +427,14 @@ class _GramSums:
     """
 
     def __init__(self, omega, support, tau, rows: int, block_sizes):
-        self.omega, self.support, self.tau = omega[support], support, tau
+        self.omega, self.tau = omega[support], tau
         k = self.k = support.size
         # the chunk's p halves of z, and one block of whole z rows
         self.zp_all, self.z_buf = np.empty((rows, k)), np.empty((max(block_sizes), 2 * k))
         self.z_sum, self.z_gram = np.zeros(2 * k), np.zeros((2 * k, 2 * k))
 
-    def start(self, m: int) -> np.ndarray:
+    def start(self, m: int) -> None:
         self.zp = self.zp_all[:m]
-        return self.support
 
     def take_p(self, lo: int, hi: int, a: np.ndarray, p_site: np.ndarray) -> None:
         np.multiply(p_site, a[:, None], out=self.zp[lo:hi])
@@ -477,16 +476,15 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
 
     _mc_plan picks the reduction and the draw thread.  The draws come from
     _DrawBlocks and the sums from _ProductSums or _GramSums: start(m) takes
-    a chunk of m samples and returns the mode columns it keeps, take_p and
-    take_q take a block's rows lo:hi of a_s and of v_k P_k or v_k w_k Q_k on
-    them, and sums() returns sum_s a_s b_s and sum_s a_s^2 b_s^2.  All
-    arithmetic stays on the calling thread, as np.errstate is per thread:
-    the caller's error state governs every division, product and sum (and,
-    on a small call, the draws), and a FloatingPointError is raised again
-    naming the products and beta, numpy's text kept.  Threaded BLAS deals a
-    gemv's rows out to threads by count and splits the Gram products as it
-    likes, so with more than one BLAS thread even the one-shot formula's
-    bits vary with it.
+    a chunk of m samples, take_p and take_q take a block's rows lo:hi of a_s
+    and of v_k P_k or v_k w_k Q_k on the K support modes, and sums() returns
+    sum_s a_s b_s and sum_s a_s^2 b_s^2.  All arithmetic stays on the
+    calling thread, as np.errstate is per thread: the caller's error state
+    governs every division, product and sum (and, on a small call, the
+    draws), and a FloatingPointError is raised again naming the products and
+    beta, numpy's text kept.  Threaded BLAS deals a gemv's rows out to
+    threads by count and splits the Gram products as it likes, so with more
+    than one BLAS thread even the one-shot formula's bits vary with it.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -496,6 +494,7 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
     w_site = _site0_row(chain.n)
     _check_tau_grid(omega, tau)
     support = np.flatnonzero(w_site != 0.0)
+    p_weight, q_weight = w_site[support], (w_site * omega)[support]
     gram, worker = _mc_plan(chain.n, samples, tau.size)
     draws = _DrawBlocks(rng, chain.n, samples)
     reduction = (_GramSums if gram else _ProductSums)(omega, support, tau, draws.rows, draws.block_sizes)
@@ -505,18 +504,17 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
     try:
         with draws.chunks(worker) as chunks:
             for m, p_blocks, q_blocks in chunks:
-                keep = reduction.start(m)
-                p_weight, q_weight = w_site[keep], (w_site * omega)[keep]
+                reduction.start(m)
                 a = a_all[:m]
                 for (lo, hi), block in p_blocks:
                     block /= sqrt_beta
                     a[lo:hi] = block @ w_site
-                    p_site = np.take(block, keep, axis=1)
+                    p_site = np.take(block, support, axis=1)
                     p_site *= p_weight
                     reduction.take_p(lo, hi, a[lo:hi], p_site)
                 for (lo, hi), block in q_blocks:
                     block /= q_scale
-                    q_site = np.take(block, keep, axis=1)
+                    q_site = np.take(block, support, axis=1)
                     q_site *= q_weight
                     reduction.take_q(lo, hi, a[lo:hi], q_site)
         sum1, sum2 = reduction.sums()

@@ -630,20 +630,19 @@ def test_cli_tables_match_csv_writer(tmp_path, argv, columns):
 
 
 def _dict_reader_curve(path):
-    """(tau, values, kind) of a curve CSV as csv.DictReader reads it a row
-    at a time, or the ConfigInvalidError message."""
+    """(tau, values) of a curve CSV as csv.DictReader reads it a row at a
+    time, or the ConfigInvalidError message."""
     reader = csv.DictReader(io.StringIO(Path(path).read_text(encoding="utf-8")))
     if reader.fieldnames is None or "tau" not in reader.fieldnames or "value" not in reader.fieldnames:
         return "in_path: curve CSV needs tau and value columns"
-    taus, vals, kinds = [], [], set()
+    taus, vals = [], []
     for row in reader:
         try:
             taus.append(cli.finite(row["tau"]))
             vals.append(cli.finite(row["value"]))
         except (TypeError, ValueError) as exc:
             return f"in_path: line {reader.line_num}: bad curve row: {exc}"
-        kinds.add(row.get("kind") or "phase-analytic")
-    return taus, vals, min(kinds, default="phase-analytic")
+    return taus, vals
 
 
 @pytest.mark.parametrize(
@@ -684,7 +683,7 @@ def test_read_curve_csv_matches_dict_reader(tmp_path, text):
         assert str(exc.value) == expected
     else:
         curve = cli.read_curve_csv(str(path))
-        assert (curve.tau.tolist(), curve.values.tolist(), curve.kind) == expected
+        assert (curve.tau.tolist(), curve.values.tolist()) == expected
         assert curve.tau.dtype == curve.values.dtype == np.float64
 
 
@@ -704,7 +703,8 @@ def test_svg_points_match_numpy_scalar_formatting():
 
 def test_io_error_exit_code(capsys):
     assert run(["born", "sweep", "--n", "5", "--out", "/nonexistent-dir/x.csv"]) == 4
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "'/nonexistent-dir/x.csv'" in err and ".tmp" not in err  # the user's path, not the temp file
 
 
 def test_failed_out_write_leaves_no_svg(tmp_path, capsys):
@@ -712,6 +712,18 @@ def test_failed_out_write_leaves_no_svg(tmp_path, capsys):
     assert run(["fkm", "autocorr", "--n", "8", "--out", "/nonexistent-dir/x.csv", "--svg", str(svg)]) == 4
     assert "io error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_svg_write_leaves_no_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["fkm", "autocorr", "--n", "8", "--out", "x.csv", "--svg", "/nonexistent-dir/x.svg"]) == 4
+    assert "'/nonexistent-dir/x.svg'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # a directory in the chart's place fails before any rename, too
+    (tmp_path / "d").mkdir()
+    assert run(["fkm", "autocorr", "--n", "8", "--out", "x.csv", "--svg", "d"]) == 4
+    assert "Is a directory: 'd'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "d"] and list((tmp_path / "d").iterdir()) == []
 
 
 def test_argparse_usage_error():

@@ -473,7 +473,7 @@ def _one_shot_chunks(chain, samples, seed):
     sqrt_beta = math.sqrt(chain.beta)
     done = 0
     while done < samples:
-        m = min(20000, samples - done)  # the documented chunk fixes the p/q split
+        m = 20000 if samples - done > 20001 else samples - done  # the documented chunks fix the p/q split
         p_modes = rng.normal(size=(m, chain.n)) / sqrt_beta
         q_modes = rng.normal(size=(m, chain.n)) / (sqrt_beta * omega)
         yield p_modes, q_modes
@@ -537,13 +537,14 @@ def _bit_tau(n):
 
 
 # At n = 256 a block is 1024 rows: 1025 samples fold a lone row into it, 1026
-# leave a two-row second block, 20001 a one-sample second chunk.  At n = 200
-# the block is rounded down to 1304 rows.  n = 9 is odd: no alternating mode.
-# A sub-block of the 5-lag products at n = 8 and 9 is 13104 rows: 13105
-# samples fold a lone row into it, and 2000, the CLI's size, take one.
+# leave a two-row second block, 20001 fold a lone sample into one chunk.  At
+# n = 200 the block is rounded down to 1304 rows.  n = 9 is odd: no
+# alternating mode.  A sub-block of the 5-lag products at n = 8 and 9 is 13104
+# rows: 13105 samples fold a lone row into it, and 2000, the CLI's size, take
+# one.  40001 samples are two chunks, the second of 20001.
 _SUB_ROWS = fkm._CACHE_VALUES // _bit_tau(8).size // 8 * 8
 _BIT_CASES = [(n, s) for n in (8, 9, 200, 256) for s in (2, 1025, 1026, 20001)]
-_BIT_CASES += [(n, s) for n in (8, 9) for s in (_SUB_ROWS + 1, 2000)]
+_BIT_CASES += [(n, s) for n in (8, 9) for s in (_SUB_ROWS + 1, 2000, 40001)]
 # n = 8 has K = 5 support modes, so on 10 lags the two costs, K^2 (S + 10)
 # and K S 10, are equal at S = 10: a tie keeps the product form
 _CROSSOVER_TAU = np.linspace(0.0, 20.0, 10)
@@ -618,7 +619,7 @@ def test_mc_matches_one_shot_draws_on_wide_lag_grid(n):
 @pytest.mark.parametrize(
     ("n", "samples", "tau"),
     [(8, 2000, TAU), (8, 100_000, TAU), (9, 20001, TAU), (256, 2000, TAU), (8, 11, _CROSSOVER_TAU)],
-    ids=["cli", "a5", "one-sample-chunk", "n256", "crossover"],
+    ids=["cli", "a5", "folded-last-sample", "n256", "crossover"],
 )
 def test_mc_gram_form_within_rounding_of_one_shot_draws(n, samples, tau):
     # The Gram form sums the one-shot formula's terms in another order.  Each
@@ -661,6 +662,20 @@ def test_mc_takes_the_gram_form_only_past_the_crossover(monkeypatch):
         taken.clear()
         fkm.mc_phase_autocorrelation(chain, _CROSSOVER_TAU, samples, seed=7)
         assert taken == [True] * (samples == 11)
+
+
+def test_mc_chunks_fold_a_lone_last_sample(monkeypatch):
+    # chunks of _MC_CHUNK samples, a lone last sample joining the chunk
+    # before it, as a lone last row joins its block in _row_blocks
+    chain = fkm.scaled_ring(8, beta=1.0)
+    sizes = []
+    start = fkm._ProductSums.start
+    monkeypatch.setattr(fkm._ProductSums, "start", lambda self, m: sizes.append(m) or start(self, m))
+    for samples, chunks in ((20001, [20001]), (20002, [20000, 2]), (40001, [20000, 20001])):
+        assert not fkm._mc_plan(8, samples, _bit_tau(8).size)[0]
+        sizes.clear()
+        fkm.mc_phase_autocorrelation(chain, _bit_tau(8), samples, seed=7)
+        assert sizes == chunks, f"{samples} samples made chunks {sizes}"
 
 
 def test_mc_peak_memory_independent_of_ring_width():
