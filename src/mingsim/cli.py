@@ -15,14 +15,14 @@ its field size limit), which also names the line.  The resolved fields
 are recorded in the sidecar's config object (command, format version,
 output path and parameters), in canonical JSON.
 Handlers only compute and return text, the artifact's and any extra
-file's (the --svg chart).  A command's files are written all or none: each
-goes to a temp file, and the renames wait until every write has succeeded.
+file's (the --svg chart), and emit writes them all or none.
 
-Artifacts are written atomically (temp file + rename), values are
-formatted through repr so identical configs give byte-identical files,
-and anything environment-dependent (wall clock, Python and numpy versions,
-BLAS thread settings, compute time) lives only in the sidecar provenance
-JSON next to each artifact; numpy is the one library mingsim imports.
+Artifacts are written atomically (temp file + rename) with the mode open()
+gives under the umask, values are formatted through repr so identical
+configs give byte-identical files, and anything environment-dependent
+(wall clock, Python and numpy versions, BLAS thread settings, compute
+time) lives only in the sidecar provenance JSON next to each artifact;
+numpy is the one library mingsim imports.
 All JSON is strict: a non-finite value raises instead of reaching disk.
 CSV tables are formatted a column at a time by render_csv: each column
 holds one type, and its cells go through str (repr for a float) in one
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import contextvars
 import csv
 import dataclasses
 import datetime
@@ -87,46 +86,29 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-_staged = contextvars.ContextVar("_staged")  # all_or_none()'s (temp file, path) pairs
-
-
-@contextlib.contextmanager
-def all_or_none():
-    """Rename the temp files that the block's atomic_write calls wrote onto
-    their paths at the block's end, or remove them all if it fails, so that
-    a failed write leaves none of the block's files in place."""
-    staged = []
-    token = _staged.set(staged)
-    try:
-        yield
-        for tmp, path in staged:
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in staged:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-        raise
-    finally:
-        _staged.reset(token)
-
-
-def atomic_write(path: Path, data: str) -> None:
-    """Write data to a temp file beside path, which the enclosing
-    all_or_none() renames onto path.  An OSError names path, not the temp
-    file."""
-    staged, path = _staged.get(), Path(path)
+def atomic_write(path: Path, data: str) -> str:
+    """Write data to a temp file beside path, with the mode open() gives under
+    the umask, and return its name for emit to rename.  A failed write
+    removes it, and its OSError names path, not the temp file."""
     try:
         if path.is_dir():  # the rename would refuse it, so refuse it before any rename
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        os.umask(umask := os.umask(0))  # reading the umask sets it, so set it back at once
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        staged.append((tmp, path))
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates it 0600
+                fh.write(data)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    return tmp
 
 
-def write_sidecar(out: str, command: str, params: dict, elapsed: float) -> None:
+def write_sidecar(out: str, command: str, params: dict, elapsed: float) -> tuple[str, Path]:
+    """Stage the provenance sidecar of out; returns its (temp file, path)."""
     path = Path(out)
     sidecar = {
         "config": {"command": command, "format_version": FORMAT_VERSION, "out": out, "params": params},
@@ -136,7 +118,8 @@ def write_sidecar(out: str, command: str, params: dict, elapsed: float) -> None:
         "wall_clock_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": elapsed,
     }
-    atomic_write(path.with_name(path.name + ".provenance.json"), canonical_json(sidecar))
+    path = path.with_name(path.name + ".provenance.json")
+    return atomic_write(path, canonical_json(sidecar)), path
 
 
 def render_csv(columns: dict) -> str:
@@ -227,6 +210,7 @@ def prime_list(value) -> list[int]:
     if not ns:
         raise ValueError("expected at least one prime")
     for n in ns:
+        dynamics.require_sweep_size(n)
         if not is_prime(n):
             raise ValueError(f"n must be prime, got {n}")
     return ns
@@ -501,22 +485,35 @@ def run(command: Command, args) -> int:
     start = time.perf_counter()
     result = command.handler(p)
     text, status, *files = result if isinstance(result, tuple) else (result, EXIT_OK)
-    with all_or_none():
-        if text is not None:
-            emit(text, p.get("out"), command.name, params, start)
-        for path, data in files:
-            atomic_write(Path(path), data)
+    emit(text, p.get("out"), command.name, params, start, files)
     log.debug("%s: params %s, elapsed %.3f s", command.name, p, time.perf_counter() - start)
     return status
 
 
-def emit(text: str, out: str | None, command: str, params: dict, start: float) -> None:
-    """Write text to out with a sidecar (elapsed from start), or to stdout."""
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        atomic_write(Path(out), text)
-        write_sidecar(out, command, params, elapsed=time.perf_counter() - start)
+def emit(text: str | None, out: str | None, command: str, params: dict, start: float, files: list) -> None:
+    """Write text to out with a sidecar (elapsed from start), or to stdout,
+    and each (path, data) of files.  All or none: every file goes to a temp
+    file first, and the renames wait until every write has succeeded; two
+    files on one path are a ConfigInvalidError naming it, before any rename."""
+    staged = []
+    try:
+        if out is not None:
+            staged.append((atomic_write(Path(out), text), Path(out)))
+            staged.append(write_sidecar(out, command, params, elapsed=time.perf_counter() - start))
+        elif text is not None:
+            sys.stdout.write(text)
+        staged += [(atomic_write(Path(path), data), Path(path)) for path, data in files]
+        names = [os.path.abspath(path) for _, path in staged]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigInvalidError(f"two output files share the path {name!r}")
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
 
 
 @functools.cache  # built on the first call, then reused by every main()

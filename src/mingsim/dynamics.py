@@ -39,6 +39,11 @@ from .observable import CockedSet, PointerVariable, sq_modulus, strict_cocked_in
 
 NORM_RTOL = 1e-9
 
+# A one-period sweep holds about 19 bytes per site at its peak (20 MB at
+# n = 1 048 573), so 2**25 sites take about 640 MB of arrays: one sweep
+# process stays within a 768 MB budget of peak resident memory.
+SWEEP_MAX_SITES = 1 << 25
+
 
 @dataclass(frozen=True)
 class CombinedState:
@@ -209,6 +214,13 @@ def orbit_compressed_average(
     return TimeAverageResult(mean=1.0 - w0 * (k0 / horizon) - w1 * (k1 / horizon))
 
 
+def require_sweep_size(n: int) -> None:
+    """Refuse a sweep size over SWEEP_MAX_SITES; call it before the
+    primality check, whose trial division is slow for huge n."""
+    if n > SWEEP_MAX_SITES:
+        raise ValueError(f"n={n} exceeds the sweep bound of {SWEEP_MAX_SITES} sites")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     n: int
@@ -228,7 +240,8 @@ def born_limit_sweep(
     Every size starts from the strict cocked configuration in both branches
     and averages over one period, horizon n, by counting cocked revisits
     (orbit_compressed_average).  epsilon_schedule is the one deviation
-    fraction of the cocked set at every size.  path takes only "compressed":
+    fraction of the cocked set at every size; a size over SWEEP_MAX_SITES
+    is a ValueError.  path takes only "compressed":
     it stays because the benchmark's amplifier workload passes it, and goes
     once that workload calls orbit_compressed_average directly (ROADMAP
     item 1).
@@ -238,6 +251,7 @@ def born_limit_sweep(
     a0, a1 = a
     rows = []
     for n in n_list:
+        require_sweep_size(n)
         require_prime(n)
         state = cocked_start(n, a0, a1)
         res = orbit_compressed_average(state, CockedSet(n, float(epsilon_schedule)), n)

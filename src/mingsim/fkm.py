@@ -674,8 +674,9 @@ def time_autocorrelation(
         u_im[lo:hi] += np.einsum("kl,l->k", diff[:, hi - lo :], b_im[hi:])
     lags = len(tau)
     r = math.isqrt(lags - 1) + 1
-    fine = np.exp(1j * np.outer(theta, np.arange(r) * oversample))
-    coarse = np.exp(1j * np.outer(theta, np.arange(0, lags, r) * oversample))
+    # float offsets: int64 ones wrap without an error for a huge oversample
+    fine = np.exp(1j * np.outer(theta, np.arange(r, dtype=float) * oversample))
+    coarse = np.exp(1j * np.outer(theta, np.arange(0, lags, r, dtype=float) * oversample))
     sums = np.einsum("ka,kb->ab", coarse * (b * (u_re + 1j * u_im))[:, None], fine)
     values = sums.real.ravel()[:lags] / (2.0 * n_pts)
     return AutocorrCurve(tau=tau, values=values, kind="time-trajectory")

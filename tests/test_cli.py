@@ -3,12 +3,14 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import logging
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -190,6 +192,25 @@ def test_born_sweep_rejects_zero_pair(tmp_path, capsys):
     assert run(["born", "sweep", "--a0", "0,0", "--a1", "0,0", "--out", str(out)]) == 2
     assert "both zero" in capsys.readouterr().err
     assert not out.exists()
+
+
+# 2**89 - 1 stalled in trial division, and 1000000007 (a sweep of 19 GB)
+# was killed by the system; both exit 2 at once, as does the first prime
+# over the bound
+@pytest.mark.parametrize("command", ["born sweep", "limit compare"])
+@pytest.mark.parametrize("n", [2**89 - 1, 1_000_000_007, dynamics.SWEEP_MAX_SITES + 35])
+def test_sweep_over_the_site_bound_exits_2_naming_n(tmp_path, capsys, command, n):
+    start = time.perf_counter()
+    assert run(command.split() + ["--n", f"5,{n}", "--out", str(tmp_path / "x")]) == 2
+    assert time.perf_counter() - start < 1.0
+    bound = dynamics.SWEEP_MAX_SITES
+    assert capsys.readouterr().err == f"config error: {command}: n: n={n} exceeds the sweep bound of {bound} sites\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_at_the_site_bound_reaches_the_primality_check(tmp_path, capsys):
+    assert run(["born", "sweep", "--n", str(dynamics.SWEEP_MAX_SITES), "--out", str(tmp_path / "x")]) == 2
+    assert "n must be prime" in capsys.readouterr().err
 
 
 def test_born_sweep_requires_out(capsys):
@@ -724,6 +745,56 @@ def test_failed_svg_write_leaves_no_csv(tmp_path, monkeypatch, capsys):
     assert run(["fkm", "autocorr", "--n", "8", "--out", "x.csv", "--svg", "d"]) == 4
     assert "Is a directory: 'd'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "d"] and list((tmp_path / "d").iterdir()) == []
+
+
+# --svg on the CSV, on the same path spelt another way, or on the sidecar
+# overwrote that file with the chart and exited 0
+@pytest.mark.parametrize("out, svg", [("x.csv", "x.csv"), ("x.csv", "./x.csv"), ("y.csv", "y.csv.provenance.json")])
+def test_outputs_sharing_a_path_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys, out, svg):
+    monkeypatch.chdir(tmp_path)
+    assert run(["fkm", "autocorr", "--n", "8", "--out", out, "--svg", svg]) == 2
+    assert capsys.readouterr().err == f"config error: fkm autocorr: two output files share the path {os.path.abspath(svg)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_after_its_temp_file_exists_leaves_nothing(tmp_path, monkeypatch, capsys):
+    # the sidecar's temp file exists when its write runs out of space
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    opened = []
+    real_fdopen = os.fdopen
+
+    def fdopen(fd, *args, **kwargs):
+        opened.append(real_fdopen(fd, *args, **kwargs))
+        return FullDisk(opened[-1]) if len(opened) == 2 else opened[-1]  # the second is the sidecar's
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
+    out = tmp_path / "x.csv"
+    assert run(["fkm", "autocorr", "--n", "8", "--out", str(out), "--svg", str(tmp_path / "x.svg")]) == 4
+    assert capsys.readouterr().err == f"io error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out}.provenance.json'\n"
+    assert len(opened) == 2 and list(tmp_path.iterdir()) == []
+
+
+# mkstemp creates its file 0600, and the rename kept that mode
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_files_take_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        assert run(["fkm", "autocorr", "--n", "8", "--out", str(tmp_path / "x.csv"), "--svg", str(tmp_path / "x.svg")]) == 0
+    finally:
+        os.umask(previous)
+    assert [stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()] == [mode] * 3
 
 
 def test_argparse_usage_error():

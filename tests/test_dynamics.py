@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mingsim.dynamics import (
+    SWEEP_MAX_SITES,
     CombinedState,
     SweepRow,
     born_limit_sweep,
@@ -236,6 +237,12 @@ def test_born_sweep_paths_agree():
     for row in born_limit_sweep((0.6, 0.8), [5, 7]):
         stepped = time_average_f(cocked_start(row.n, 0.6, 0.8), CockedSet(row.n, 0.0), row.n)
         assert row.mean == pytest.approx(stepped.mean, abs=1e-12)
+
+
+def test_born_sweep_refuses_sizes_over_the_bound_before_primality():
+    # trial division of 2**89 - 1 had not ended after 10 s
+    with pytest.raises(ValueError, match=f"n={2**89 - 1} exceeds the sweep bound of {SWEEP_MAX_SITES} sites"):
+        born_limit_sweep((0.6, 0.8), [5, 2**89 - 1])
 
 
 @pytest.mark.parametrize("path", ["dense", "auto"])

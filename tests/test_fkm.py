@@ -792,6 +792,17 @@ def test_single_mode_start_violates_phase_average():
     assert np.abs(curve.values - fkm.phase_autocorrelation(chain, TAU).values).max() > 1.0
 
 
+def test_time_autocorrelation_huge_oversample_matches_1e9():
+    # the lag offsets j * oversample wrapped in int64 at 10**18 without an
+    # error, and the curve was off by 1.36
+    chain = fkm.scaled_ring(8, 1.0)
+    x0 = fkm.sample_gibbs(chain, 42)
+    horizon = 1e4 * 2 * math.pi / fkm.dft_frequencies(chain).max()
+    reference = fkm.time_autocorrelation(chain, x0, horizon, TAU, oversample=10**9).values
+    curve = fkm.time_autocorrelation(chain, x0, horizon, TAU, oversample=10**18)
+    np.testing.assert_allclose(curve.values, reference, rtol=0, atol=1e-9)
+
+
 def test_time_autocorrelation_grid_validation():
     chain = _small_ring()
     x0 = fkm.sample_gibbs(chain, 0)
