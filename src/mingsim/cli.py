@@ -86,15 +86,18 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def atomic_write(path: Path, data: str) -> str:
+def atomic_write(path: str, data: str) -> str:
     """Write data to a temp file beside path, with the mode open() gives under
     the umask, and return its name for emit to rename.  A failed write
     removes it, and its OSError names path, not the temp file."""
     try:
-        if path.is_dir():  # the rename would refuse it, so refuse it before any rename
+        # refuse a directory before any rename (the rename would refuse it),
+        # and a name only a directory can have, "d/", "d/." or "d/..": Path
+        # drops a trailing "/" and "/.", and would write the file d
+        if os.path.basename(path) in ("", ".", "..") or os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         os.umask(umask := os.umask(0))  # reading the umask sets it, so set it back at once
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=Path(path).name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates it 0600
@@ -103,7 +106,7 @@ def atomic_write(path: Path, data: str) -> str:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise OSError(exc.errno, exc.strerror, path) from exc
     return tmp
 
 
@@ -119,7 +122,7 @@ def write_sidecar(out: str, command: str, params: dict, elapsed: float) -> tuple
         "elapsed_seconds": elapsed,
     }
     path = path.with_name(path.name + ".provenance.json")
-    return atomic_write(path, canonical_json(sidecar)), path
+    return atomic_write(str(path), canonical_json(sidecar)), path
 
 
 def render_csv(columns: dict) -> str:
@@ -262,16 +265,23 @@ def read_csv_rows(field: str, path: str):
         raise ConfigInvalidError(f"{field}: line {reader.line_num}: {exc}") from exc
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def read_state_csv(path: str) -> dict[int, complex]:
     state: dict[int, complex] = {}
-    for i, (lineno, row) in enumerate(read_csv_rows("state", path)):
-        if not row or not row[0].strip():
-            continue
+    rows = ((lineno, row) for lineno, row in read_csv_rows("state", path) if row and row[0].strip())
+    for i, (lineno, row) in enumerate(rows):
         try:
             index = int(row[0])
         except ValueError:
-            if i == 0:
-                continue  # header row
+            if i == 0 and not _is_number(row[0]):
+                continue  # the header: the first row whose index cell is not a number
             raise ConfigInvalidError(f"state: line {lineno}: bad index {row[0]!r}")
         if len(row) < 3:
             raise ConfigInvalidError(f"state: line {lineno}: need index,re,im")
@@ -432,7 +442,8 @@ COMMANDS = (
     )),
     Command("reproduce", "run the acceptance criteria and print a pass/fail table", cmd_reproduce, (
         Field("only", lambda v: [c.upper() for c in _items(v)], acceptance.CRITERION_IDS,
-              lambda ids: ids and set(ids) <= set(acceptance.CRITERION_IDS), "comma-separated criterion ids, e.g. A1,A5"),
+              lambda ids: ids and set(ids) <= set(acceptance.CRITERION_IDS) and len(set(ids)) == len(ids),
+              "comma-separated distinct criterion ids, e.g. A1,A5"),
         dataclasses.replace(OUT, help="also write the table as a JSON report"),
     ), config=False),
 )
@@ -498,11 +509,11 @@ def emit(text: str | None, out: str | None, command: str, params: dict, start: f
     staged = []
     try:
         if out is not None:
-            staged.append((atomic_write(Path(out), text), Path(out)))
+            staged.append((atomic_write(out, text), Path(out)))
             staged.append(write_sidecar(out, command, params, elapsed=time.perf_counter() - start))
         elif text is not None:
             sys.stdout.write(text)
-        staged += [(atomic_write(Path(path), data), Path(path)) for path, data in files]
+        staged += [(atomic_write(path, data), Path(path)) for path, data in files]
         names = [os.path.abspath(path) for _, path in staged]
         for name in names:
             if names.count(name) > 1:

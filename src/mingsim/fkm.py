@@ -47,11 +47,11 @@ _FREQ_SQ_TOL = 1e-12
 # it the output bytes; this is not a memory knob.
 _MC_CHUNK = 20000
 
-# Values per block of every blocked loop here, each cut by _row_blocks.  The
+# Values per block of the blocked loops here, each cut by _row_blocks.  The
 # memory bound (~2 MB of doubles) caps a loop's temporaries whatever n and
-# the tau grid are; the cache bound (~512 KB, sized for L2) keeps a working
-# set in cache: the Monte-Carlo's lag products and time_autocorrelation's
-# K x K pair blocks, whose edges fix the last bits of its sums.
+# the tau grid are.  The cache bound (~512 KB, sized for L2) keeps
+# time_autocorrelation's K x K pair blocks in cache, and their edges fix the
+# last bits of its sums; _mc_plan starts the Monte-Carlo's draw thread at it.
 _BLOCK_VALUES = 1 << 18
 _CACHE_VALUES = 1 << 16
 
@@ -303,10 +303,11 @@ class _DrawBlocks:
     row, so this is the stream of one (m, n) p draw and one (m, n) q draw.
     One standard_normal(out=...) call per block gives the bits of
     rng.normal(size=...) but for the sign of a zero (normal returns
-    0.0 + 1.0 * x, so +0.0 for -0.0), without its scaling pass.
-    `with draws.chunks(worker)` gives each chunk as (m, p blocks, q blocks),
-    a block being ((lo, hi), the draws of rows lo:hi), done with when the
-    next is taken, in stream order: a chunk's p blocks before its q blocks.
+    0.0 + 1.0 * x, so +0.0 for -0.0), without its scaling pass.  `rows`
+    and `height`, the largest chunk and block, size the reductions' arrays.
+    `with draws.chunks(worker)` gives each chunk as (p blocks, q blocks), a
+    block being ((lo, hi), the draws of the chunk's rows lo:hi), done with
+    when the next is taken, in stream order: p blocks (from lo = 0) first.
     With `worker` (_mc_plan's rule), a worker thread makes the draw calls one
     block ahead (past a chunk's last block, the next chunk's first); it
     allocates no arrays, so memory does not depend on how the threads
@@ -319,8 +320,8 @@ class _DrawBlocks:
         ends = {next(self.sizes()), (samples - 2) % _MC_CHUNK + 2}  # the first chunk's size and the last's
         self.rows = max(ends)
         self.blocks = {m: _row_blocks(m, n, _BLOCK_VALUES) for m in ends}
-        self.block_sizes = {hi - lo for spans in self.blocks.values() for lo, hi in spans}
-        self.bufs = [np.empty((max(self.block_sizes), n)) for _ in range(2)]
+        self.height = max(hi - lo for spans in self.blocks.values() for lo, hi in spans)
+        self.bufs = [np.empty((self.height, n)) for _ in range(2)]
 
     def sizes(self):
         edges = itertools.chain(range(0, self.samples - 1, _MC_CHUNK), [self.samples])  # as in _row_blocks
@@ -341,67 +342,62 @@ class _DrawBlocks:
                     block, ahead = ahead(), next(calls, None)  # block j's draws, then block j + 1's call
                     yield span, block
 
-            yield ((m, take(self.blocks[m]), take(self.blocks[m])) for m in self.sizes())
+            yield ((take(self.blocks[m]), take(self.blocks[m])) for m in self.sizes())
 
 
 class _ProductSums:
     """The Monte-Carlo's product form: it builds every b_s(tau).
 
-    The p blocks' tau products go straight into the chunk's rows of b, the
-    call's one (largest chunk) x len(tau) array.  Each q block is cut into
-    sub-blocks under _CACHE_VALUES lag values; one buffer of that size plus
-    one row takes a sub-block's q products after its first row, then p0(tau)
+    The p blocks' tau products go straight into their rows of b, the call's
+    one (largest chunk) x len(tau) array; a chunk's first p block (lo = 0)
+    banks the running sums of the chunk before.  A q block's q products go
+    into rows 1: of one (1 + tallest block) x len(tau) buffer, then p0(tau)
     from its rows of b, then the products, then their squares, each summed
-    while in cache.  numpy sums a 2-d array's rows in order, so with the
-    chunk's running sum in row 0 the sum continues it bit for bit, and an
+    with the chunk's running sum in row 0.  numpy sums a 2-d array's rows
+    in order, so the sum continues the running sum bit for bit, and an
     overflow is raised by the sum, as by one sum over the chunk.  A
     one-column grid is the exception: numpy sums one column pairwise, here
-    over each sub-block, so its last digit may differ from the one-shot
+    over each block, so its last digit may differ from the one-shot
     formula's.  The cos and sin tables of w_k tau on the K support rows are
-    built once, so memory is O(_BLOCK_VALUES + (K + _MC_CHUNK) len(tau)).
+    built once, and the buffer is at most one row taller than b, so memory
+    is O(_BLOCK_VALUES + (K + _MC_CHUNK) len(tau)).
 
     It is the one-shot formula's reduction: with single-threaded BLAS it
     keeps that formula's bits on a grid of a multiple of 8 lags while n fits
-    in one BLAS K block (384 columns on the OpenBLAS measured).  Block and
-    sub-block edges fall on multiples of 8 rows, where gemv's row groups
-    start, and no block is one row and no chunk one sample, either of which
-    numpy would send to gemv.  The last digit may move past one K block, and
-    off a multiple of 8 lags in the last len(tau) % 8, from gemm's tail
-    columns, whose sums depend on the inner length and the rows per call:
-    on that OpenBLAS at n = 256 with 2 samples, every width of 8j + 1 to
-    8j + 4 lags up to 196 did.
+    in one BLAS K block (384 columns on the OpenBLAS measured).  Block edges
+    fall on multiples of 8 rows, where gemv's row groups start, and no block
+    is one row and no chunk one sample, either of which numpy would send to
+    gemv.  The last digit may move past one K block, and off a multiple of 8
+    lags in the last len(tau) % 8, from gemm's tail columns, whose sums
+    depend on the inner length and the rows per call: on that OpenBLAS at
+    n = 256 with 2 samples, every width of 8j + 1 to 8j + 4 lags to 196 did.
     """
 
-    def __init__(self, omega, support, tau, rows: int, block_sizes):
-        # row 0 carries the chunk's running sum into each sub-block's sum
-        self.sub_blocks = {size: _row_blocks(size, tau.size, _CACHE_VALUES) for size in block_sizes}
-        self.buf = np.empty((1 + max(e - s for subs in self.sub_blocks.values() for s, e in subs), tau.size))
+    def __init__(self, omega, support, tau, rows: int, height: int):
         # one b for all chunks, so a chunk's b is not made while the last one's is alive
-        self.b_all = np.empty((rows, tau.size))
+        self.b = np.empty((rows, tau.size))
+        self.buf = np.empty((1 + height, tau.size))  # row 0 carries the chunk's running sum
         angles = np.outer(omega[support], tau)
         self.cos_k, self.sin_k = np.cos(angles), np.sin(angles, out=angles)
         self.total, self.acc = np.zeros((2, tau.size)), np.zeros((2, tau.size))
 
-    def start(self, m: int) -> None:
-        self.total += self.acc  # the chunk before's running sums
-        self.acc[:] = 0.0
-        self.b = self.b_all[:m]
-
     def take_p(self, lo: int, hi: int, a: np.ndarray, p_site: np.ndarray) -> None:
+        if lo == 0:  # a new chunk: bank the one before's running sums
+            self.total += self.acc
+            self.acc[:] = 0.0
         np.matmul(p_site, self.cos_k, out=self.b[lo:hi])
 
     def take_q(self, lo: int, hi: int, a: np.ndarray, q_site: np.ndarray) -> None:
-        for s, e in self.sub_blocks[hi - lo]:
-            sub = self.buf[: 1 + e - s]
-            rows = sub[1:]
-            np.matmul(q_site[s:e], self.sin_k, out=rows)
-            np.subtract(self.b[lo + s : lo + e], rows, out=rows)
-            rows *= a[s:e, None]  # the products
-            sub[0] = self.acc[0]
-            sub.sum(axis=0, out=self.acc[0])
-            rows *= rows  # and their squares
-            sub[0] = self.acc[1]
-            sub.sum(axis=0, out=self.acc[1])
+        block = self.buf[: 1 + hi - lo]
+        rows = block[1:]
+        np.matmul(q_site, self.sin_k, out=rows)
+        np.subtract(self.b[lo:hi], rows, out=rows)
+        rows *= a[:, None]  # the products
+        block[0] = self.acc[0]
+        block.sum(axis=0, out=self.acc[0])
+        rows *= rows  # and their squares
+        block[0] = self.acc[1]
+        block.sum(axis=0, out=self.acc[1])
 
     def sums(self) -> np.ndarray:
         return self.total + self.acc
@@ -426,15 +422,12 @@ class _GramSums:
     that forms C or by the sum that closes a quadratic form.
     """
 
-    def __init__(self, omega, support, tau, rows: int, block_sizes):
+    def __init__(self, omega, support, tau, rows: int, height: int):
         self.omega, self.tau = omega[support], tau
         k = self.k = support.size
         # the chunk's p halves of z, and one block of whole z rows
-        self.zp_all, self.z_buf = np.empty((rows, k)), np.empty((max(block_sizes), 2 * k))
+        self.zp, self.z_buf = np.empty((rows, k)), np.empty((height, 2 * k))
         self.z_sum, self.z_gram = np.zeros(2 * k), np.zeros((2 * k, 2 * k))
-
-    def start(self, m: int) -> None:
-        self.zp = self.zp_all[:m]
 
     def take_p(self, lo: int, hi: int, a: np.ndarray, p_site: np.ndarray) -> None:
         np.multiply(p_site, a[:, None], out=self.zp[lo:hi])
@@ -475,16 +468,16 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
     phase_autocorrelation.
 
     _mc_plan picks the reduction and the draw thread.  The draws come from
-    _DrawBlocks and the sums from _ProductSums or _GramSums: start(m) takes
-    a chunk of m samples, take_p and take_q take a block's rows lo:hi of a_s
-    and of v_k P_k or v_k w_k Q_k on the K support modes, and sums() returns
-    sum_s a_s b_s and sum_s a_s^2 b_s^2.  All arithmetic stays on the
-    calling thread, as np.errstate is per thread: the caller's error state
-    governs every division, product and sum (and, on a small call, the
-    draws), and a FloatingPointError is raised again naming the products and
-    beta, numpy's text kept.  Threaded BLAS deals a gemv's rows out to
-    threads by count and splits the Gram products as it likes, so with more
-    than one BLAS thread even the one-shot formula's bits vary with it.
+    _DrawBlocks, in chunks of blocks, and the sums from _ProductSums or
+    _GramSums, which see only blocks: take_p and take_q take a block's rows
+    lo:hi of a_s and of v_k P_k or v_k w_k Q_k on the K support modes, and
+    sums() returns sum_s a_s b_s and sum_s a_s^2 b_s^2.  All arithmetic
+    stays on the calling thread, as np.errstate is per thread: the caller's
+    error state governs every division, product and sum (and, on a small
+    call, the draws), and a FloatingPointError is raised again naming the
+    products and beta, numpy's text kept.  Threaded BLAS deals a gemv's rows
+    out to threads by count and splits the Gram products as it likes, so
+    with more than one BLAS thread even the one-shot formula's bits vary.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -497,15 +490,13 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
     p_weight, q_weight = w_site[support], (w_site * omega)[support]
     gram, worker = _mc_plan(chain.n, samples, tau.size)
     draws = _DrawBlocks(rng, chain.n, samples)
-    reduction = (_GramSums if gram else _ProductSums)(omega, support, tau, draws.rows, draws.block_sizes)
+    reduction = (_GramSums if gram else _ProductSums)(omega, support, tau, draws.rows, draws.height)
     sqrt_beta = math.sqrt(chain.beta)
     q_scale = sqrt_beta * omega
-    a_all = np.empty(draws.rows)
+    a = np.empty(draws.rows)
     try:
         with draws.chunks(worker) as chunks:
-            for m, p_blocks, q_blocks in chunks:
-                reduction.start(m)
-                a = a_all[:m]
+            for p_blocks, q_blocks in chunks:
                 for (lo, hi), block in p_blocks:
                     block /= sqrt_beta
                     a[lo:hi] = block @ w_site

@@ -126,6 +126,27 @@ def test_bad_state_row_names_its_file_line(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"config error: observable fn: {message}\n")
 
 
+# a first row whose index was not an int was skipped as a header: without a
+# header, 1.0 was dropped and the unnormalized rest printed 0.64 with exit 0;
+# a blank line made the real header the second row, refused as a bad index
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        ("1.0,0.6,0\n3,0.6,0\n7,0.8,0\n", (2, "config error: observable fn: state: line 1: bad index '1.0'\n")),
+        ("index,re,im\n1.0,0.6,0\n3,0.6,0\n7,0.8,0\n", (2, "config error: observable fn: state: line 2: bad index '1.0'\n")),
+        ("\nindex,re,im\n3,0.6,0\n7,0.8,0\n", (0, "")),
+    ],
+    ids=["headerless-float-index", "float-index-after-header", "blank-line-before-header"],
+)
+def test_state_header_is_the_first_row_whose_index_is_not_a_number(tmp_path, capsys, text, expected):
+    state = tmp_path / "state.csv"
+    state.write_text(text, encoding="utf-8")
+    code = run(["observable", "fn", "--n", "5", "--epsilon", "0", "--state", str(state)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == expected
+    assert captured.out == ("" if code else "0.64\n")
+
+
 def test_undecodable_curve_and_config_name_their_field(tmp_path, capsys):
     binary = tmp_path / "binary"
     binary.write_bytes(b"tau,value\n0,1\xff\n")
@@ -747,6 +768,23 @@ def test_failed_svg_write_leaves_no_csv(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [tmp_path / "d"] and list((tmp_path / "d").iterdir()) == []
 
 
+# pathlib dropped the last part of "newdir/" and "newdir/.", so each was
+# written as the file newdir, with exit 0; open() refuses "newdir/" too
+@pytest.mark.parametrize("path", ["newdir/", "newdir/."])
+def test_out_path_naming_a_directory_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys, path):
+    monkeypatch.chdir(tmp_path)
+    assert run(["born", "sweep", "--n", "5", "--out", path]) == 4
+    assert capsys.readouterr().err == f"io error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {path!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_svg_path_ending_in_a_separator_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["fkm", "autocorr", "--n", "8", "--out", "a.csv", "--svg", "chart/"]) == 4
+    assert capsys.readouterr().err == f"io error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'chart/'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # --svg on the CSV, on the same path spelt another way, or on the sidecar
 # overwrote that file with the chart and exited 0
 @pytest.mark.parametrize("out, svg", [("x.csv", "x.csv"), ("x.csv", "./x.csv"), ("y.csv", "y.csv.provenance.json")])
@@ -860,6 +898,8 @@ def test_reproduce_report_is_strict_json(capsys, tmp_path):
         (["born", "sweep", "--n", ""], None, "n"),
         (["fkm", "autocorr", "--n", "8"], {"seed": "x"}, "seed"),
         (["born", "sweep"], {"epsilon": "x"}, "epsilon"),
+        # a repeated id ran that criterion twice and counted it twice
+        (["reproduce", "--only", "A2,a2"], None, "only"),
     ],
 )
 def test_invalid_field_exits_2_naming_it(tmp_path, capsys, argv, config, field):
@@ -944,9 +984,9 @@ def test_mc_sum_overflow_names_the_sum(tmp_path, capsys):
 
 def test_mc_sum_overflow_names_the_sum_on_the_product_form(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    # n = 1024 keeps the product form: its sub-blocks start every 256 rows,
-    # and at this beta the running sum of the tau = 0 squares overflows at
-    # row 256, the first row of the second sub-block, where no square does;
+    # n = 1024 keeps the product form: its blocks start every 256 rows, and
+    # at this beta the running sum of the tau = 0 squares overflows at row
+    # 256, the first row of the second block, where no square does;
     # the running sum is carried in that sum, so the error is the sum's
     argv = ["fkm", "autocorr", "--mode", "mc", "--n", "1024", "--beta", "2.077e-153", "--samples", "2000", "--out", str(out)]
     assert run(argv) == 2

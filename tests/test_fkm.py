@@ -45,6 +45,16 @@ def energy(stiffness, x):
     return 0.5 * (x.p @ x.p + x.q @ stiffness @ x.q)
 
 
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # ---------------------------------------------------------------------------
 # chain and modes
 # ---------------------------------------------------------------------------
@@ -202,12 +212,7 @@ def test_phase_curve_peak_memory_bounded_by_block():
     # len(tau) cosine table, held twice, peaked at 164 MB.
     tau = np.linspace(0.0, 20.0, 20000)
     bound = 8 * (fkm._BLOCK_VALUES + 6 * tau.size)
-    tracemalloc.start()
-    try:
-        fkm.phase_autocorrelation(fkm.scaled_ring(1024, 1.0), tau)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: fkm.phase_autocorrelation(fkm.scaled_ring(1024, 1.0), tau))
     assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
 
 
@@ -538,13 +543,14 @@ def _bit_tau(n):
 
 # At n = 256 a block is 1024 rows: 1025 samples fold a lone row into it, 1026
 # leave a two-row second block, 20001 fold a lone sample into one chunk.  At
-# n = 200 the block is rounded down to 1304 rows.  n = 9 is odd: no
-# alternating mode.  A sub-block of the 5-lag products at n = 8 and 9 is 13104
-# rows: 13105 samples fold a lone row into it, and 2000, the CLI's size, take
-# one.  40001 samples are two chunks, the second of 20001.
-_SUB_ROWS = fkm._CACHE_VALUES // _bit_tau(8).size // 8 * 8
+# n = 200 the block is rounded down to 1304 rows.  Each q block's lag
+# products are reduced whole, so these tall blocks pin the one-shot bits at
+# the most rows one reduction takes.  n = 9 is odd: no alternating mode.  At
+# n = 8 and 9 a chunk is one block: 13105 samples make one of 8j + 1 rows,
+# and 2000 are the CLI's size.  40001 samples are two chunks, the second of
+# 20001.
 _BIT_CASES = [(n, s) for n in (8, 9, 200, 256) for s in (2, 1025, 1026, 20001)]
-_BIT_CASES += [(n, s) for n in (8, 9) for s in (_SUB_ROWS + 1, 2000, 40001)]
+_BIT_CASES += [(n, s) for n in (8, 9) for s in (13105, 2000, 40001)]
 # n = 8 has K = 5 support modes, so on 10 lags the two costs, K^2 (S + 10)
 # and K S 10, are equal at S = 10: a tie keeps the product form
 _CROSSOVER_TAU = np.linspace(0.0, 20.0, 10)
@@ -599,11 +605,11 @@ def test_mc_matches_one_shot_draws_at_large_n(n):
 @pytest.mark.parametrize("n", [8, 256])
 def test_mc_matches_one_shot_draws_on_wide_lag_grid(n):
     # Past 192 lags and off a multiple of 8, gemm's tail columns depend on
-    # how many rows one call takes, so the sub-blocks (200 rows of 321 lags)
-    # may move the last lags' last bits; the block layout fixes them, so a
-    # rerun gives the same bytes.  The samples are the most that the rule
-    # keeps on the product form on this grid: 5 at n = 8 (K = 5), and 215
-    # at n = 256 (K = 129), one block cut into sub-blocks of 200 and 15 rows.
+    # the inner length and how many rows one call takes, so the last lags'
+    # last bits may move; the block layout fixes them, so a rerun gives the
+    # same bytes.  The samples are the most that the rule keeps on the
+    # product form on this grid: 5 at n = 8 (K = 5), and 215 at n = 256
+    # (K = 129), one block of 215 rows.
     chain = fkm.scaled_ring(n, beta=1.0)
     tau = np.linspace(0.0, 20.0, 321)
     samples = max(s for s in range(2, 2001) if not fkm._mc_plan(n, s, tau.size)[0])
@@ -666,11 +672,19 @@ def test_mc_takes_the_gram_form_only_past_the_crossover(monkeypatch):
 
 def test_mc_chunks_fold_a_lone_last_sample(monkeypatch):
     # chunks of _MC_CHUNK samples, a lone last sample joining the chunk
-    # before it, as a lone last row joins its block in _row_blocks
+    # before it, as a lone last row joins its block in _row_blocks; a chunk's
+    # p blocks run from lo = 0 to its size
     chain = fkm.scaled_ring(8, beta=1.0)
     sizes = []
-    start = fkm._ProductSums.start
-    monkeypatch.setattr(fkm._ProductSums, "start", lambda self, m: sizes.append(m) or start(self, m))
+    take_p = fkm._ProductSums.take_p
+
+    def spy(self, lo, hi, a, p_site):
+        if lo == 0:  # a chunk's first p block
+            sizes.append(0)
+        sizes[-1] = hi
+        take_p(self, lo, hi, a, p_site)
+
+    monkeypatch.setattr(fkm._ProductSums, "take_p", spy)
     for samples, chunks in ((20001, [20001]), (20002, [20000, 2]), (40001, [20000, 20001])):
         assert not fkm._mc_plan(8, samples, _bit_tau(8).size)[0]
         sizes.clear()
@@ -680,7 +694,7 @@ def test_mc_chunks_fold_a_lone_last_sample(monkeypatch):
 
 def test_mc_peak_memory_independent_of_ring_width():
     # Bound from the block layout, in doubles: the draw block, its gathered
-    # site-0 columns, the sub-block buffer and slack (3 x _BLOCK_VALUES);
+    # site-0 columns, the q block's buffer and slack (3 x _BLOCK_VALUES);
     # the call's one chunk x |tau| array b, the only one of that size; the
     # cos/sin tables with their gathered copies and temporaries (5 x n x |tau|).
     # At n = 1024 one (m, n) draw is 41 MB; the one-shot chunk holds three at
@@ -690,31 +704,21 @@ def test_mc_peak_memory_independent_of_ring_width():
         chain = fkm.scaled_ring(n, beta=1.0)
         rows = min(m, fkm._MC_CHUNK)
         bound = 8 * (3 * fkm._BLOCK_VALUES + rows * TAU.size + 5 * n * TAU.size)
-        tracemalloc.start()
-        try:
-            fkm.mc_phase_autocorrelation(chain, TAU, samples=m, seed=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: fkm.mc_phase_autocorrelation(chain, TAU, samples=m, seed=3))
         assert peak < bound, f"n={n}: peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
 
 
 def test_mc_tables_hold_only_the_support_rows():
     # Bound, in doubles: the cos and sin tables on the n // 2 + 1 support
     # rows, 2 (n // 2 + 1) |tau|; the blocks (3 x _BLOCK_VALUES, as above);
-    # the call's two-row b, three-row sub-block buffer and its |tau|-long
+    # the call's two-row b, three-row q block buffer and its |tau|-long
     # sums, means and errors (12 |tau| in all).  Whole n x |tau| tables with
     # their gathered support copies peaked at 249 MB.
     n, lags = 512, 20_000
     chain = fkm.scaled_ring(n, beta=1.0)
     tau = np.linspace(0.0, 20.0, lags)
     bound = 8 * (2 * (n // 2 + 1) * lags + 3 * fkm._BLOCK_VALUES + 12 * lags)
-    tracemalloc.start()
-    try:
-        fkm.mc_phase_autocorrelation(chain, tau, samples=2, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: fkm.mc_phase_autocorrelation(chain, tau, samples=2, seed=3))
     assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
 
 
@@ -730,12 +734,7 @@ def test_mc_gram_form_memory_does_not_grow_with_support_times_lags():
     chain = fkm.scaled_ring(n, beta=1.0)
     tau = np.linspace(0.0, 20.0, lags)
     bound = 8 * (3 * fkm._BLOCK_VALUES + 12 * lags)
-    tracemalloc.start()
-    try:
-        fkm.mc_phase_autocorrelation(chain, tau, samples=samples, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: fkm.mc_phase_autocorrelation(chain, tau, samples=samples, seed=3))
     assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
 
 
@@ -753,13 +752,12 @@ def test_mc_chunk_layout_does_not_grow_with_the_sample_count():
     chain = fkm.HarmonicChain(n=8, beta=1e-200, kappa=0.3)
     assert fkm._mc_plan(8, 2 * 10**10, TAU.size)[0]
     bound = 8 * 43 * 20_000 + 2_000_000
-    tracemalloc.start()
-    try:
+
+    def overflow():
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow encountered in matmul$"):
             fkm.mc_phase_autocorrelation(chain, TAU, samples=2 * 10**10, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(overflow)
     assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
 
 
@@ -917,12 +915,7 @@ def test_mc_builds_no_mode_table():
     # table alone is 134 MB; the call itself holds two 2 x 4096 draw blocks,
     # the 2049 x 2 cos/sin tables and a few n-long rows
     fkm.normal_modes.cache_clear()
-    tracemalloc.start()
-    try:
-        fkm.mc_phase_autocorrelation(fkm.scaled_ring(4096, beta=1.0), TAU[:2], samples=2, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: fkm.mc_phase_autocorrelation(fkm.scaled_ring(4096, beta=1.0), TAU[:2], samples=2, seed=3))
     assert fkm.normal_modes.cache_info().currsize == 0
     assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
@@ -1277,12 +1270,7 @@ def test_recurrence_peak_memory_does_not_grow_with_the_grid():
     # Holding |g_n| at all 10^7 points would take 80 MB.
     chain = fkm.scaled_ring(8, beta=1.0)
     bound = 8 * 2 * fkm._BLOCK_VALUES
-    tracemalloc.start()
-    try:
-        fkm.recurrence_peak(chain, tau_max=1e5, dt=0.01, skip=1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: fkm.recurrence_peak(chain, tau_max=1e5, dt=0.01, skip=1.0))
     assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
 
 
