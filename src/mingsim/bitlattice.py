@@ -28,8 +28,13 @@ import numpy as np
 from .errors import DenseBoundError, NonPrimeOrderError
 
 # Dense tables and dense state vectors are only built up to this many sites
-# (2**13 = 8192 basis states).  Index arithmetic itself has no bound.
+# (2**13 = 8192 basis states).  Index checks build no 2**n and take any n.
 DENSE_MAX_SITES = 13
+
+# A one-period sweep holds about 19 bytes per site at its peak (20 MB at
+# n = 1 048 573), so 2**25 sites take about 640 MB of arrays: one sweep
+# process stays within a 768 MB budget of peak resident memory.
+SWEEP_MAX_SITES = 1 << 25
 
 
 def is_prime(n: int) -> bool:
@@ -49,8 +54,18 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(n: int) -> None:
+    """Refuse n over SWEEP_MAX_SITES (ValueError) before any trial division,
+    then a composite n (NonPrimeOrderError)."""
+    if n > SWEEP_MAX_SITES:
+        raise ValueError(f"n={n} exceeds the sweep bound of {SWEEP_MAX_SITES} sites")
     if not is_prime(n):
-        raise NonPrimeOrderError(f"lattice size must be prime, got n={n}")
+        raise NonPrimeOrderError(f"n must be prime, got {n}")
+
+
+def require_index(i: int, n: int) -> None:
+    """Refuse a basis index outside [0, 2**n - 1], without building 2**n."""
+    if i < 0 or i >> n:
+        raise ValueError(f"basis index {i} out of range for n={n}")
 
 
 def require_dense(n: int) -> None:
@@ -105,8 +120,8 @@ def decompose_orbits(n: int) -> OrbitDecomposition:
     makes each a full orbit of length n.  Cached; safe because the table is
     read-only.
     """
-    require_prime(n)
     require_dense(n)
+    require_prime(n)
     modulus = (1 << n) - 1
     start = np.arange(1, modulus, dtype=np.int64)
     table = start[:, None] * (1 << np.arange(n, dtype=np.int64)) % modulus

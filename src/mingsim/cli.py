@@ -64,7 +64,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, acceptance, dynamics, fkm, observable, thermolimit
-from .bitlattice import is_prime, require_dense
+from .bitlattice import is_prime, require_dense, require_prime
 from .errors import ConfigInvalidError, DegenerateFitError, MingsimError
 from .ming import build_block, verify_exponential
 
@@ -213,9 +213,7 @@ def prime_list(value) -> list[int]:
     if not ns:
         raise ValueError("expected at least one prime")
     for n in ns:
-        dynamics.require_sweep_size(n)
-        if not is_prime(n):
-            raise ValueError(f"n must be prime, got {n}")
+        require_prime(n)
     return ns
 
 

@@ -32,17 +32,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bitlattice import decompose_orbits, require_dense, require_prime, shift_index
+from .bitlattice import decompose_orbits, require_dense, require_index, require_prime, shift_index
 from .errors import NotNormalizedError, UnsupportedInitialStateError
 from .ming import assemble_propagator
 from .observable import CockedSet, PointerVariable, sq_modulus, strict_cocked_index
 
 NORM_RTOL = 1e-9
-
-# A one-period sweep holds about 19 bytes per site at its peak (20 MB at
-# n = 1 048 573), so 2**25 sites take about 640 MB of arrays: one sweep
-# process stays within a 768 MB budget of peak resident memory.
-SWEEP_MAX_SITES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -58,11 +53,9 @@ class CombinedState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "amp0", MappingProxyType(dict(self.amp0)))
         object.__setattr__(self, "amp1", MappingProxyType(dict(self.amp1)))
-        size = 1 << self.n
         for amp in (self.amp0, self.amp1):
             for i in amp:
-                if not 0 <= i < size:
-                    raise ValueError(f"basis index {i} out of range for n={self.n}")
+                require_index(i, self.n)
         total = self.norm()
         if not math.isfinite(total):
             raise NotNormalizedError(f"combined norm {total!r} is not finite")
@@ -214,13 +207,6 @@ def orbit_compressed_average(
     return TimeAverageResult(mean=1.0 - w0 * (k0 / horizon) - w1 * (k1 / horizon))
 
 
-def require_sweep_size(n: int) -> None:
-    """Refuse a sweep size over SWEEP_MAX_SITES; call it before the
-    primality check, whose trial division is slow for huge n."""
-    if n > SWEEP_MAX_SITES:
-        raise ValueError(f"n={n} exceeds the sweep bound of {SWEEP_MAX_SITES} sites")
-
-
 @dataclass(frozen=True)
 class SweepRow:
     n: int
@@ -240,8 +226,9 @@ def born_limit_sweep(
     Every size starts from the strict cocked configuration in both branches
     and averages over one period, horizon n, by counting cocked revisits
     (orbit_compressed_average).  epsilon_schedule is the one deviation
-    fraction of the cocked set at every size; a size over SWEEP_MAX_SITES
-    is a ValueError.  path takes only "compressed":
+    fraction of the cocked set at every size.  Each size passes
+    bitlattice.require_prime: one over SWEEP_MAX_SITES is a ValueError,
+    raised before any trial division.  path takes only "compressed":
     it stays because the benchmark's amplifier workload passes it, and goes
     once that workload calls orbit_compressed_average directly (ROADMAP
     item 1).
@@ -251,7 +238,6 @@ def born_limit_sweep(
     a0, a1 = a
     rows = []
     for n in n_list:
-        require_sweep_size(n)
         require_prime(n)
         state = cocked_start(n, a0, a1)
         res = orbit_compressed_average(state, CockedSet(n, float(epsilon_schedule)), n)

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bitlattice import require_dense
+from .bitlattice import require_dense, require_index
 from .errors import NotNormalizedError
 
 # norm windows: accept silently within NORM_ATOL, else require normalize=True
@@ -56,10 +56,11 @@ class CockedSet:
         return int(math.floor(self.epsilon * self.n + 1e-12))
 
     def contains(self, index: int) -> bool:
-        """Membership by digit counts; works at any n (index is a plain int)."""
+        """Membership by digit counts with no n-bit mask: the left half holds
+        the ones the right half does not.  Callers range-check index >= 0."""
         ls = self.left_size
-        left_dev = ls - (index & ((1 << ls) - 1)).bit_count()
         right_dev = (index >> ls).bit_count()
+        left_dev = ls - (index.bit_count() - right_dev)
         return left_dev <= self.budget and right_dev <= self.budget
 
     def mask(self) -> np.ndarray:
@@ -97,8 +98,7 @@ def _norm_sq_and_cocked_weight(state, cocked: CockedSet) -> tuple[float, float]:
         return sum(w * total for w, (total, _) in parts), sum(w * inside for w, (_, inside) in parts)
     if isinstance(state, Mapping):
         for i in state:
-            if i < 0 or i >> cocked.n:
-                raise ValueError(f"basis index {i} out of range for n={cocked.n}")
+            require_index(i, cocked.n)
         total = sum(sq_modulus(c) for c in state.values())
         inside = sum(sq_modulus(c) for i, c in state.items() if cocked.contains(i))
         return total, inside

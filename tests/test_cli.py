@@ -25,7 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mingsim import cli, dynamics, fkm, ming
+from mingsim import bitlattice, cli, dynamics, fkm, ming
+from mingsim.bitlattice import SWEEP_MAX_SITES
+from mingsim.errors import DenseBoundError
 
 
 def run(argv):
@@ -219,19 +221,42 @@ def test_born_sweep_rejects_zero_pair(tmp_path, capsys):
 # was killed by the system; both exit 2 at once, as does the first prime
 # over the bound
 @pytest.mark.parametrize("command", ["born sweep", "limit compare"])
-@pytest.mark.parametrize("n", [2**89 - 1, 1_000_000_007, dynamics.SWEEP_MAX_SITES + 35])
+@pytest.mark.parametrize("n", [2**89 - 1, 1_000_000_007, SWEEP_MAX_SITES + 35])
 def test_sweep_over_the_site_bound_exits_2_naming_n(tmp_path, capsys, command, n):
     start = time.perf_counter()
     assert run(command.split() + ["--n", f"5,{n}", "--out", str(tmp_path / "x")]) == 2
     assert time.perf_counter() - start < 1.0
-    bound = dynamics.SWEEP_MAX_SITES
+    bound = SWEEP_MAX_SITES
     assert capsys.readouterr().err == f"config error: {command}: n: n={n} exceeds the sweep bound of {bound} sites\n"
     assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_at_the_site_bound_reaches_the_primality_check(tmp_path, capsys):
-    assert run(["born", "sweep", "--n", str(dynamics.SWEEP_MAX_SITES), "--out", str(tmp_path / "x")]) == 2
+    assert run(["born", "sweep", "--n", str(SWEEP_MAX_SITES), "--out", str(tmp_path / "x")]) == 2
     assert "n must be prime" in capsys.readouterr().err
+
+
+def test_no_trial_division_above_the_site_bound(tmp_path, capsys, monkeypatch):
+    # every prime lattice size checks the bound before trial division, which
+    # for 2**89 - 1 would not end; the spy fails any such call at once
+    def spy(n):
+        assert n <= SWEEP_MAX_SITES, f"trial division of n={n}"
+        return is_prime(n)
+
+    is_prime = bitlattice.is_prime
+    monkeypatch.setattr(bitlattice, "is_prime", spy)
+    monkeypatch.setattr(cli, "is_prime", spy)
+    n = 2**89 - 1
+    over_sweep = f"n={n} exceeds the sweep bound of {SWEEP_MAX_SITES} sites"
+    over_dense = f"n={n} exceeds dense-mode bound of 13 sites"
+    for command, message in [("born sweep", over_sweep), ("limit compare", over_sweep), ("ming verify", over_dense)]:
+        assert run(command.split() + ["--n", str(n), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"config error: {command}: n: {message}\n"
+    with pytest.raises(ValueError, match=f"^{over_sweep}$"):
+        dynamics.born_limit_sweep((0.6, 0.8), [n])
+    with pytest.raises(DenseBoundError, match=f"^{over_dense}$"):
+        bitlattice.decompose_orbits(n)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_born_sweep_requires_out(capsys):

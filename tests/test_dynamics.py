@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mingsim.bitlattice import SWEEP_MAX_SITES
 from mingsim.dynamics import (
-    SWEEP_MAX_SITES,
     CombinedState,
     SweepRow,
     born_limit_sweep,

@@ -1,6 +1,8 @@
 """Cocked set membership and the pointer variable."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,7 +228,23 @@ def test_pointer_rejects_non_finite_norm(re):
 
 
 def test_pointer_rejects_mapping_index_out_of_range():
+    # a combined state refuses the same indices with the same message
     c = CockedSet(5, 0.0)
     for index in (-1, 2**5):
-        with pytest.raises(ValueError, match="out of range"):
+        message = "^" + re.escape(f"basis index {index} out of range for n=5") + "$"
+        with pytest.raises(ValueError, match=message):
             pointer_value({index: 1.0}, c)
+        with pytest.raises(ValueError, match=message):
+            CombinedState(n=5, a0=1.0, a1=0.0, amp0={index: 1.0}, amp1={3: 1.0})
+
+
+def test_membership_memory_does_not_depend_on_n():
+    # an n-bit mask at n = 10**9 takes over 100 MB; the index and its checks
+    # take a few bytes
+    tracemalloc.start()
+    try:
+        assert pointer_value({0: 1 + 0j}, CockedSet(10**9, 0.0)) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
