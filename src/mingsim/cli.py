@@ -17,12 +17,12 @@ output path and parameters), in canonical JSON.
 Handlers only compute and return text, the artifact's and any extra
 file's (the --svg chart), and emit writes them all or none.
 
-Artifacts are written atomically (temp file + rename) with the mode open()
-gives under the umask, values are formatted through repr so identical
-configs give byte-identical files, and anything environment-dependent
-(wall clock, Python and numpy versions, BLAS thread settings, compute
-time) lives only in the sidecar provenance JSON next to each artifact;
-numpy is the one library mingsim imports.
+Artifacts are written atomically (temp file + rename), each temp file
+created as open() creates a file, values are formatted through repr so
+identical configs give byte-identical files, and anything
+environment-dependent (wall clock, Python and numpy versions, BLAS thread
+settings, compute time) lives only in the sidecar provenance JSON next to
+each artifact; numpy is the one library mingsim imports.
 All JSON is strict: a non-finite value raises instead of reaching disk.
 CSV tables are formatted a column at a time by render_csv: each column
 holds one type, and its cells go through str (repr for a float) in one
@@ -55,7 +55,6 @@ import math
 import os
 import platform
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,20 +86,20 @@ def canonical_json(obj) -> str:
 
 
 def atomic_write(path: str, data: str) -> str:
-    """Write data to a temp file beside path, with the mode open() gives under
-    the umask, and return its name for emit to rename.  A failed write
-    removes it, and its OSError names path, not the temp file."""
+    """Write data to a temp file beside path and return its name for emit to
+    rename.  The temp file is created as open() creates a file, so the umask
+    gives its mode, and no umask is read or changed.  A failed write removes
+    it, and its OSError names path, not the temp file."""
     try:
         # refuse a directory before any rename (the rename would refuse it),
-        # and a name only a directory can have, "d/", "d/." or "d/..": Path
-        # drops a trailing "/" and "/.", and would write the file d
+        # and a name only a directory can have, "d/", "d/." or "d/..", whose
+        # temp file would land inside d
         if os.path.basename(path) in ("", ".", "..") or os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        os.umask(umask := os.umask(0))  # reading the umask sets it, so set it back at once
-        fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=Path(path).name + ".", suffix=".tmp")
+        tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates it 0600
                 fh.write(data)
         except BaseException:
             os.unlink(tmp)
@@ -110,9 +109,8 @@ def atomic_write(path: str, data: str) -> str:
     return tmp
 
 
-def write_sidecar(out: str, command: str, params: dict, elapsed: float) -> tuple[str, Path]:
+def write_sidecar(out: str, command: str, params: dict, elapsed: float) -> tuple[str, str]:
     """Stage the provenance sidecar of out; returns its (temp file, path)."""
-    path = Path(out)
     sidecar = {
         "config": {"command": command, "format_version": FORMAT_VERSION, "out": out, "params": params},
         "version": __version__,
@@ -121,8 +119,8 @@ def write_sidecar(out: str, command: str, params: dict, elapsed: float) -> tuple
         "wall_clock_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": elapsed,
     }
-    path = path.with_name(path.name + ".provenance.json")
-    return atomic_write(str(path), canonical_json(sidecar)), path
+    path = out + ".provenance.json"
+    return atomic_write(path, canonical_json(sidecar)), path
 
 
 def render_csv(columns: dict) -> str:
@@ -362,20 +360,17 @@ def read_curve_csv(path: str) -> fkm.AutocorrCurve:
     index = {name: i for i, name in enumerate(rows[0][1])} if rows else {}
     if "tau" not in index or "value" not in index:
         raise ConfigInvalidError("in_path: curve CSV needs tau and value columns")
-    body = [row for _, row in rows[1:] if row]
-    taus, vals = ([row[i] if i < len(row) else None for row in body] for i in (index["tau"], index["value"]))
-    try:
-        tau, values = np.array(list(map(float, taus))), np.array(list(map(float, vals)))
-        parsed = np.isfinite(tau).all() and np.isfinite(values).all()
-    except (TypeError, ValueError):
-        parsed = False
-    if not parsed:  # the first bad cell names its line
-        for lineno, t, v in zip((lineno for lineno, row in rows[1:] if row), taus, vals):
-            try:
-                finite(t), finite(v)
+    t, v = index["tau"], index["value"]
+    tau, values = [], []
+    for lineno, row in rows[1:]:
+        if row:
+            try:  # the first bad cell names its line
+                tau.append(finite(row[t] if t < len(row) else None))
+                values.append(finite(row[v] if v < len(row) else None))
             except (TypeError, ValueError) as exc:
                 raise ConfigInvalidError(f"in_path: line {lineno}: bad curve row: {exc}") from exc
-    return fkm.AutocorrCurve(tau=tau, values=values, kind="phase-analytic")  # ou_fit reads tau and values only
+    # ou_fit reads tau and values only
+    return fkm.AutocorrCurve(tau=np.array(tau), values=np.array(values), kind="phase-analytic")
 
 
 def cmd_fkm_oufit(p) -> str:
@@ -507,11 +502,11 @@ def emit(text: str | None, out: str | None, command: str, params: dict, start: f
     staged = []
     try:
         if out is not None:
-            staged.append((atomic_write(out, text), Path(out)))
+            staged.append((atomic_write(out, text), out))
             staged.append(write_sidecar(out, command, params, elapsed=time.perf_counter() - start))
         elif text is not None:
             sys.stdout.write(text)
-        staged += [(atomic_write(path, data), Path(path)) for path, data in files]
+        staged += [(atomic_write(path, data), path) for path, data in files]
         names = [os.path.abspath(path) for _, path in staged]
         for name in names:
             if names.count(name) > 1:

@@ -130,9 +130,10 @@ def _site0_row(n: int) -> np.ndarray:
     return row
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1)
 def normal_modes(chain: HarmonicChain) -> NormalModes:
-    """Mode table of the ring, cached; safe because its arrays are read-only.
+    """Mode table of the ring, cached for the last chain asked for only (one
+    table is 134 MB at n = 4096); safe because its arrays are read-only.
 
     The cos/sin pairs are computed in place in one preallocated array, a
     block of rows at a time (_row_blocks under _BLOCK_VALUES angles).  Each
@@ -562,8 +563,9 @@ def time_autocorrelation(
     """Single-trajectory stroboscopic time average of p0(t) p0(t+tau), in closed form.
 
     The orbit is sampled at t dt, on a grid `oversample` times finer than
-    the (uniform, zero-based) tau grid, so tau_j = o_j dt with
-    o_j = j * oversample.  The estimate averages the products over the
+    the tau grid, so tau_j = o_j dt with o_j = j * oversample; the grid
+    must hold tau_j = j * step to 1e-9 relative, for step = tau_1 > 0
+    (ValueError).  The estimate averages the products over the
     N = ceil(horizon / dt) points of the horizon,
 
         values_j = (1/N) sum_{t<N} p0(t dt) p0((t + o_j) dt),
@@ -618,8 +620,8 @@ def time_autocorrelation(
     _check_tau_grid(dft_frequencies(chain), tau)
     if len(tau) < 2:
         raise ValueError("tau grid must hold at least two points")
-    step = tau[1] - tau[0]
-    if tau[0] != 0.0 or step <= 0 or not np.allclose(np.diff(tau), step, rtol=1e-9):
+    step = tau[1]
+    if step <= 0 or not np.allclose(tau, step * np.arange(tau.size), rtol=1e-9, atol=0.0):
         raise ValueError("tau grid must be uniform and start at 0")
     if not (math.isfinite(horizon) and horizon > tau[-1]):
         raise ValueError(f"horizon {horizon:.6g} must be finite and exceed the largest tau {tau[-1]:.6g}")

@@ -180,7 +180,8 @@ def macroscopic_check(
 ) -> MacroscopicReport:
     """Exact prefix-independence probe for a variable family.
 
-    Each prefix v0 over n0 sites is extended one site at a time, site k
+    Every prefix v0 holds the 2^n0 amplitudes of n0 sites, with one n0 >= 0
+    for all of them (ValueError).  Each is extended one site at a time, site k
     getting the single-site vector tails(k), and the family is evaluated on
     the dense product state at every total size n0+1..horizon.  The
     report's `spreads` holds the max pairwise spread of the values across
@@ -195,12 +196,13 @@ def macroscopic_check(
     require_dense(horizon)
     if not prefixes:
         raise ValueError("need at least one prefix")
-    sizes_n0 = {int(np.log2(len(p))) for p in prefixes}
-    if len(sizes_n0) != 1:
+    lengths = {len(p) for p in prefixes}
+    if len(lengths) != 1:
         raise ValueError("all prefixes must cover the same number of sites")
-    n0 = sizes_n0.pop()
-    if 2**n0 != len(prefixes[0]):
+    length = lengths.pop()
+    if length < 1 or length & (length - 1):
         raise ValueError("prefix length must be a power of two")
+    n0 = length.bit_length() - 1
     if horizon <= n0:
         raise ValueError(f"horizon {horizon} must exceed prefix size {n0}")
     sizes = range(n0 + 1, horizon + 1)

@@ -849,7 +849,7 @@ def test_failed_write_after_its_temp_file_exists_leaves_nothing(tmp_path, monkey
     assert len(opened) == 2 and list(tmp_path.iterdir()) == []
 
 
-# mkstemp creates its file 0600, and the rename kept that mode
+# a temp file made private (as mkstemp makes it 0600) would keep that mode through the rename
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_files_take_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
     previous = os.umask(umask)
@@ -858,6 +858,21 @@ def test_files_take_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(previous)
     assert [stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()] == [mode] * 3
+
+
+def test_writes_neither_read_nor_set_the_umask(tmp_path, monkeypatch):
+    # setting the umask, even to read it, changes it for every thread of the process
+    previous = os.umask(0o022)
+    try:
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        assert run(["fkm", "autocorr", "--n", "8", "--out", str(tmp_path / "x.csv"), "--svg", str(tmp_path / "x.svg")]) == 0
+    finally:
+        monkeypatch.undo()
+        os.umask(previous)
+    assert [stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()] == [0o644] * 3
 
 
 def test_argparse_usage_error():

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from mingsim import fkm
+from mingsim import acceptance, fkm
 from mingsim.errors import (
     DegenerateFitError,
     IndefiniteFormError,
@@ -814,6 +814,14 @@ def test_time_autocorrelation_grid_validation():
         fkm.time_autocorrelation(chain, x0, 100.0, TAU, oversample=0)
 
 
+def test_time_autocorrelation_grid_is_j_times_step():
+    # every step is under the old absolute slack of 1e-8, but tau_2 is 5e-9,
+    # not the 2e-9 the estimator would compute at
+    chain = _small_ring()
+    with pytest.raises(ValueError, match="tau grid must be uniform and start at 0"):
+        fkm.time_autocorrelation(chain, fkm.sample_gibbs(chain, 0), 1.0, np.array([0.0, 1e-9, 5e-9]), oversample=1)
+
+
 def _direct_series(chain, x0, dt, total):
     """p0(j dt) for j < total by cos/sin over every mode column: the brute-force orbit.
 
@@ -908,6 +916,21 @@ def test_closed_form_site0_row_is_the_mode_table_row(n):
     assert np.array_equal(fkm._site0_row(n), modes.vectors[0])
     assert np.array_equal(fkm._column_frequencies(chain), modes.frequencies)
     fkm.normal_modes.cache_clear()
+
+
+def test_normal_modes_caches_the_last_chain_only():
+    fkm.normal_modes.cache_clear()
+    try:
+        fkm.normal_modes(fkm.scaled_ring(8, beta=1.0))
+        fkm.normal_modes(fkm.scaled_ring(16, beta=1.0))
+        assert fkm.normal_modes.cache_info().currsize == 1
+        fkm.normal_modes.cache_clear()
+        # A6's four calls on one chain: one build, three reuses
+        assert acceptance._a6()[0]
+        info = fkm.normal_modes.cache_info()
+        assert (info.hits, info.misses) == (3, 1)
+    finally:
+        fkm.normal_modes.cache_clear()
 
 
 def test_mc_builds_no_mode_table():

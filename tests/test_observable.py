@@ -195,6 +195,19 @@ def test_macroscopic_states_are_kron_products_bit_for_bit():
         assert got.tobytes() == state.tobytes()
 
 
+@pytest.mark.parametrize("a, b", [(2, 3), (4, 5)])
+def test_macroscopic_rejects_prefixes_of_unequal_length(a, b):
+    # the two lengths share a floor of log2
+    with pytest.raises(ValueError, match="^all prefixes must cover the same number of sites$"):
+        macroscopic_check(first_site_family, [np.eye(a)[0], np.eye(b)[0]], lambda k: np.array([1.0, 0.0]), 6, 0.05)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_macroscopic_rejects_empty_prefixes(count):
+    with pytest.raises(ValueError, match="^prefix length must be a power of two$"):
+        macroscopic_check(first_site_family, [np.zeros(0)] * count, lambda k: np.array([1.0, 0.0]), 6, 0.05)
+
+
 def test_macroscopic_rejects_bad_tails():
     rng = np.random.default_rng(4)
     p = random_product_prefix(3, rng)
