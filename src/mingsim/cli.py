@@ -271,7 +271,7 @@ def _is_number(text: str) -> bool:
 
 def read_state_csv(path: str) -> dict[int, complex]:
     state: dict[int, complex] = {}
-    rows = ((lineno, row) for lineno, row in read_csv_rows("state", path) if row and row[0].strip())
+    rows = ((lineno, row) for lineno, row in read_csv_rows("state", path) if any(cell.strip() for cell in row))
     for i, (lineno, row) in enumerate(rows):
         try:
             index = int(row[0])
@@ -461,8 +461,8 @@ def resolve(command: Command, args) -> dict:
             raise ConfigInvalidError(f"config: {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(given, dict):
             raise ConfigInvalidError("config: top level must be a JSON object")
-        for key in given.keys() - {f.name for f in command.fields if not f.flag_only}:
-            raise ConfigInvalidError(f"config: unknown field {key!r}")
+        if unknown := [key for key in given if key not in {f.name for f in command.fields if not f.flag_only}]:
+            raise ConfigInvalidError(f"config: unknown field{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))}")
     given.update((f.name, getattr(args, f.name)) for f in command.fields if getattr(args, f.name) is not None)
     params = {}
     for f in command.fields:

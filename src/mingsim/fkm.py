@@ -6,9 +6,13 @@ The chain couples n unit masses on a ring,
     K = omega0_sq * I + kappa * (2 I - S - S^T),      S = cyclic shift,
 
 so the normal-mode frequencies are omega_k^2 = omega0_sq
-+ 4 kappa sin^2(pi k / n).  Everything downstream works in the real
-orthonormal mode basis (cos/sin pairs), in which the flow is an exact
-per-mode rotation.
++ 4 kappa sin^2(pi k / n), k = 0..n-1.  As omega_k = omega_{n-k}, the ring
+has K = n // 2 + 1 distinct modes, and every site-0 kernel takes them one
+way: their frequencies from dft_frequencies (these K only), their site-0
+weights from _site0_row in closed form, nonzero on one mode column per k.
+The real orthonormal mode basis (normal_modes: cos/sin pairs, in which the
+flow is a per-mode rotation) serves only sample_gibbs, single_mode_state
+and the projection of a phase point in _site0_phasors.
 
 The site-0 momentum autocorrelation under the Gibbs phase average has the
 closed form
@@ -89,8 +93,9 @@ def scaled_ring(n: int, beta: float, kappa0: float = 1.0, omega0_sq: float = 1.0
 
 
 def dft_frequencies(chain: HarmonicChain) -> np.ndarray:
-    """omega_k over the DFT index k = 0..n-1 (the k and n-k entries coincide)."""
-    k = np.arange(chain.n)
+    """omega_k for k = 0..n // 2, the K distinct frequencies: DFT index n - k
+    has omega_k's value, which an n-index evaluation may round apart in the last bit."""
+    k = np.arange(chain.n // 2 + 1)
     w2 = chain.omega0_sq + 4.0 * chain.kappa * np.sin(np.pi * k / chain.n) ** 2
     if (w2 < -_FREQ_SQ_TOL).any():
         raise IndefiniteFormError("quadratic form has negative mode frequencies")
@@ -111,12 +116,6 @@ class NormalModes:
     def __post_init__(self) -> None:
         self.frequencies.setflags(write=False)
         self.vectors.setflags(write=False)
-
-
-def _column_frequencies(chain: HarmonicChain) -> np.ndarray:
-    """omega of each mode column: column c is DFT index (c + 1) // 2, that is
-    0, then each cos/sin pair, then n/2 for even n."""
-    return dft_frequencies(chain)[(np.arange(chain.n) + 1) // 2]
 
 
 def _site0_row(n: int) -> np.ndarray:
@@ -141,7 +140,7 @@ def normal_modes(chain: HarmonicChain) -> NormalModes:
     evaluated elementwise, so the block size moves no bit of the table.
     """
     n = chain.n
-    frequencies = _column_frequencies(chain)
+    frequencies = dft_frequencies(chain)[(np.arange(n) + 1) // 2]  # column j is DFT index (j + 1) // 2
     j = np.arange(n)
     vectors = np.empty((n, n))
     vectors[:, 0] = 1.0 / math.sqrt(n)
@@ -374,11 +373,11 @@ class _ProductSums:
     n = 256 with 2 samples, every width of 8j + 1 to 8j + 4 lags to 196 did.
     """
 
-    def __init__(self, omega, support, tau, rows: int, height: int):
+    def __init__(self, omega, tau, rows: int, height: int):
         # one b for all chunks, so a chunk's b is not made while the last one's is alive
         self.b = np.empty((rows, tau.size))
         self.buf = np.empty((1 + height, tau.size))  # row 0 carries the chunk's running sum
-        angles = np.outer(omega[support], tau)
+        angles = np.outer(omega, tau)
         self.cos_k, self.sin_k = np.cos(angles), np.sin(angles, out=angles)
         self.total, self.acc = np.zeros((2, tau.size)), np.zeros((2, tau.size))
 
@@ -423,9 +422,9 @@ class _GramSums:
     that forms C or by the sum that closes a quadratic form.
     """
 
-    def __init__(self, omega, support, tau, rows: int, height: int):
-        self.omega, self.tau = omega[support], tau
-        k = self.k = support.size
+    def __init__(self, omega, tau, rows: int, height: int):
+        self.omega, self.tau = omega, tau
+        k = self.k = omega.size
         # the chunk's p halves of z, and one block of whole z rows
         self.zp, self.z_buf = np.empty((rows, k)), np.empty((height, 2 * k))
         self.z_sum, self.z_gram = np.zeros(2 * k), np.zeros((2 * k, 2 * k))
@@ -458,15 +457,15 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
     """Monte-Carlo phase average of p0(0) p0(tau) over Gibbs samples.
 
     Works in mode coordinates throughout: with P_k, Q_k the Gibbs mode
-    draws and v_k the site-0 weights (row 0 of normal_modes' vectors, here
-    in closed form, so the call builds no n x n table), each sample s gives
-    a_s = p0(0) = sum_k v_k P_k and b_s(tau) = p0(tau) = sum_k v_k (P_k
-    cos w_k tau - w_k Q_k sin w_k tau).  The estimate is sum_s a_s b_s / S
-    over the S samples, and the per-tau standard errors come from the
-    sample variance, that is from sum_s a_s^2 b_s^2.  Only the K = n // 2 + 1
-    modes whose site-0 weight is not exactly 0.0 enter b_s (every sin column
-    of a cos/sin pair has weight 0.0).  The tau grid is checked as in
-    phase_autocorrelation.
+    draws and v_k the site-0 weights (_site0_row, so no n x n table is
+    built), each sample s gives a_s = p0(0) = sum_k v_k P_k and b_s(tau) =
+    p0(tau) = sum_k v_k (P_k cos w_k tau - w_k Q_k sin w_k tau).  The
+    estimate is sum_s a_s b_s / S over the S samples, and the per-tau
+    standard errors come from the sample variance, that is from
+    sum_s a_s^2 b_s^2.  Only the K = n // 2 + 1 support modes, of nonzero
+    site-0 weight, enter b_s, at the frequencies of dft_frequencies: a q
+    block is cut to their columns before it is scaled.  The tau grid is
+    checked as in phase_autocorrelation.
 
     _mc_plan picks the reduction and the draw thread.  The draws come from
     _DrawBlocks, in chunks of blocks, and the sums from _ProductSums or
@@ -483,15 +482,15 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
     if samples < 2:
         raise ValueError("need at least two samples")
     tau = np.asarray(tau_grid, dtype=float)
-    omega = _column_frequencies(chain)
+    omega = dft_frequencies(chain)
     rng = _gibbs_rng(omega, seed)
     w_site = _site0_row(chain.n)
     _check_tau_grid(omega, tau)
-    support = np.flatnonzero(w_site != 0.0)
-    p_weight, q_weight = w_site[support], (w_site * omega)[support]
+    support = np.flatnonzero(w_site != 0.0)  # the column of each of the K frequencies
+    p_weight, q_weight = w_site[support], w_site[support] * omega
     gram, worker = _mc_plan(chain.n, samples, tau.size)
     draws = _DrawBlocks(rng, chain.n, samples)
-    reduction = (_GramSums if gram else _ProductSums)(omega, support, tau, draws.rows, draws.height)
+    reduction = (_GramSums if gram else _ProductSums)(omega, tau, draws.rows, draws.height)
     sqrt_beta = math.sqrt(chain.beta)
     q_scale = sqrt_beta * omega
     a = np.empty(draws.rows)
@@ -505,8 +504,8 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
                     p_site *= p_weight
                     reduction.take_p(lo, hi, a[lo:hi], p_site)
                 for (lo, hi), block in q_blocks:
-                    block /= q_scale
                     q_site = np.take(block, support, axis=1)
+                    q_site /= q_scale
                     q_site *= q_weight
                     reduction.take_q(lo, hi, a[lo:hi], q_site)
         sum1, sum2 = reduction.sums()
@@ -521,16 +520,16 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
 def _site0_phasors(chain: HarmonicChain, x0: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """(omega_k, c_k) with p0(t) = Re sum_k c_k exp(i omega_k t) along the exact orbit from x0.
 
-    c_k = v_0k (p_k + i omega_k q_k), where v_0k is the site-0 weight of
-    mode k.  Columns with v_0k == 0.0 exactly (the sin half of every pair)
-    contribute nothing and are dropped, which leaves the n // 2 + 1 support
-    modes.
+    c_k = v_0k (p_k + i omega_k q_k) over the K = n // 2 + 1 modes whose
+    site-0 weight v_0k (_site0_row) is not 0.0, with omega_k from
+    dft_frequencies.  The mode table serves only the projection of x0 onto
+    the modes, (q_k, p_k) = vectors^T (q, p).
     """
-    modes = normal_modes(chain)
-    q, p = modes.vectors.T @ x0.q, modes.vectors.T @ x0.p
-    w_site = modes.vectors[0, :]
+    vectors = normal_modes(chain).vectors
+    q, p = vectors.T @ x0.q, vectors.T @ x0.p
+    w_site = _site0_row(chain.n)
     keep = w_site != 0.0
-    omega = modes.frequencies[keep]
+    omega = dft_frequencies(chain)
     return omega, w_site[keep] * (p[keep] + 1j * omega * q[keep])
 
 
@@ -714,7 +713,7 @@ def recurrence_peak(chain: HarmonicChain, tau_max: float, dt: float, skip: float
         raise ValueError(f"no grid point j*dt lies in [skip, tau_max] = [{skip!r}, {tau_max!r}] for dt={dt!r}")
     m = n_pts - start_idx  # grid points start_idx + i, i = 0..m-1
     n, beta = chain.n, chain.beta
-    omega = dft_frequencies(chain)[: n // 2 + 1]
+    omega = dft_frequencies(chain)
     _check_tau_grid(omega, np.array([tau_max]))
     k = omega.size
     # each frequency weighted by the number of DFT indices that share it

@@ -130,15 +130,18 @@ def test_bad_state_row_names_its_file_line(tmp_path, capsys):
 
 # a first row whose index was not an int was skipped as a header: without a
 # header, 1.0 was dropped and the unnormalized rest printed 0.64 with exit 0;
-# a blank line made the real header the second row, refused as a bad index
+# a blank line made the real header the second row, refused as a bad index;
+# a row with a blank index cell and amplitudes was dropped, and the rest
+# printed 1.0 with exit 0
 @pytest.mark.parametrize(
     ("text", "expected"),
     [
         ("1.0,0.6,0\n3,0.6,0\n7,0.8,0\n", (2, "config error: observable fn: state: line 1: bad index '1.0'\n")),
         ("index,re,im\n1.0,0.6,0\n3,0.6,0\n7,0.8,0\n", (2, "config error: observable fn: state: line 2: bad index '1.0'\n")),
         ("\nindex,re,im\n3,0.6,0\n7,0.8,0\n", (0, "")),
+        ("index,re,im\n1,0,0.8\n0,0.6,0\n,5,5\n", (2, "config error: observable fn: state: line 4: bad index ''\n")),
     ],
-    ids=["headerless-float-index", "float-index-after-header", "blank-line-before-header"],
+    ids=["headerless-float-index", "float-index-after-header", "blank-line-before-header", "blank-index-with-amplitudes"],
 )
 def test_state_header_is_the_first_row_whose_index_is_not_a_number(tmp_path, capsys, text, expected):
     state = tmp_path / "state.csv"
@@ -423,6 +426,17 @@ def test_config_unknown_field_rejected(tmp_path, capsys):
             cfg.write_text(json.dumps({key: 1}), encoding="utf-8")
             assert run(argv + ["--config", str(cfg)] + _out_flag(argv, tmp_path)) == 2
             assert f"config: unknown field {key!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_unknown_fields_named_in_file_order(tmp_path, capsys):
+    # the names once came from a set, in an order that followed the hash seed
+    cfg = tmp_path / "run.json"
+    for keys in (["zeta", "alpha"], ["alpha", "zeta"]):
+        cfg.write_text(json.dumps({**dict.fromkeys(keys, 1), "n": 5}), encoding="utf-8")
+        assert run(["ming", "verify", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        names = ", ".join(map(repr, keys))
+        assert capsys.readouterr() == ("", f"config error: ming verify: config: unknown fields {names}\n")
     assert list(tmp_path.iterdir()) == [cfg]
 
 

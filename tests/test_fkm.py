@@ -121,8 +121,11 @@ def _dispersion_matches_dense_eigensolver(chain):
     k = np.arange(chain.n)
     expected = np.sort(chain.omega0_sq + 4 * chain.kappa * np.sin(np.pi * k / chain.n) ** 2)
     dense = np.linalg.eigvalsh(stiffness_matrix(chain))
+    # the K distinct frequencies, each once per DFT index k that shares it
+    every_k = np.sort(fkm.dft_frequencies(chain)[np.minimum(k, chain.n - k)] ** 2)
     return bool(
-        np.allclose(np.sort(fkm.dft_frequencies(chain) ** 2), expected, atol=1e-12)
+        np.allclose(every_k, expected, atol=1e-12)
+        and np.allclose(every_k, dense, atol=1e-10)
         and np.allclose(np.sort(fkm.normal_modes(chain).frequencies ** 2), dense, atol=1e-10)
     )
 
@@ -185,10 +188,12 @@ def test_phase_curve_at_zero_is_inverse_beta_exactly(beta):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 256])
 def test_phase_curve_matches_sum_over_every_dft_index(n):
-    # the paired sum against the plain mean over k = 0..n-1
+    # the paired sum against the plain mean over k = 0..n-1, each omega_k
+    # from the dispersion formula
     chain = fkm.scaled_ring(n, beta=2.5)
     curve = fkm.phase_autocorrelation(chain, TAU)
-    every_k = np.cos(np.outer(fkm.dft_frequencies(chain), TAU)).mean(axis=0) / chain.beta
+    w = np.sqrt(chain.omega0_sq + 4.0 * chain.kappa * np.sin(np.pi * np.arange(n) / n) ** 2)
+    every_k = np.cos(np.outer(w, TAU)).mean(axis=0) / chain.beta
     assert np.abs(curve.values - every_k).max() <= 1e-12
     assert curve.values[0] == 1.0 / chain.beta
 
@@ -910,11 +915,38 @@ def test_site0_weight_vanishes_on_every_sin_column(n):
 
 @pytest.mark.parametrize("n", [*range(1, 71), 4096])
 def test_closed_form_site0_row_is_the_mode_table_row(n):
-    # the Monte-Carlo reads these two instead of the mode table
+    # the site-0 kernels read these two instead of the mode table
     chain = fkm.scaled_ring(n, beta=1.0)
     modes = fkm.normal_modes(chain)
     assert np.array_equal(fkm._site0_row(n), modes.vectors[0])
-    assert np.array_equal(fkm._column_frequencies(chain), modes.frequencies)
+    assert np.array_equal(modes.frequencies[modes.vectors[0] != 0.0], fkm.dft_frequencies(chain))
+    fkm.normal_modes.cache_clear()
+
+
+@pytest.mark.parametrize("n", [*range(1, 71), 4096])
+def test_dft_frequencies_are_the_first_half_of_every_index(n):
+    # the n-index evaluation, bit for bit, up to k = n // 2
+    for chain in (fkm.scaled_ring(n, beta=1.0), fkm.HarmonicChain(n=n, beta=1.0, omega0_sq=0.3, kappa=2.7)):
+        k = np.arange(n)
+        w2 = chain.omega0_sq + 4.0 * chain.kappa * np.sin(np.pi * k / n) ** 2
+        every_k = np.sqrt(np.clip(w2, 0.0, None))
+        assert fkm.dft_frequencies(chain).shape == (n // 2 + 1,)
+        assert np.array_equal(fkm.dft_frequencies(chain), every_k[: n // 2 + 1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 255, 256])
+def test_site0_phasors_match_the_mode_table_formula(n):
+    # the phasors from the table's row 0 and column frequencies, bit for bit
+    chain = fkm.scaled_ring(n, beta=1.0)
+    x = fkm.sample_gibbs(chain, 11)
+    modes = fkm.normal_modes(chain)
+    q, p = modes.vectors.T @ x.q, modes.vectors.T @ x.p
+    w_site = modes.vectors[0, :]
+    keep = w_site != 0.0
+    omega = modes.frequencies[keep]
+    got_omega, got_coef = fkm._site0_phasors(chain, x)
+    assert np.array_equal(got_omega, omega)
+    assert np.array_equal(got_coef, w_site[keep] * (p[keep] + 1j * omega * q[keep]))
     fkm.normal_modes.cache_clear()
 
 
@@ -953,7 +985,7 @@ def _time_reversed(monkeypatch):
 
 def _dispersion_4_2_kappa(monkeypatch):
     def dft_frequencies(chain):
-        k = np.arange(chain.n)
+        k = np.arange(chain.n // 2 + 1)
         return np.sqrt(chain.omega0_sq + 4.2 * chain.kappa * np.sin(np.pi * k / chain.n) ** 2)
 
     monkeypatch.setattr(fkm, "dft_frequencies", dft_frequencies)
