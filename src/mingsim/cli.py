@@ -276,8 +276,9 @@ def read_state_csv(path: str) -> dict[int, complex]:
         try:
             index = int(row[0])
         except ValueError:
-            if i == 0 and not _is_number(row[0]):
-                continue  # the header: the first row whose index cell is not a number
+            amplitudes = len(row) >= 3 and _is_number(row[1]) and _is_number(row[2])
+            if i == 0 and not _is_number(row[0]) and not amplitudes:
+                continue  # the header: a first row with a non-number index and not two number amplitudes
             raise ConfigInvalidError(f"state: line {lineno}: bad index {row[0]!r}")
         if len(row) < 3:
             raise ConfigInvalidError(f"state: line {lineno}: need index,re,im")

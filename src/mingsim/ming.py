@@ -19,8 +19,14 @@ holds.  Closed form of the first column (geometric-series derivative):
 
 A is skew-Hermitian, so A / (i h) is a Hermitian energy; h itself cancels
 from the propagator exp((2 pi t / h) A), which depends on t alone.
-verify_exponential checks the identity through a Hermitian eigensolve of
-(2 pi i / h) A, so this module runs on numpy alone.  The
+verify_exponential checks the identity without any Fourier mode, through a
+real symmetric eigensolve of the same size n: with J the reflection
+e_k -> e_{-k mod n}, Q = (I + i J) / sqrt(2) is unitary, and for a Hermitian
+G = (2 pi i / h) A with conj(G) = J G J, which every Hermitian circulant
+meets, Q^H G Q is real symmetric (the construction Lee gives for
+centro-Hermitian matrices, Linear Algebra Appl. 29, 205 (1980)).  The check
+measures the Hermitian and reflection conditions as well, since the
+reduction holds only under them, and runs on numpy alone.  The
 fixed-point subspace spanned by the two constant configurations carries the
 zero block and is left untouched at every t.
 """
@@ -79,29 +85,61 @@ def build_block(n: int, h: float) -> MingBlock:
     return MingBlock(n=n, h=h, entries=entries)
 
 
-def cycle_permutation(n: int) -> np.ndarray:
-    """Forward cyclic permutation on the ordered orbit basis: e_j -> e_{j+1}."""
-    p = np.zeros((n, n))
-    p[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    return p
-
-
 def verify_exponential(block: MingBlock) -> float:
     """Max-abs residual of exp((2 pi / h) A) against the cyclic permutation.
 
-    The exponential comes from numpy's general Hermitian eigensolver, not
+    The exponential comes from numpy's general symmetric eigensolver, not
     from the Fourier construction of the block, so the identity is checked
-    and not assumed: with G = (2 pi i / h) A = U diag(lam) U^H, it is
-    exp(-i G) = U diag(exp(-i lam)) U^H.  eigh reads one triangle of G
-    only, so the result is the larger of that residual and max|G - G^H|,
-    which catches a defect in the other triangle or on the diagonal.
-    Scaling by 2 pi / h before the solve keeps both terms independent of h.
+    and not assumed.  With G = (2 pi i / h) A and J the reflection
+    e_k -> e_{-k mod n}, Q = (I + i J) / sqrt(2) is unitary, and when G is
+    Hermitian with conj(G) = J G J the matrix T = Q^H G Q is real symmetric:
+    T = (Re G + J Re G J + J Im G - Im G J) / 2.  With T = W diag(lam) W^T,
+    exp(-i G) = Q (R + i S) Q^H, where R = W diag(cos lam) W^T and
+    S = -W diag(sin lam) W^T, so the check costs one real eigensolve of
+    size n and two real products.  Every Hermitian circulant meets the
+    reflection condition; a matrix that does not is not similar to T, so the
+    result is the largest of the exponential residual, the Hermitian defect
+    max|G - G^H| and the reflection defect max|conj(G) - J G J|.  The
+    Hermitian defect also covers the triangle of T that eigh does not
+    read.  Scaling by 2 pi / h before the solve keeps every term
+    independent of h.
     """
+    n = block.n
+    flip = -np.arange(n) % n  # J as an index: J X = X[flip], X J = X[:, flip]
+    mirror = np.ix_(flip, flip)  # J X J = X[mirror]
     g = (2j * np.pi / block.h) * block.entries
-    lam, u = np.linalg.eigh(g)
-    exp_a = (u * np.exp(-1j * lam)) @ u.conj().T
-    residual = np.abs(exp_a - cycle_permutation(block.n)).max()
-    return float(max(residual, np.abs(g - g.conj().T).max()))
+    d = g[mirror]  # J G J
+    t = d.real + g.real
+    t += g.imag[flip]
+    t -= g.imag[:, flip]
+    t *= 0.5
+    np.conjugate(d, out=d)
+    d -= g  # conj(J G J) - G
+    reflection = np.abs(d).max()
+    np.conjugate(g.T, out=d)
+    d -= g  # G^H - G
+    hermitian = np.abs(d).max()
+    del g, d
+    lam, w = np.linalg.eigh(t)
+    del t
+    r = (w * np.cos(lam)) @ w.T
+    s = (w * -np.sin(lam)) @ w.T
+    del w
+    # real and imaginary parts of Q (R + i S) Q^H
+    re = r[mirror]
+    re += r
+    re -= s[flip]
+    re += s[:, flip]
+    re *= 0.5
+    im = s[mirror]
+    im += s
+    im += r[flip]
+    im -= r[:, flip]
+    im *= 0.5
+    del r, s
+    j = np.arange(n)
+    re[(j + 1) % n, j] -= 1.0  # P: e_j -> e_{j+1}
+    return float(max(np.hypot(re, im).max(), hermitian, reflection))
 
 
 def offdiagonal_approximation_error(block: MingBlock) -> float:

@@ -132,7 +132,7 @@ def test_bad_state_row_names_its_file_line(tmp_path, capsys):
 # header, 1.0 was dropped and the unnormalized rest printed 0.64 with exit 0;
 # a blank line made the real header the second row, refused as a bad index;
 # a row with a blank index cell and amplitudes was dropped, and the rest
-# printed 1.0 with exit 0
+# printed 1.0 with exit 0, on line 1 too, where it was taken as the header
 @pytest.mark.parametrize(
     ("text", "expected"),
     [
@@ -140,8 +140,17 @@ def test_bad_state_row_names_its_file_line(tmp_path, capsys):
         ("index,re,im\n1.0,0.6,0\n3,0.6,0\n7,0.8,0\n", (2, "config error: observable fn: state: line 2: bad index '1.0'\n")),
         ("\nindex,re,im\n3,0.6,0\n7,0.8,0\n", (0, "")),
         ("index,re,im\n1,0,0.8\n0,0.6,0\n,5,5\n", (2, "config error: observable fn: state: line 4: bad index ''\n")),
+        (",5,5\n0,0.6,0\n1,0,0.8\n", (2, "config error: observable fn: state: line 1: bad index ''\n")),
+        (",re,im\n3,0.6,0\n7,0.8,0\n", (0, "")),
     ],
-    ids=["headerless-float-index", "float-index-after-header", "blank-line-before-header", "blank-index-with-amplitudes"],
+    ids=[
+        "headerless-float-index",
+        "float-index-after-header",
+        "blank-line-before-header",
+        "blank-index-with-amplitudes",
+        "blank-index-with-amplitudes-on-line-1",
+        "header-with-blank-index-cell",
+    ],
 )
 def test_state_header_is_the_first_row_whose_index_is_not_a_number(tmp_path, capsys, text, expected):
     state = tmp_path / "state.csv"

@@ -15,7 +15,6 @@ from mingsim.ming import (
     MingBlock,
     assemble_propagator,
     build_block,
-    cycle_permutation,
     offdiagonal_approximation_error,
     verify_exponential,
 )
@@ -29,6 +28,14 @@ def relabel(v: np.ndarray, n: int, t: int) -> np.ndarray:
     for i in range(1, modulus):
         out[(i << t) % modulus] = v[i]
     return out
+
+
+def cycle_permutation(n: int) -> np.ndarray:
+    # forward cyclic permutation on the ordered orbit basis, e_j -> e_{j+1},
+    # as a dense matrix: the reference the exponential identity targets
+    p = np.zeros((n, n))
+    p[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+    return p
 
 
 def literal_sum_block(n: int, h: float) -> np.ndarray:
@@ -103,6 +110,74 @@ def test_exponential_sees_upper_triangle_defect():
     entries = block.entries.copy()
     entries[1, 3] += 1e-6
     assert verify_exponential(MingBlock(n=5, h=0.618, entries=entries)) > 1e-9
+
+
+def _pair_1_3(entries, n):
+    entries[1, 3] += 1e-6
+    entries[3, 1] -= 1e-6
+
+
+def _mirrored_diagonal(entries, n):
+    # invisible to the exponential too: the real reduction drops this part of G
+    entries[1, 1] += 1e-6j
+    entries[n - 1, n - 1] -= 1e-6j
+
+
+@pytest.mark.parametrize("n", [5, 101])
+@pytest.mark.parametrize("defect", [_pair_1_3, _mirrored_diagonal])
+def test_exponential_sees_defect_that_keeps_the_block_skew_hermitian(n, defect):
+    # A stays skew-Hermitian but is no longer circulant; the reflection
+    # check conj(G) = J G J sees it
+    entries = build_block(n, 0.618).entries.copy()
+    defect(entries, n)
+    assert verify_exponential(MingBlock(n=n, h=0.618, entries=entries)) > 1e-9
+
+
+@pytest.mark.parametrize("n", [5, 101])
+def test_exponential_sees_defect_in_the_triangle_eigh_skips(n):
+    # G + Q E Q^H with E real and strictly upper triangular still meets the
+    # reflection condition and leaves the lower triangle of T, which eigh
+    # reads, unchanged; only the Hermitian check sees it
+    h = 0.618
+    flip = -np.arange(n) % n
+    q = (np.eye(n) + 1j * np.eye(n)[flip]) / np.sqrt(2)
+    e = np.zeros((n, n))
+    e[1, 3] = 1e-6
+    entries = build_block(n, h).entries + (h / (2j * np.pi)) * (q @ e @ q.conj().T)
+    assert verify_exponential(MingBlock(n=n, h=h, entries=entries)) > 1e-9
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_exponential_sees_every_single_entry_defect(data):
+    n = data.draw(st.integers(1, 32), label="n")
+    i = data.draw(st.integers(0, n - 1), label="i")
+    j = data.draw(st.integers(0, n - 1), label="j")
+    phase = data.draw(st.floats(0.0, 2 * np.pi), label="phase")
+    entries = build_block(n, 0.618).entries.copy()
+    entries[i, j] += 1e-6 * np.exp(1j * phase)
+    assert verify_exponential(MingBlock(n=n, h=0.618, entries=entries)) > 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 64])
+def test_exponential_residual_matches_expm_off_the_circulants(n):
+    # a skew-Hermitian, reflection-symmetric block that is not circulant: the
+    # real reduction still holds, so the residual is a dense expm's against P
+    rng = np.random.default_rng(n)
+    h = 0.9
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g = (m + m.conj().T) / 2
+    flip = -np.arange(n) % n
+    g = (g + g[np.ix_(flip, flip)].conj()) / 2  # Hermitian and conj(G) = J G J
+    entries = g * (h / (2j * np.pi))
+    assert np.abs(entries - np.roll(entries, (1, 1), (0, 1))).max() > 0.01
+    expected = max(
+        np.abs(scipy.linalg.expm((2 * np.pi / h) * entries) - cycle_permutation(n)).max(),
+        np.abs(g - g.conj().T).max(),
+        np.abs(g.conj() - g[np.ix_(flip, flip)]).max(),
+    )
+    assert expected > 0.1
+    assert verify_exponential(MingBlock(n=n, h=h, entries=entries)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_offdiagonal_magnitudes_near_diagonal():
