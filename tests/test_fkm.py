@@ -6,6 +6,7 @@ runs; the pilot value is noted next to each.
 
 import copy
 import functools
+import hashlib
 import math
 import os
 import subprocess
@@ -141,14 +142,15 @@ def test_indefinite_form_rejected():
 
 
 def _per_mode_columns(chain):
-    """Reference mode table: one column per mode, stacked at the end."""
+    """Reference mode table: one column per mode, stacked at the end, each
+    cos/sin pair evaluated at the exact phases 2 pi ((k j) mod n) / n."""
     n = chain.n
     w_dft = fkm.dft_frequencies(chain)
     j = np.arange(n)
     cols = [np.full(n, 1.0 / math.sqrt(n))]
     freqs = [w_dft[0]]
     for k in range(1, (n + 1) // 2):
-        theta = 2.0 * np.pi * k * j / n
+        theta = 2.0 * np.pi * (k * j % n) / n
         cols.append(np.sqrt(2.0 / n) * np.cos(theta))
         freqs.append(w_dft[k])
         cols.append(np.sqrt(2.0 / n) * np.sin(theta))
@@ -159,18 +161,51 @@ def _per_mode_columns(chain):
     return np.array(freqs), np.column_stack(cols)
 
 
-# 2048 spans eight whole blocks of 256 rows; 2049 folds a lone row into its last
+# 2048 spans sixteen whole blocks of 128 rows; 2049 folds a lone row into its last
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 255, 256, 2048, 2049])
 def test_normal_modes_match_per_mode_columns(n):
     chain = fkm.HarmonicChain(n=n, beta=1.0, kappa=0.3)
     if n > 2000:
-        rows = [hi - lo for lo, hi in fkm._row_blocks(n, (n + 1) // 2 - 1, fkm._BLOCK_VALUES)]
-        assert rows == ([256] * 8 if n == 2048 else [256] * 7 + [257])
+        rows = [hi - lo for lo, hi in fkm._row_blocks(n, 2 * ((n + 1) // 2 - 1), fkm._BLOCK_VALUES)]
+        assert rows == ([128] * 16 if n == 2048 else [128] * 15 + [129])
     frequencies, vectors = _per_mode_columns(chain)
     modes = fkm.normal_modes(chain)
     assert np.array_equal(modes.frequencies, frequencies)
     assert np.array_equal(modes.vectors, vectors)
     assert modes.vectors.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [255, 256, 1024, 4096])
+def test_normal_modes_orthonormal_to_rounding(n):
+    # Bound 1e-14: the exact phases read at most 2.8e-15 at these sizes, the
+    # table evaluated at the angles 2 pi k j / n 1.9e-14 at n = 255 and
+    # 2.6e-13 at n = 4096.  V^T V is symmetric, so each block of columns is
+    # checked against the rows up to its own end only
+    v = fkm.normal_modes(fkm.HarmonicChain(n=n, beta=1.0, kappa=0.3)).vectors
+    worst = 0.0
+    for lo in range(0, n, 1024):
+        hi = min(lo + 1024, n)
+        gram = v[:, :hi].T @ v[:, lo:hi]
+        gram[np.arange(lo, hi), np.arange(hi - lo)] -= 1.0
+        worst = max(worst, np.abs(gram).max())
+    assert worst <= 1e-14, f"max|V^T V - I| = {worst:.2e}"
+
+
+def test_normal_modes_project_as_the_scaled_rfft():
+    # V^T x is (X_0 / sqrt n, sqrt(2/n) (Re X_k, -Im X_k) for each pair,
+    # X_{n/2} / sqrt n) with X = rfft(x).  Bound 1e-13: the exact phases
+    # read 8.0e-15, the table evaluated at the angles 2 pi k j / n 2.0e-12
+    n = 4096
+    x = np.random.default_rng(0).standard_normal(n)
+    spectrum = np.fft.rfft(x)
+    pairs = spectrum[1 : n // 2]
+    expected = np.empty(n)
+    expected[0] = spectrum[0].real / math.sqrt(n)
+    expected[1 : n - 1 : 2] = math.sqrt(2.0 / n) * pairs.real
+    expected[2 : n - 1 : 2] = -math.sqrt(2.0 / n) * pairs.imag
+    expected[n - 1] = spectrum[n // 2].real / math.sqrt(n)
+    projected = fkm.normal_modes(fkm.HarmonicChain(n=n, beta=1.0, kappa=0.3)).vectors.T @ x
+    assert np.abs(projected - expected).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +287,24 @@ def test_gibbs_determinism():
     assert np.array_equal(x1.q, x2.q) and np.array_equal(x1.p, x2.p)
 
 
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (10, "4dd3e0dee60c5e987a7a014d8266b99f7f7a79a10f4cfe17be27b8995c28744b"),
+        (8, "4fa763ad7c440fdc311b161b969300bae520dbffab8300d2d8b072c815cce262"),
+    ],
+    ids=["a5-seed-10", "a6-seed-8"],
+)
+def test_gibbs_draw_stream_is_pinned(seed, digest):
+    # A5's Monte-Carlo and A6's Gibbs start draw from these streams, and
+    # their frozen z and gaps hold for these bits only; a numpy whose
+    # ziggurat draws other numbers fails here by name
+    z = np.random.default_rng(seed).standard_normal(64)
+    assert hashlib.sha256(z.astype("<f8").tobytes()).hexdigest() == digest, (
+        f"default_rng({seed}).standard_normal's first 64 draws changed; first draw {z[0].hex()}"
+    )
+
+
 def test_gibbs_rejects_zero_mode():
     chain = fkm.HarmonicChain(n=8, beta=1.0, omega0_sq=0.0, kappa=1.0)
     with pytest.raises(ZeroModeError):
@@ -316,8 +369,33 @@ def test_single_mode_state_carries_requested_energy():
     x = fkm.single_mode_state(chain, 5, energy=7.5)
     assert np.allclose(x.q, 0.0)
     assert energy(stiffness_matrix(chain), x) == pytest.approx(7.5, rel=1e-12)
+    assert np.array_equal(fkm.single_mode_state(chain, np.int64(5), energy=7.5).p, x.p)
+    assert np.array_equal(fkm.single_mode_state(chain, 5, energy=0.0).p, np.zeros(16))
     with pytest.raises(ValueError):
         fkm.single_mode_state(chain, 16, energy=1.0)
+
+
+@pytest.mark.parametrize(
+    "mode, energy_, message",
+    [
+        (5, -1.0, r"^energy must be finite and non-negative, got -1\.0$"),
+        (5, math.nan, r"^energy must be finite and non-negative, got nan$"),
+        (5, math.inf, r"^energy must be finite and non-negative, got inf$"),
+        (5, 10**400, r"^energy must be finite and non-negative, got 10{400}$"),
+        (5, 1e308, r"^energy=1e\+308 is too large: sqrt\(2 energy\) is not finite$"),
+        (5, np.float64(1e308), r"^energy=np\.float64\(1e\+308\) is too large: sqrt\(2 energy\) is not finite$"),
+        (2.5, 1.0, r"^mode must be an integer, got 2\.5$"),
+        (5.0, 1.0, r"^mode must be an integer, got 5\.0$"),
+        (True, 1.0, r"^mode must be an integer, got True$"),
+        ("5", 1.0, r"^mode must be an integer, got '5'$"),
+        (16, 1.0, r"^mode 16 is out of range 0\.\.15$"),
+        (-1, 1.0, r"^mode -1 is out of range 0\.\.15$"),
+    ],
+    ids=["negative", "nan", "inf", "int-past-float", "overflow", "numpy-overflow", "fraction", "float", "bool", "str", "past-end", "negative-mode"],
+)
+def test_single_mode_state_names_the_bad_argument(mode, energy_, message):
+    with pytest.raises(ValueError, match=message):
+        fkm.single_mode_state(fkm.scaled_ring(16, beta=1.0), mode, energy=energy_)
 
 
 # ---------------------------------------------------------------------------
