@@ -9,10 +9,10 @@ so the normal-mode frequencies are omega_k^2 = omega0_sq
 + 4 kappa sin^2(pi k / n), k = 0..n-1.  As omega_k = omega_{n-k}, the ring
 has K = n // 2 + 1 distinct modes, and every site-0 kernel takes them one
 way: their frequencies from dft_frequencies (these K only), their site-0
-weights from _site0_row in closed form, nonzero on one mode column per k.
-The real orthonormal mode basis (normal_modes: cos/sin pairs, in which the
-flow is a per-mode rotation) serves only sample_gibbs, single_mode_state
-and the projection of a phase point in _site0_phasors.  Its entries are
+weights and mode columns from _site0_support in closed form, and a phase
+point's coordinates on them from np.fft.rfft.  The real orthonormal mode
+basis (normal_modes: cos/sin pairs, in which the flow is a per-mode
+rotation) serves only sample_gibbs and single_mode_state.  Its entries are
 read from one table of n cos/sin values at the exact integer phases
 (k j) mod n: max|V^T V - I| read at most 2.8e-15 at n = 255, 256, 1024 and
 4096, and the projection V^T x matched np.fft.rfft(x), scaled, to 8.0e-15
@@ -67,6 +67,12 @@ _OU_MAX_ITER = 8  # window refits in ou_fit
 _OU_MAX_STEPS = 100  # Gauss-Newton steps per window fit in ou_fit
 
 
+def _require_int(name: str, value) -> None:
+    """Refuse a bool or a non-integer `value` with a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HarmonicChain:
     """Ring of n unit masses with on-site stiffness and nearest-neighbor coupling."""
@@ -77,6 +83,7 @@ class HarmonicChain:
     kappa: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_int("n", self.n)
         if self.n < 1:
             raise ValueError(f"ring needs at least one site, got n={self.n}")
         for name in ("beta", "omega0_sq", "kappa"):
@@ -122,15 +129,13 @@ class NormalModes:
         self.vectors.setflags(write=False)
 
 
-def _site0_row(n: int) -> np.ndarray:
-    """Row 0 of the mode table in closed form, bit for bit: 1/sqrt(n), then
-    sqrt(2/n) and 0.0 for each cos/sin pair, then 1/sqrt(n) for even n."""
-    row = np.zeros(n)
-    row[0] = 1.0 / math.sqrt(n)
-    row[1 : (n + 1) // 2 * 2 - 1 : 2] = math.sqrt(2.0 / n)
-    if n % 2 == 0:
-        row[n - 1] = 1.0 / math.sqrt(n)
-    return row
+def _site0_support(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mode-table columns max(2k - 1, 0) of the K distinct modes k, and
+    their row-0 entries bit for bit: 1/sqrt(n) at k = 0 and at k = n/2 for
+    even n, sqrt(2/n) otherwise.  Row 0 is 0.0 on every other column."""
+    k = np.arange(n // 2 + 1)
+    weights = np.where((k == 0) | (2 * k == n), 1.0 / math.sqrt(n), math.sqrt(2.0 / n))
+    return np.maximum(2 * k - 1, 0), weights
 
 
 @functools.lru_cache(maxsize=1)
@@ -213,8 +218,7 @@ def single_mode_state(chain: HarmonicChain, mode: int, energy: float) -> PhasePo
     `energy` a finite non-negative number whose sqrt(2 energy) is finite;
     anything else is a ValueError naming the argument.
     """
-    if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)):
-        raise ValueError(f"mode must be an integer, got {mode!r}")
+    _require_int("mode", mode)
     if not 0 <= mode < chain.n:
         raise ValueError(f"mode {mode} is out of range 0..{chain.n - 1}")
     try:
@@ -485,15 +489,15 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
     """Monte-Carlo phase average of p0(0) p0(tau) over Gibbs samples.
 
     Works in mode coordinates throughout: with P_k, Q_k the Gibbs mode
-    draws and v_k the site-0 weights (_site0_row, so no n x n table is
-    built), each sample s gives a_s = p0(0) = sum_k v_k P_k and b_s(tau) =
-    p0(tau) = sum_k v_k (P_k cos w_k tau - w_k Q_k sin w_k tau).  The
-    estimate is sum_s a_s b_s / S over the S samples, and the per-tau
-    standard errors come from the sample variance, that is from
-    sum_s a_s^2 b_s^2.  Only the K = n // 2 + 1 support modes, of nonzero
-    site-0 weight, enter b_s, at the frequencies of dft_frequencies: a q
-    block is cut to their columns before it is scaled.  The tau grid is
-    checked as in phase_autocorrelation.
+    draws and v_k the site-0 weights, each sample s gives a_s = p0(0) =
+    sum_k v_k P_k and b_s(tau) = p0(tau) = sum_k v_k (P_k cos w_k tau -
+    w_k Q_k sin w_k tau).  The estimate is sum_s a_s b_s / S over the S
+    samples, and the per-tau standard errors come from the sample variance,
+    that is from sum_s a_s^2 b_s^2.  Only the K = n // 2 + 1 support modes
+    of _site0_support, at the frequencies of dft_frequencies, enter a_s and
+    b_s: each draw block is cut to their columns before it is scaled, and no
+    n x n table is built.  The tau grid is checked as in
+    phase_autocorrelation.
 
     _mc_plan picks the reduction and the draw thread.  The draws come from
     _DrawBlocks, in chunks of blocks, and the sums from _ProductSums or
@@ -507,15 +511,15 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
     out to threads by count and splits the Gram products as it likes, so
     with more than one BLAS thread even the one-shot formula's bits vary.
     """
+    _require_int("samples", samples)
     if samples < 2:
         raise ValueError("need at least two samples")
     tau = np.asarray(tau_grid, dtype=float)
     omega = dft_frequencies(chain)
     rng = _gibbs_rng(omega, seed)
-    w_site = _site0_row(chain.n)
+    support, weights = _site0_support(chain.n)
     _check_tau_grid(omega, tau)
-    support = np.flatnonzero(w_site != 0.0)  # the column of each of the K frequencies
-    p_weight, q_weight = w_site[support], w_site[support] * omega
+    q_weight = weights * omega
     gram, worker = _mc_plan(chain.n, samples, tau.size)
     draws = _DrawBlocks(rng, chain.n, samples)
     reduction = (_GramSums if gram else _ProductSums)(omega, tau, draws.rows, draws.height)
@@ -526,10 +530,10 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
         with draws.chunks(worker) as chunks:
             for p_blocks, q_blocks in chunks:
                 for (lo, hi), block in p_blocks:
-                    block /= sqrt_beta
-                    a[lo:hi] = block @ w_site
                     p_site = np.take(block, support, axis=1)
-                    p_site *= p_weight
+                    p_site /= sqrt_beta
+                    a[lo:hi] = p_site @ weights
+                    p_site *= weights
                     reduction.take_p(lo, hi, a[lo:hi], p_site)
                 for (lo, hi), block in q_blocks:
                     q_site = np.take(block, support, axis=1)
@@ -548,17 +552,18 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
 def _site0_phasors(chain: HarmonicChain, x0: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """(omega_k, c_k) with p0(t) = Re sum_k c_k exp(i omega_k t) along the exact orbit from x0.
 
-    c_k = v_0k (p_k + i omega_k q_k) over the K = n // 2 + 1 modes whose
-    site-0 weight v_0k (_site0_row) is not 0.0, with omega_k from
-    dft_frequencies.  The mode table serves only the projection of x0 onto
-    the modes, (q_k, p_k) = vectors^T (q, p).
+    c_k = v_k (p_k + i omega_k q_k) over the K = n // 2 + 1 distinct modes,
+    with v_k the site-0 weights of _site0_support and omega_k from
+    dft_frequencies.  x0's coordinates on those modes' cos columns are
+    (q_k, p_k) = v_k (Re Q_k, Re P_k), with Q, P the rfft of q and p, so
+    c_k = v_k^2 (Re P_k + i omega_k Re Q_k): an O(n log n) projection, with
+    no mode table and no BLAS call.
     """
-    vectors = normal_modes(chain).vectors
-    q, p = vectors.T @ x0.q, vectors.T @ x0.p
-    w_site = _site0_row(chain.n)
-    keep = w_site != 0.0
+    if x0.q.size != chain.n:
+        raise ValueError(f"phase point has {x0.q.size} sites, the ring {chain.n}")
     omega = dft_frequencies(chain)
-    return omega, w_site[keep] * (p[keep] + 1j * omega * q[keep])
+    v_sq = _site0_support(chain.n)[1] ** 2
+    return omega, v_sq * (np.fft.rfft(x0.p).real + 1j * omega * np.fft.rfft(x0.q).real)
 
 
 def _exact_product(n: float, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -636,12 +641,11 @@ def time_autocorrelation(
     about _CACHE_VALUES entries, and the lag sum uses
     exp(i theta o_j) = exp(i theta o_{a r}) exp(i theta o_b) for
     j = a r + b with r about sqrt(len(tau)).  All sums are numpy reductions,
-    not BLAS products, so their bits do not depend on the BLAS thread
-    count; the mode projection in _site0_phasors is the one BLAS call.  The
-    cost is O(K^2 + K len(tau)) whatever the horizon, after the O(n^2)
-    projection.  The tau grid is checked as in phase_autocorrelation, and a
-    horizon for which horizon / dt or N omega_max dt is not finite is a
-    ValueError.
+    not BLAS products, and the projection in _site0_phasors is an rfft, so
+    no bit depends on the BLAS thread count.  The cost is O(K^2 + K len(tau))
+    whatever the horizon, after the O(n log n) projection.  The tau grid is
+    checked as in phase_autocorrelation, and a horizon for which
+    horizon / dt or N omega_max dt is not finite is a ValueError.
     """
     tau = np.asarray(tau_grid, dtype=float)
     _check_tau_grid(dft_frequencies(chain), tau)
@@ -710,22 +714,24 @@ def recurrence_peak(chain: HarmonicChain, tau_max: float, dt: float, skip: float
     largest |g_n| as phase_autocorrelation evaluates it, and that value.
 
     The m points of the window are laid out in rows of `cols`, about
-    sqrt(m): point a cols + b is c_a + f_b, so g_n = sum_k d_k (cos w_k c_a
-    cos w_k f_b - sin w_k c_a sin w_k f_b) / (beta n) over the K = n // 2 + 1
-    distinct frequencies w_k, each shared by d_k DFT indices, is one
+    sqrt(m): point a cols + b is c_a + f_b, so g_n = sum_k v_k^2 (cos w_k c_a
+    cos w_k f_b - sin w_k c_a sin w_k f_b) / beta over the K = n // 2 + 1
+    distinct frequencies w_k, with v_k the site-0 weights of _site0_support
+    (v_k^2 n is the number of DFT indices that share w_k), is one
     (rows x 2K) @ (2K x cols) product per _row_blocks block of rows.  It is
-    within slack = eps (4 omega_max n_pts dt + 3K + 32) / beta of
+    within slack = eps (4 omega_max n_pts dt + 3K + 40) / beta of
     phase_autocorrelation at every grid point (the angles' rounding and
-    c_a + f_b against j dt, cos/sin to 4 ulp, and both sums in any order,
-    doubled), so the first exact argmax and its ties approximate within
-    2 slack of the largest approximation.  A first pass keeps each block's
-    maximum; a second recomputes the blocks that reach the overall maximum
-    less 2 slack and evaluates exactly their points that reach it, in blocks
-    of at least 2 points (a lone one is padded with a neighbour), whose
-    per-point bits do not depend on the block: the result is the full
-    scan's bit for bit.  Memory is O(_BLOCK_VALUES) at any grid length; the
-    cost is about 2K multiply-adds per point, plus K cos/sin per row and
-    per column.  At A7's arguments 2 of 999 901 points are evaluated.
+    c_a + f_b against j dt, the weights v_k^2 / beta to 4 ulp, cos/sin to
+    4 ulp, and both sums in any order, doubled), so the first exact argmax
+    and its ties approximate within 2 slack of the largest approximation.
+    A first pass keeps each block's maximum; a second recomputes the blocks
+    that reach the overall maximum less 2 slack and evaluates exactly their
+    points that reach it, in blocks of at least 2 points (a lone one is
+    padded with a neighbour), whose per-point bits do not depend on the
+    block: the result is the full scan's bit for bit.  Memory is
+    O(_BLOCK_VALUES) at any grid length; the cost is about 2K multiply-adds
+    per point, plus K cos/sin per row and per column.  At A7's arguments 2
+    of 999 901 points are evaluated.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
@@ -740,14 +746,13 @@ def recurrence_peak(chain: HarmonicChain, tau_max: float, dt: float, skip: float
     if start_idx >= n_pts:
         raise ValueError(f"no grid point j*dt lies in [skip, tau_max] = [{skip!r}, {tau_max!r}] for dt={dt!r}")
     m = n_pts - start_idx  # grid points start_idx + i, i = 0..m-1
-    n, beta = chain.n, chain.beta
+    beta = chain.beta
     omega = dft_frequencies(chain)
     _check_tau_grid(omega, np.array([tau_max]))
     k = omega.size
-    # each frequency weighted by the number of DFT indices that share it
-    weight = np.bincount(np.minimum(np.arange(n), n - np.arange(n))) / (n * beta)
+    weight = _site0_support(chain.n)[1] ** 2 / beta
     weight = np.concatenate([weight, -weight])  # the cos half, then the sin half
-    slack = np.finfo(float).eps * (4 * float(omega.max()) * n_pts * dt + 3 * k + 32) / beta
+    slack = np.finfo(float).eps * (4 * float(omega.max()) * n_pts * dt + 3 * k + 40) / beta
     cols = min(math.isqrt(m - 1) + 1, max(_BLOCK_VALUES // (8 * k), 1))
     fine = np.outer(omega, np.arange(cols) * dt)
     fine = np.concatenate([np.cos(fine), np.sin(fine)])

@@ -76,6 +76,30 @@ def test_chain_validation():
                 fkm.HarmonicChain(n=8, **{"beta": 1.0, field: bad})
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fkm.scaled_ring(8.5, 1.0), r"^n must be an integer, got 8\.5$"),
+        (lambda: fkm.scaled_ring(True, 1.0), r"^n must be an integer, got True$"),
+        (
+            lambda: fkm.mc_phase_autocorrelation(fkm.scaled_ring(8, 1.0), TAU, samples=2.5, seed=1),
+            r"^samples must be an integer, got 2\.5$",
+        ),
+    ],
+    ids=["fractional-n", "bool-n", "fractional-samples"],
+)
+def test_sizes_and_counts_must_be_integers(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_time_autocorrelation_rejects_a_phase_point_of_another_size():
+    # n = 8 and 9 sites share K = 5 modes, so the projection alone would not notice
+    x0 = fkm.PhasePoint(q=np.zeros(9), p=np.ones(9))
+    with pytest.raises(ValueError, match=r"^phase point has 9 sites, the ring 8$"):
+        fkm.time_autocorrelation(fkm.scaled_ring(8, 1.0), x0, 100.0, TAU, oversample=4)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_phase_point_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -569,16 +593,19 @@ def _one_shot_chunks(chain, samples, seed):
 
 
 def _one_shot_mc(chain, tau, samples, seed):
-    """Reference estimator: whole (m, n) draws and every mode column per chunk."""
+    """Reference estimator: whole (m, n) draws and every mode column per chunk;
+    p0(0) from the table's row 0 on its nonzero columns, gathered by np.take
+    into a C-ordered array (a column slice is F-ordered and takes another gemv path)."""
     modes = fkm.normal_modes(chain)
     w_site = modes.vectors[0, :]
+    support = np.flatnonzero(w_site)
     omega = modes.frequencies
     cos_t = np.cos(np.outer(omega, tau))
     sin_t = np.sin(np.outer(omega, tau))
     sum1 = np.zeros(tau.shape)
     sum2 = np.zeros(tau.shape)
     for p_modes, q_modes in _one_shot_chunks(chain, samples, seed):
-        a = p_modes @ w_site
+        a = np.take(p_modes, support, axis=1) @ w_site[support]
         b = (p_modes * w_site) @ cos_t - (q_modes * (w_site * omega)) @ sin_t
         prod = a[:, None] * b
         sum1 += prod.sum(axis=0)
@@ -985,7 +1012,7 @@ def test_time_autocorrelation_matches_direct_evaluation(chain, grid):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 255, 256])
 def test_site0_weight_vanishes_on_every_sin_column(n):
-    # the site-0 phasors drop exactly these columns
+    # _site0_support skips exactly these columns
     row = fkm.normal_modes(fkm.HarmonicChain(n=n, beta=1.0)).vectors[0]
     assert np.all(row[2::2] == 0.0)
     assert np.count_nonzero(row) == n // 2 + 1
@@ -993,11 +1020,14 @@ def test_site0_weight_vanishes_on_every_sin_column(n):
 
 @pytest.mark.parametrize("n", [*range(1, 71), 4096])
 def test_closed_form_site0_row_is_the_mode_table_row(n):
-    # the site-0 kernels read these two instead of the mode table
+    # the site-0 kernels read these instead of the mode table: the support
+    # columns' entries and frequencies bit for bit, and 0.0 on every other column
     chain = fkm.scaled_ring(n, beta=1.0)
     modes = fkm.normal_modes(chain)
-    assert np.array_equal(fkm._site0_row(n), modes.vectors[0])
-    assert np.array_equal(modes.frequencies[modes.vectors[0] != 0.0], fkm.dft_frequencies(chain))
+    columns, weights = fkm._site0_support(n)
+    assert np.array_equal(modes.vectors[0, columns], weights)
+    assert np.array_equal(modes.frequencies[columns], fkm.dft_frequencies(chain))
+    assert np.all(np.delete(modes.vectors[0], columns) == 0.0)
     fkm.normal_modes.cache_clear()
 
 
@@ -1012,9 +1042,11 @@ def test_dft_frequencies_are_the_first_half_of_every_index(n):
         assert np.array_equal(fkm.dft_frequencies(chain), every_k[: n // 2 + 1])
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 255, 256])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 255, 256, 4096])
 def test_site0_phasors_match_the_mode_table_formula(n):
-    # the phasors from the table's row 0 and column frequencies, bit for bit
+    # the phasors from the table's projection, row 0 and column frequencies:
+    # the frequencies bit for bit, the rfft projection to the 1e-13 of
+    # test_normal_modes_project_as_the_scaled_rfft
     chain = fkm.scaled_ring(n, beta=1.0)
     x = fkm.sample_gibbs(chain, 11)
     modes = fkm.normal_modes(chain)
@@ -1024,7 +1056,7 @@ def test_site0_phasors_match_the_mode_table_formula(n):
     omega = modes.frequencies[keep]
     got_omega, got_coef = fkm._site0_phasors(chain, x)
     assert np.array_equal(got_omega, omega)
-    assert np.array_equal(got_coef, w_site[keep] * (p[keep] + 1j * omega * q[keep]))
+    assert np.abs(got_coef - w_site[keep] * (p[keep] + 1j * omega * q[keep])).max() <= 1e-13
     fkm.normal_modes.cache_clear()
 
 
@@ -1035,10 +1067,11 @@ def test_normal_modes_caches_the_last_chain_only():
         fkm.normal_modes(fkm.scaled_ring(16, beta=1.0))
         assert fkm.normal_modes.cache_info().currsize == 1
         fkm.normal_modes.cache_clear()
-        # A6's four calls on one chain: one build, three reuses
+        # A6's two table reads on one chain, the Gibbs draw's and the single
+        # mode's: one build, one reuse
         assert acceptance._a6()[0]
         info = fkm.normal_modes.cache_info()
-        assert (info.hits, info.misses) == (3, 1)
+        assert (info.hits, info.misses) == (1, 1)
     finally:
         fkm.normal_modes.cache_clear()
 
@@ -1049,6 +1082,20 @@ def test_mc_builds_no_mode_table():
     # the 2049 x 2 cos/sin tables and a few n-long rows
     fkm.normal_modes.cache_clear()
     peak = traced_peak(lambda: fkm.mc_phase_autocorrelation(fkm.scaled_ring(4096, beta=1.0), TAU[:2], samples=2, seed=3))
+    assert fkm.normal_modes.cache_info().currsize == 0
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_time_autocorrelation_builds_no_mode_table():
+    # Bound, stated before the first run: 16 MB, where n = 4096's mode
+    # table alone is 134 MB; the call itself holds the K = 2049 rfft
+    # coefficients, a dozen K x 24 pair-block temporaries and the K x 15
+    # lag tables
+    chain = fkm.HarmonicChain(n=4096, beta=1.0, kappa=1.0)
+    rng = np.random.default_rng(5)
+    x0 = fkm.PhasePoint(q=rng.standard_normal(chain.n), p=rng.standard_normal(chain.n))
+    fkm.normal_modes.cache_clear()
+    peak = traced_peak(lambda: fkm.time_autocorrelation(chain, x0, 1e3, TAU, oversample=4))
     assert fkm.normal_modes.cache_info().currsize == 0
     assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
