@@ -62,6 +62,13 @@ def require_prime(n: int) -> None:
         raise NonPrimeOrderError(f"n must be prime, got {n}")
 
 
+def require_int(name: str, value) -> None:
+    """The package's one integer rule for sizes, counts and indices: refuse a
+    bool or a non-integer `value` with a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def require_index(i: int, n: int) -> None:
     """Refuse a basis index outside [0, 2**n - 1], without building 2**n."""
     if i < 0 or i >> n:

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitlattice import require_int
 from .errors import DegenerateFitError, IndefiniteFormError, ZeroModeError
 
 _FREQ_SQ_TOL = 1e-12
@@ -67,12 +68,6 @@ _OU_MAX_ITER = 8  # window refits in ou_fit
 _OU_MAX_STEPS = 100  # Gauss-Newton steps per window fit in ou_fit
 
 
-def _require_int(name: str, value) -> None:
-    """Refuse a bool or a non-integer `value` with a ValueError naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class HarmonicChain:
     """Ring of n unit masses with on-site stiffness and nearest-neighbor coupling."""
@@ -83,7 +78,7 @@ class HarmonicChain:
     kappa: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_int("n", self.n)
+        require_int("n", self.n)
         if self.n < 1:
             raise ValueError(f"ring needs at least one site, got n={self.n}")
         for name in ("beta", "omega0_sq", "kappa"):
@@ -97,7 +92,11 @@ class HarmonicChain:
 
 def scaled_ring(n: int, beta: float, kappa0: float = 1.0, omega0_sq: float = 1.0) -> HarmonicChain:
     """Chain with the documented default coupling schedule kappa0 * n^2 / pi^2."""
-    kappa = kappa0 * n**2 / math.pi**2
+    require_int("n", n)
+    try:
+        kappa = kappa0 * n**2 / math.pi**2
+    except OverflowError:  # n**2 is an int past the float range
+        kappa = math.inf
     if not math.isfinite(kappa):
         raise ValueError(f"coupling kappa0 * n^2 / pi^2 is not finite for kappa0={kappa0!r}, n={n}")
     return HarmonicChain(n=n, beta=beta, omega0_sq=omega0_sq, kappa=kappa)
@@ -218,7 +217,7 @@ def single_mode_state(chain: HarmonicChain, mode: int, energy: float) -> PhasePo
     `energy` a finite non-negative number whose sqrt(2 energy) is finite;
     anything else is a ValueError naming the argument.
     """
-    _require_int("mode", mode)
+    require_int("mode", mode)
     if not 0 <= mode < chain.n:
         raise ValueError(f"mode {mode} is out of range 0..{chain.n - 1}")
     try:
@@ -511,7 +510,7 @@ def mc_phase_autocorrelation(chain: HarmonicChain, tau_grid, samples: int, seed)
     out to threads by count and splits the Gram products as it likes, so
     with more than one BLAS thread even the one-shot formula's bits vary.
     """
-    _require_int("samples", samples)
+    require_int("samples", samples)
     if samples < 2:
         raise ValueError("need at least two samples")
     tau = np.asarray(tau_grid, dtype=float)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitlattice import OrbitDecomposition
+from .bitlattice import OrbitDecomposition, require_int
 
 _BAND = 3  # largest |i - j| that offdiagonal_approximation_error checks
 
@@ -67,10 +67,14 @@ class MingBlock:
 def build_block(n: int, h: float) -> MingBlock:
     """Construct the orbit block of dimension n (n = 1 gives the zero block).
 
-    h must be finite and > 0, and so must 2 pi / h, which scales the block in
-    verify_exponential; an h so large that an entry overflows is rejected
-    too.  Each is a ValueError naming h.
+    n must be a positive integer (not a bool).  h must be finite and > 0,
+    and so must 2 pi / h, which scales the block in verify_exponential; an h
+    so large that an entry overflows is rejected too.  Each is a ValueError,
+    and each on h names h.  Row j of the circulant is the reversed window
+    c[j + n], c[j + n - 1], .., c[j + 1] of the doubled first column c, so
+    the entries are one copy of a strided view, with no n x n index.
     """
+    require_int("n", n)
     if n < 1:
         raise ValueError(f"block dimension must be positive, got {n}")
     if not (math.isfinite(h) and h > 0):
@@ -80,8 +84,9 @@ def build_block(n: int, h: float) -> MingBlock:
     c = _first_column(n, h)
     if not np.isfinite(c).all():
         raise ValueError(f"h={h!r} is too large: the block entries overflow")
-    j = np.arange(n)
-    entries = c[(j[:, None] - j[None, :]) % n]
+    c = np.concatenate((c, c))
+    step = c.strides[0]
+    entries = np.ndarray((n, n), c.dtype, c, n * step, (step, -step)).copy()
     return MingBlock(n=n, h=h, entries=entries)
 
 
@@ -101,45 +106,77 @@ def verify_exponential(block: MingBlock) -> float:
     result is the largest of the exponential residual, the Hermitian defect
     max|G - G^H| and the reflection defect max|conj(G) - J G J|.  The
     Hermitian defect also covers the triangle of T that eigh does not
-    read.  Scaling by 2 pi / h before the solve keeps every term
-    independent of h.
+    read.  Scaling by 2 pi / h before any square keeps every term
+    independent of h and in range; each modulus is the square root of the
+    largest re^2 + im^2.
+
+    The working set is fixed: eigh's eigenvectors and three pairs of
+    (n + 1) x (n + 1) real planes, reused in place: G's parts, freed before
+    the eigensolve so that its workspace can reuse them; R and S; scratch
+    for the defects, T and the residual.  A plane holds an n x n matrix X
+    with row n and column n repeating row 0 and column 0, so J X J, J X and
+    X J are the reversed views X[::-1, ::-1], X[::-1] and X[:, ::-1]: no
+    step gathers through an index array or makes a complex temporary.
     """
     n = block.n
-    flip = -np.arange(n) % n  # J as an index: J X = X[flip], X J = X[:, flip]
-    mirror = np.ix_(flip, flip)  # J X J = X[mirror]
-    g = (2j * np.pi / block.h) * block.entries
-    d = g[mirror]  # J G J
-    t = d.real + g.real
-    t += g.imag[flip]
-    t -= g.imag[:, flip]
-    t *= 0.5
-    np.conjugate(d, out=d)
-    d -= g  # conj(J G J) - G
-    reflection = np.abs(d).max()
-    np.conjugate(g.T, out=d)
-    d -= g  # G^H - G
-    hermitian = np.abs(d).max()
-    del g, d
-    lam, w = np.linalg.eigh(t)
-    del t
-    r = (w * np.cos(lam)) @ w.T
-    s = (w * -np.sin(lam)) @ w.T
-    del w
-    # real and imaginary parts of Q (R + i S) Q^H
-    re = r[mirror]
-    re += r
-    re -= s[flip]
-    re += s[:, flip]
-    re *= 0.5
-    im = s[mirror]
-    im += s
-    im += r[flip]
-    im -= r[:, flip]
-    im *= 0.5
-    del r, s
-    j = np.arange(n)
-    re[(j + 1) % n, j] -= 1.0  # P: e_j -> e_{j+1}
-    return float(max(np.hypot(re, im).max(), hermitian, reflection))
+    g = np.empty((2, n + 1, n + 1))
+    d = np.empty((2, n + 1, n + 1))
+    x, y, a, b = g[0], g[1], d[0], d[1]
+    fx, fy = g.reshape(2, -1)  # flat: J X J is the reversal fx[::-1]
+    fa, fb = d.reshape(2, -1)
+    # x, y = Re G, Im G at half scale, which folds T's 1/2 into the scale; the
+    # factors of 2 here and below are exact, so T has the bits of the full-scale
+    # sum halved
+    half = math.pi / block.h
+    np.multiply(block.entries.imag, -half, out=x[:-1, :-1])
+    np.multiply(block.entries.real, half, out=y[:-1, :-1])
+    _repeat_first(g)
+    np.subtract(x.T, x, out=a)
+    np.add(y.T, y, out=b)  # G^H - G, up to the sign of its imaginary part
+    np.square(d, out=d)
+    a += b
+    hermitian = float(fa.max())
+    np.subtract(fx[::-1], fx, out=fa)
+    np.add(fy[::-1], fy, out=fb)  # conj(J G J) - G, up to the same sign
+    np.square(d, out=d)
+    a += b
+    reflection = float(fa.max())
+    np.add(fx[::-1], fx, out=fa)  # T = Re G + J Re G J + J Im G - Im G J
+    a += y[::-1]
+    a -= y[:, ::-1]
+    del g, x, y, fx, fy  # eigh's workspace may reuse G's planes
+    lam, w = np.linalg.eigh(a[:-1, :-1])
+    # r, s = R / 4, S / 4: this folds in the 1/2 of Q (R + i S) Q^H, so a, b
+    # below are the real and imaginary parts of (exp(-i G) - P) / 2
+    cos = np.cos(lam) * 0.25
+    sin = np.sin(lam) * -0.25
+    rs = np.empty((2, n + 1, n + 1))
+    r, s = rs[0], rs[1]
+    fr, fs = rs.reshape(2, -1)
+    weighted = fa[: n * n].reshape(n, n)
+    np.multiply(w, cos, out=weighted)
+    np.matmul(weighted, w.T, out=r[:-1, :-1])
+    np.multiply(w, sin, out=weighted)
+    np.matmul(weighted, w.T, out=s[:-1, :-1])
+    _repeat_first(rs)
+    np.add(fr[::-1], fr, out=fa)
+    a -= s[::-1]
+    a += s[:, ::-1]
+    np.add(fs[::-1], fs, out=fb)
+    b += r[::-1]
+    b -= r[:, ::-1]
+    # P: e_j -> e_{j+1} sits on the plane's subdiagonal, and rows 1..n,
+    # columns 0..n-1 hold every entry of the n x n matrix once
+    fa[n + 1 :: n + 2] -= 0.5
+    np.square(d, out=d)
+    a += b
+    return 2 * math.sqrt(max(float(a[1:, :-1].max()), hermitian, reflection))
+
+
+def _repeat_first(planes: np.ndarray) -> None:
+    """Set row n and column n of each (n + 1) x (n + 1) plane to its row 0 and column 0."""
+    planes[:, :-1, -1] = planes[:, :-1, 0]
+    planes[:, -1] = planes[:, 0]
 
 
 def offdiagonal_approximation_error(block: MingBlock) -> float:

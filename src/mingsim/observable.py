@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bitlattice import require_dense, require_index
+from .bitlattice import require_dense, require_index, require_int
 from .errors import NotNormalizedError
 
 # norm windows: accept silently within NORM_ATOL, else require normalize=True
@@ -41,6 +41,7 @@ class CockedSet:
     epsilon: float
 
     def __post_init__(self) -> None:
+        require_int("n", self.n)
         if self.n < 2:
             raise ValueError(f"need at least two sites, got n={self.n}")
         if not 0.0 <= self.epsilon < 1.0:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from mingsim import acceptance, fkm
+from mingsim import acceptance, fkm, ming, observable
 from mingsim.errors import (
     DegenerateFitError,
     IndefiniteFormError,
@@ -76,17 +76,33 @@ def test_chain_validation():
                 fkm.HarmonicChain(n=8, **{"beta": 1.0, field: bad})
 
 
+# one integer rule (bitlattice.require_int) for the sizes and counts of every module
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: fkm.scaled_ring(8.5, 1.0), r"^n must be an integer, got 8\.5$"),
         (lambda: fkm.scaled_ring(True, 1.0), r"^n must be an integer, got True$"),
+        (lambda: fkm.scaled_ring("3", 1.0), r"^n must be an integer, got '3'$"),
+        (
+            lambda: fkm.scaled_ring(2**600, 1.0),
+            r"^coupling kappa0 \* n\^2 / pi\^2 is not finite for kappa0=1\.0, n=\d+$",
+        ),
         (
             lambda: fkm.mc_phase_autocorrelation(fkm.scaled_ring(8, 1.0), TAU, samples=2.5, seed=1),
             r"^samples must be an integer, got 2\.5$",
         ),
+        (lambda: ming.build_block(5.5, 1.0), r"^n must be an integer, got 5\.5$"),
+        (lambda: ming.build_block(True, 1.0), r"^n must be an integer, got True$"),
+        (lambda: ming.build_block("5", 1.0), r"^n must be an integer, got '5'$"),
+        (lambda: observable.CockedSet(5.5, 0.0), r"^n must be an integer, got 5\.5$"),
+        (lambda: observable.CockedSet(True, 0.0), r"^n must be an integer, got True$"),
+        (lambda: observable.CockedSet("5", 0.0), r"^n must be an integer, got '5'$"),
     ],
-    ids=["fractional-n", "bool-n", "fractional-samples"],
+    ids=[
+        "fractional-n", "bool-n", "str-n", "huge-n", "fractional-samples",
+        "block-fractional-n", "block-bool-n", "block-str-n",
+        "cocked-fractional-n", "cocked-bool-n", "cocked-str-n",
+    ],
 )
 def test_sizes_and_counts_must_be_integers(call, message):
     with pytest.raises(ValueError, match=message):
